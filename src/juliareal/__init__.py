@@ -1,7 +1,7 @@
 """Real Julia set decision procedures and arboreal certificate tooling."""
 
 from .classifier import (ClassificationReport, CriticalInterval,
-                         classify_real_julia, critical_interval)
+                         classify_batch, classify_real_julia, critical_interval)
 from .cubic_region import b_zero, in_region, region_scan
 from .heights import canonical_height, functional_equation_residual, weil_height
 from .lattes import (NonAbelianCertificate, RationalMap, WeierstrassCurve,
@@ -19,7 +19,7 @@ __all__ = [
     "EmpiricalMeasure", "NonAbelianCertificate", "OrbitStatus", "Polynomial",
     "RationalMap", "WeierstrassCurve", "all_roots_real", "b_zero",
     "backward_orbit", "canonical_height", "certify_nonabelian",
-    "classify_real_julia", "complex_roots", "conjugate", "critical_interval",
+    "classify_batch", "classify_real_julia", "complex_roots", "conjugate", "critical_interval",
     "cubic_normal_form", "duplication_lattes", "empirical_cdf_distance",
     "functional_equation_residual", "in_region", "max_imag_stat",
     "orbit_status", "real_roots", "real_surjectivity", "region_scan",

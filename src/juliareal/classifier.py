@@ -13,12 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .poly import Polynomial, poly_to_json
-from .roots import all_real_shifted, real_roots_ex
+from .roots import all_real_batch, all_real_shifted, real_roots_batch, real_roots_ex
 
 # containment slack for "fixed point inside interval" (relative)
 CONTAIN_TOL = 1e-8
 # verdicts this close to an interval endpoint are flagged marginal
 MARGINAL_TOL = 1e-7
+# realness tolerances for the critical points and for the fixed points
+_CRIT_REALNESS_TOL = 1e-7
+_FIXED_REALNESS_TOL = 1e-6
 
 
 class CriticalIntervalError(RuntimeError):
@@ -84,7 +87,17 @@ class ClassificationReport:
         return out
 
 
-def _sample_points(lo, hi, n=64):
+# Chebyshev nodes on (-1, 1): the cross-check samples of a critical interval
+_SAMPLE_NODES = np.cos(np.pi * (np.arange(64) + 0.5) / 64)
+# all-real tolerance at the interior samples and at the pulled-in endpoints
+_SAMPLE_TOL = 1e-6
+_ENDPOINT_TOL = 1e-5
+# how far the cross-check pulls a finite endpoint into the interval, and the
+# gap by which lo may exceed hi before the interval counts as empty (relative)
+_ENDPOINT_PULL = 1e-9
+
+
+def _sample_points(lo, hi):
     """Strictly interior Chebyshev-style sample of [lo, hi] (finite part)."""
     if not math.isfinite(lo):
         lo = hi - 10.0 * (1.0 + abs(hi)) if math.isfinite(hi) else -10.0
@@ -92,8 +105,7 @@ def _sample_points(lo, hi, n=64):
         hi = lo + 10.0 * (1.0 + abs(lo))
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    k = np.arange(n)
-    return mid + half * np.cos(np.pi * (k + 0.5) / n)
+    return mid + half * _SAMPLE_NODES
 
 
 def critical_interval(p: Polynomial, cross_check=True) -> CriticalInterval:
@@ -109,7 +121,7 @@ def critical_interval(p: Polynomial, cross_check=True) -> CriticalInterval:
     if q.degree < 2:
         raise ValueError("degree >= 2 required")
     dq = q.derivative()
-    crit, _ = real_roots_ex(dq, realness_tol=1e-7)
+    crit, _ = real_roots_ex(dq, realness_tol=_CRIT_REALNESS_TOL)
     total_mult = sum(m for _, m in crit)
     if total_mult < dq.degree:
         # nonreal critical point: p - t can never split over R
@@ -142,7 +154,7 @@ def critical_interval(p: Polynomial, cross_check=True) -> CriticalInterval:
 
     scale = 1.0 + max(abs(v) for v in (lo, hi) if math.isfinite(v)) \
         if (math.isfinite(lo) or math.isfinite(hi)) else 1.0
-    if lo > hi + 1e-9 * scale:
+    if lo > hi + _ENDPOINT_PULL * scale:
         return CriticalInterval(math.nan, math.nan, empty=True)
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
@@ -150,7 +162,7 @@ def critical_interval(p: Polynomial, cross_check=True) -> CriticalInterval:
     interval = CriticalInterval(lo, hi)
     if cross_check and lo < hi:
         ts = _sample_points(lo, hi)
-        ok = all_real_shifted(q, ts, tol=1e-6)
+        ok = all_real_shifted(q, ts, tol=_SAMPLE_TOL)
         if not ok.all():
             bad = float(np.asarray(ts)[~np.asarray(ok)][0])
             raise CriticalIntervalError(
@@ -158,8 +170,9 @@ def critical_interval(p: Polynomial, cross_check=True) -> CriticalInterval:
                 f"at t={bad}; the all-real set may be disconnected")
         for endpoint in (lo, hi):
             if math.isfinite(endpoint):
-                pulled = endpoint + (1e-9 * scale if endpoint == lo else -1e-9 * scale)
-                if not all_real_shifted(q, [pulled], tol=1e-5)[0]:
+                pull = _ENDPOINT_PULL * scale
+                pulled = endpoint + (pull if endpoint == lo else -pull)
+                if not all_real_shifted(q, [pulled], tol=_ENDPOINT_TOL)[0]:
                     raise CriticalIntervalError(
                         f"fast-path endpoint {endpoint} fails the all-real oracle")
     return interval
@@ -170,7 +183,7 @@ def real_fixed_points(p: Polynomial, of_iterate=1):
     if p.degree < 2:
         raise ValueError("degree >= 2 required")
     q = p.to_float().iterate(of_iterate) - Polynomial([0.0, 1.0])
-    roots, marginal = real_roots_ex(q, realness_tol=1e-6)
+    roots, marginal = real_roots_ex(q, realness_tol=_FIXED_REALNESS_TOL)
     return roots, marginal
 
 
@@ -238,6 +251,78 @@ def classify_real_julia(p: Polynomial, cross_check=True) -> ClassificationReport
     report.julia_real = True
     report.reason = "test interval inside critical interval"
     return report
+
+
+def classify_batch(C, cross_check=True):
+    """classify_real_julia(...).julia_real for every row of C, shape (rows, d+1).
+
+    The rows are coefficients in ascending powers, all of one odd degree
+    d >= 3 with a positive lead: the branch a scan of X^3 + AX + B needs.
+    Two batched solves give the critical points and the fixed points;
+    realness, the critical interval, the cross-check of critical_interval
+    and containment are then array operations.  A row that this does not
+    decide by a wide margin goes through classify_real_julia unchanged, so
+    its errors still raise: clustered roots, a root near the realness
+    tolerance, an interval near a single point, a fixed point near an
+    interval endpoint, a failed residual or cross-check, a non-finite value.
+    """
+    C = np.asarray(C, dtype=float)
+    d = C.shape[-1] - 1
+    if C.ndim != 2 or d < 3 or d % 2 == 0 or not (C[:, -1] > 0).all():
+        raise ValueError("rows of one odd degree >= 3 with positive lead required")
+    crit, crit_clear = real_roots_batch(C[:, 1:] * np.arange(1, d + 1), _CRIT_REALNESS_TOL)
+    fixed, fixed_clear = real_roots_batch(C - np.eye(1, d + 1, 1), _FIXED_REALNESS_TOL)
+    decided = crit_clear & fixed_clear & np.isfinite(C).all(axis=1)
+
+    # p' has even degree and positive lead: with all its roots real and
+    # simple, p has local maxima at the even positions of the sorted
+    # critical points and minima at the odd ones
+    split = decided & ~np.isnan(crit).any(axis=1)
+    values = _horner_real(C[split], crit[split])
+    hi = np.full(len(C), np.nan)
+    lo = np.full(len(C), np.nan)
+    hi[split] = values[:, 0::2].min(axis=1)
+    lo[split] = values[:, 1::2].max(axis=1)
+    scale = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
+    # nonreal critical points leave the interval empty
+    empty = decided & ~split
+    empty[split] = lo[split] > hi[split] + 10 * _ENDPOINT_PULL * scale[split]
+    bounded = split & (lo < hi - 10 * _ENDPOINT_PULL * scale)
+    decided &= empty | bounded
+
+    if cross_check:
+        rows = np.flatnonzero(bounded)
+        mid = 0.5 * (lo[rows] + hi[rows])
+        half = 0.5 * (hi[rows] - lo[rows])
+        pull = _ENDPOINT_PULL * scale[rows]
+        ts = np.concatenate([mid[:, None] + half[:, None] * _SAMPLE_NODES,
+                             (lo[rows] + pull)[:, None], (hi[rows] - pull)[:, None]], axis=1)
+        tol = np.r_[np.full(len(_SAMPLE_NODES), _SAMPLE_TOL), _ENDPOINT_TOL, _ENDPOINT_TOL]
+        decided[rows] &= all_real_batch(C[rows], ts, tol).all(axis=1)
+
+    slack = 1.0 + np.abs(fixed)
+    inside = (fixed >= lo[:, None] - CONTAIN_TOL * slack) & (fixed <= hi[:, None] + CONTAIN_TOL * slack)
+    near = ((np.abs(fixed - lo[:, None]) <= MARGINAL_TOL * slack)
+            | (np.abs(fixed - hi[:, None]) <= MARGINAL_TOL * slack))
+    real = ~np.isnan(fixed)
+    decided &= empty | ~near.any(axis=1)
+    verdict = bounded & (inside | ~real).all(axis=1)
+    for i in np.flatnonzero(~decided):
+        verdict[i] = classify_real_julia(Polynomial(C[i].tolist()),
+                                         cross_check=cross_check).julia_real
+    return verdict
+
+
+def _horner_real(C, x):
+    """p(x) elementwise for x of shape (rows, k), p given by the rows of C.
+
+    Same operations in the same order as Polynomial.__call__, so the
+    critical values equal those critical_interval computes.
+    """
+    acc = np.repeat(C[:, -1:], x.shape[1], axis=1)
+    for i in range(C.shape[1] - 2, -1, -1):
+        acc = acc * x + C[:, i:i + 1]
+    return acc
 
 
 def forward_escape_check(p: Polynomial, x, max_iter=256):

@@ -10,14 +10,18 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import classify_real_julia
+from .classifier import classify_batch
 from .poly import Polynomial, discriminant
+
+# cells per classify_batch call in region_scan: bounds each (cells, 66)
+# cross-check array to about 0.5 MB
+_SCAN_BLOCK = 1024
+# float64 elements per boundary_distance temporary: about 1 MB
+_DISTANCE_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -88,13 +92,23 @@ def boundary_distance(A, B, a_samples=2001, a_lo=-9.0):
 
     The curve (A <= -3 branch, both signs of B) is sampled densely and the
     minimum point distance returned; accurate to the sampling resolution,
-    which is all the scan band test needs.
+    which is all the scan band test needs.  A and B may be arrays of one
+    shape; the result then has that shape.
     """
     As = np.linspace(a_lo, -3.0, a_samples)
     Bs = np.sqrt(np.maximum(region_bound(As), 0.0))
-    d2 = np.minimum((As - A) ** 2 + (Bs - B) ** 2,
-                    (As - A) ** 2 + (-Bs - B) ** 2)
-    return float(math.sqrt(d2.min()))
+    A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
+    a, b = A.ravel(), np.abs(B.ravel())
+    out = np.empty(a.size)
+    # the nearer branch is the one on B's side: (Bs - |B|)^2 is the smaller
+    # of (Bs - B)^2 and (Bs + B)^2, bit for bit
+    step = max(1, _DISTANCE_CHUNK // a_samples)
+    for i in range(0, a.size, step):
+        d2 = np.square(As - a[i:i + step, None])
+        d2 += np.square(Bs - b[i:i + step, None])
+        out[i:i + step] = np.sqrt(d2.min(axis=1))
+    out = out.reshape(A.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -126,29 +140,12 @@ class ScanSummary:
         return buf.getvalue()
 
 
-def _worker_count():
-    env = os.environ.get("JULIAREAL_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _scan_row(args):
-    A, b_vals, cross_check = args
-    out = []
-    for B in b_vals:
-        analytic = in_region(A, B)
-        verdict = classify_real_julia(
-            Polynomial([B, A, 0.0, 1.0]), cross_check=cross_check).julia_real
-        out.append((A, B, analytic, verdict))
-    return out
-
-
 def region_scan(a_range, b_range, step, cross_check=True) -> ScanSummary:
     """Grid cross-validation of the analytic region against the classifier.
 
     a_range/b_range are inclusive (lo, hi) bounds stepped by `step`.  Rows are
-    emitted in (A, B) lexicographic order regardless of worker count.
+    emitted in (A, B) lexicographic order; the classifier verdicts come from
+    classify_batch, a block of cells at a time.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -156,29 +153,25 @@ def region_scan(a_range, b_range, step, cross_check=True) -> ScanSummary:
     b_lo, b_hi = b_range
     a_vals = np.arange(round((a_hi - a_lo) / step) + 1) * step + a_lo
     b_vals = np.arange(round((b_hi - b_lo) / step) + 1) * step + b_lo
+    a_cells, b_cells = (g.ravel() for g in np.meshgrid(a_vals, b_vals, indexing="ij"))
 
-    tasks = [(float(A), [float(b) for b in b_vals], cross_check) for A in a_vals]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_row = list(pool.map(_scan_row, tasks))
-    else:
-        per_row = [_scan_row(t) for t in tasks]
+    # rows of X^3 + AX + B in ascending powers
+    C = np.zeros((a_cells.size, 4))
+    C[:, 0], C[:, 1], C[:, 3] = b_cells, a_cells, 1.0
+    verdicts = np.zeros(a_cells.size, dtype=bool)
+    for i in range(0, a_cells.size, _SCAN_BLOCK):
+        verdicts[i:i + _SCAN_BLOCK] = classify_batch(C[i:i + _SCAN_BLOCK], cross_check)
+    distances = boundary_distance(a_cells, b_cells)
 
-    # distance computation is vectorized over the whole grid at once
-    As = np.linspace(-9.0, -3.0, 2001)
-    Bs = np.sqrt(np.maximum(region_bound(As), 0.0))
     rows = []
     disagreements = 0
     max_dist = 0.0
-    for row in per_row:
-        for A, B, analytic, verdict in row:
-            d2 = np.minimum((As - A) ** 2 + (Bs - B) ** 2,
-                            (As - A) ** 2 + (Bs + B) ** 2)
-            dist = float(math.sqrt(d2.min()))
-            agree = analytic == verdict
-            if not agree:
-                disagreements += 1
-                max_dist = max(max_dist, dist)
-            rows.append((A, B, analytic, verdict, agree, dist))
+    for A, B, verdict, dist in zip(a_cells.tolist(), b_cells.tolist(), verdicts.tolist(),
+                                   distances.tolist()):
+        analytic = in_region(A, B)
+        agree = analytic == verdict
+        if not agree:
+            disagreements += 1
+            max_dist = max(max_dist, dist)
+        rows.append((A, B, analytic, verdict, agree, dist))
     return ScanSummary(len(rows), disagreements, max_dist, rows)

@@ -1,9 +1,10 @@
 """Complex root extraction and exact real-root counting.
 
 Float side: closed forms for degrees <= 3, simultaneous Aberth-Ehrlich
-iteration with Newton polishing above that.  The batched entry point solves
-p(X) = t for a whole vector of targets at once, which is what backward-orbit
-expansion and critical-interval cross-checks need.
+iteration with Newton polishing above that.  The batched entry point,
+roots_batch, solves every row of a coefficient matrix at once; roots_shifted
+builds that matrix for p(X) = t over a whole vector of targets, which is what
+backward-orbit expansion needs.
 
 Exact side: Sturm chains and Yun square-free decomposition over Fractions.
 """
@@ -20,6 +21,10 @@ from .poly import Polynomial
 REALNESS_TOL = 1e-9
 # float-domain root clustering radius (relative)
 CLUSTER_TOL = 1e-6
+# wider radius at which off-axis clusters are regrouped (relative)
+_REGROUP_TOL = 1e-4
+# roots this close to the axis are left alone by conjugate pairing (relative)
+_PAIR_TOL = 1e-13
 
 _ABERTH_MAX_ITER = 120
 _POLISH_STEPS = 4
@@ -136,14 +141,16 @@ def _polish_batch(C, z, steps=_POLISH_STEPS):
     return best
 
 
-def roots_shifted(p: Polynomial, targets):
-    """Roots of p(X) - t for every t in targets; shape (len(targets), deg)."""
-    t = np.asarray(targets, dtype=complex).ravel()
-    d = p.degree
+def roots_batch(C):
+    """All roots of every row of C, shape (rows, d+1) in ascending powers.
+
+    Closed forms for d <= 3, Aberth-Ehrlich above, then a residual-monotone
+    Newton polish; returns shape (rows, d), complex.
+    """
+    C = np.asarray(C, dtype=complex)
+    d = C.shape[1] - 1
     if d < 1:
         raise ValueError("degree >= 1 required")
-    C = np.tile(np.array([complex(c) for c in p.coeffs]), (t.size, 1))
-    C[:, 0] -= t
     if d == 1:
         return (-C[:, 0] / C[:, 1])[:, None]
     if d == 2:
@@ -155,19 +162,28 @@ def roots_shifted(p: Polynomial, targets):
     return _polish_batch(C, z)
 
 
-def _residual_ok(C, z):
+def roots_shifted(p: Polynomial, targets):
+    """Roots of p(X) - t for every t in targets; shape (len(targets), deg)."""
+    t = np.asarray(targets, dtype=complex).ravel()
+    C = np.tile(np.array([complex(c) for c in p.coeffs]), (t.size, 1))
+    C[:, 0] -= t
+    return roots_batch(C)
+
+
+def _residual_ok(C, z, slack=1.0):
+    """Per row: is every |p(z)| within slack * 1e-8 of the coefficient scale
+    times max(1, |z|)^d?  Also returns each row's largest |p(z)|."""
     p, _ = _horner_many(C, z)
     maxc = np.abs(C).max(axis=1, keepdims=True)
     d = C.shape[1] - 1
-    thresh = 1e-8 * maxc * np.maximum(1.0, np.abs(z)) ** d
-    return (np.abs(p) <= thresh).all(), float(np.abs(p).max())
+    thresh = slack * 1e-8 * maxc * np.maximum(1.0, np.abs(z)) ** d
+    return (np.abs(p) <= thresh).all(axis=1), np.abs(p).max(axis=1)
 
 
 def _pair_conjugates(roots):
     """Symmetrize the root multiset of a real polynomial under conjugation."""
-    im = roots.imag
     scale = 1.0 + np.abs(roots).max()
-    tiny = 1e-13 * scale
+    tiny = _PAIR_TOL * scale
     pos = sorted((z for z in roots if z.imag > tiny), key=lambda z: (z.real, z.imag))
     neg = sorted((z.conjugate() for z in roots if z.imag < -tiny),
                  key=lambda z: (z.real, z.imag))
@@ -177,7 +193,6 @@ def _pair_conjugates(roots):
     for a, b in zip(pos, neg):
         u = (a + b) / 2
         out.extend([u, u.conjugate()])
-    del im
     return np.array(out, dtype=complex)
 
 
@@ -193,9 +208,9 @@ def complex_roots(p: Polynomial):
     z = roots_shifted(p, [0.0])[0]
     C = np.array([[complex(c) for c in p.coeffs]])
     ok, res = _residual_ok(C, z[None, :])
-    if not ok:
+    if not ok[0]:
         raise RootFindingError(
-            f"root polishing stalled (max residual {res:.3e})", best=z)
+            f"root polishing stalled (max residual {res[0]:.3e})", best=z)
     if all(float(complex(c).imag) == 0.0 for c in p.coeffs):
         z = _pair_conjugates(z)
     return np.sort_complex(z)
@@ -210,17 +225,20 @@ def _res_tol(p, x):
     return 1e-8 * maxc * max(1.0, abs(x)) ** p.degree
 
 
-def _modified_newton(p, dp, x, m, steps=12):
-    # p is float-noise-limited near multiple roots; keep the best iterate
+def _modified_newton(p, dp, x, m, radius, steps=12):
+    # p is float-noise-limited near multiple roots; keep the best iterate, but
+    # only among iterates within radius of the cluster center: one farther out
+    # has jumped toward another root, where |p| is just as small
+    x0 = x
     best, best_res = x, abs(p(x))
     for _ in range(steps):
         dv = dp(x)
         if dv == 0:
             break
         step = m * p(x) / dv
-        if abs(step) > 1.0 + abs(x):
-            break
         x = x - step
+        if abs(x - x0) > radius:
+            break
         res = abs(p(x))
         if res < best_res:
             best, best_res = x, res
@@ -261,7 +279,7 @@ def real_roots_ex(p: Polynomial, realness_tol=REALNESS_TOL):
         m = len(cluster)
         center = sum(cluster) / m
         if m >= 2:
-            center = _modified_newton(q, dq, center, m)
+            center = _modified_newton(q, dq, center, m, CLUSTER_TOL * scale)
         if abs(center.imag) <= (realness_tol if m == 1 else 1e-6) * (1.0 + abs(center)):
             accepted.append((center, m))
             if m == 1 and abs(center.imag) > 0.1 * realness_tol * (1.0 + abs(center)):
@@ -277,14 +295,15 @@ def real_roots_ex(p: Polynomial, realness_tol=REALNESS_TOL):
     if leftovers:
         pool = [(c, m, True) for c, m in accepted] + [(c, m, False) for c, m in leftovers]
         vals = np.array([c for c, m, _ in pool])
-        for g in _chain_clusters(vals, 1e-4 * scale):
+        for g in _chain_clusters(vals, _REGROUP_TOL * scale):
             idxs = sorted({int(np.argmin(np.abs(vals - z))) for z in g})
             members = [pool[i] for i in idxs]
             if all(real for _, _, real in members):
                 out.extend((float(c.real), m) for c, m, _ in members)
                 continue
             m = sum(mm for _, mm, _ in members)
-            center = _modified_newton(q, dq, sum(c for c, _, _ in members) / len(members), m)
+            center = _modified_newton(q, dq, sum(c for c, _, _ in members) / len(members),
+                                      m, _REGROUP_TOL * scale)
             if (m >= 2 and abs(center.imag) <= 1e-6 * (1.0 + abs(center))
                     and abs(q(center)) <= _res_tol(q, center)):
                 out.append((float(center.real), m))
@@ -310,15 +329,18 @@ def all_roots_real(p: Polynomial, tol=REALNESS_TOL):
     return bool((np.abs(roots.imag) <= tol * (1.0 + np.abs(roots))).all())
 
 
-def all_real_shifted(p: Polynomial, targets, tol=1e-6):
-    """Vectorized all_roots_real(p - t) over a target vector (float domain).
+def all_real_batch(C, targets, tol=1e-6):
+    """all_roots_real(p_i - t) for every target t in row i of targets.
 
-    Degrees 2 and 3 go through the discriminant sign, higher degrees through
-    the batched solver.
+    C has shape (rows, d+1), real coefficients in ascending powers; targets
+    has shape (rows, k) and so has the result.  tol may be an array that
+    broadcasts against it.  Degrees 2 and 3 go through the discriminant
+    sign, higher degrees through the batched solver.
     """
-    t = np.asarray(targets, dtype=float).ravel()
-    d = p.degree
-    c = [float(x) for x in p.coeffs]
+    C = np.asarray(C, dtype=float)
+    t = np.asarray(targets, dtype=float)
+    d = C.shape[1] - 1
+    c = [C[:, i:i + 1] for i in range(d + 1)]
     if d == 2:
         disc = c[1] * c[1] - 4 * c[2] * (c[0] - t)
         floor = tol * np.maximum(1.0, np.abs(c[1] * c[1]) + np.abs(4 * c[2] * (c[0] - t)))
@@ -331,8 +353,48 @@ def all_real_shifted(p: Polynomial, targets, tol=1e-6):
         mag = (np.abs(18 * a3 * a2 * a1 * a0) + np.abs(4 * a2**3 * a0)
                + a2**2 * a1**2 + np.abs(4 * a3 * a1**3) + 27 * a3**2 * a0**2)
         return disc >= -tol * np.maximum(1.0, mag)
-    z = roots_shifted(p, t)
-    return (np.abs(z.imag) <= tol * (1.0 + np.abs(z))).all(axis=1)
+    shifted = np.repeat(C[:, None, :], t.shape[1], axis=1)
+    shifted[:, :, 0] -= t
+    z = roots_batch(shifted.reshape(-1, d + 1)).reshape(t.shape + (d,))
+    tol = np.asarray(tol)[..., None]
+    return (np.abs(z.imag) <= tol * (1.0 + np.abs(z))).all(axis=-1)
+
+
+def all_real_shifted(p: Polynomial, targets, tol=1e-6):
+    """Vectorized all_roots_real(p - t) over a target vector (float domain)."""
+    t = np.asarray(targets, dtype=float).ravel()
+    C = np.array([[float(c) for c in p.coeffs]])
+    return all_real_batch(C, t[None, :], tol)[0]
+
+
+def real_roots_batch(C, realness_tol=REALNESS_TOL):
+    """Real roots of every row of a real coefficient matrix C, shape (rows, d+1).
+
+    Returns (x, clear).  x has shape (rows, d): a row's real roots in
+    ascending order, then NaN for each nonreal root.  clear marks the rows
+    on which real_roots_ex certainly finds the same roots, all simple: the
+    residuals are a tenth of the bound complex_roots enforces, every root
+    lies on the axis to within the conjugate-pairing threshold or off it by
+    ten times realness_tol, and no two roots lie within ten times the radius
+    at which real_roots_ex would merge them.  The other rows need
+    real_roots_ex.
+    """
+    C = np.asarray(C, dtype=complex)
+    d = C.shape[1] - 1
+    z = roots_batch(C)
+    residual_ok, _ = _residual_ok(C, z, slack=0.1)
+    size = np.abs(z)
+    scale = 1.0 + size.max(axis=1, initial=0.0, keepdims=True)
+    off_axis = np.abs(z.imag)
+    real = (off_axis <= _PAIR_TOL * scale) & (off_axis <= 0.1 * realness_tol * (1.0 + size))
+    nonreal = off_axis > 10 * realness_tol * (1.0 + size)
+    pairwise = np.abs(z[:, :, None] - z[:, None, :]) + np.diag(np.full(d, np.inf))
+    gap = pairwise.min(axis=(1, 2), initial=np.inf)
+    # off-axis roots are regrouped at the wider radius
+    radius = np.where(nonreal.any(axis=1), _REGROUP_TOL, CLUSTER_TOL) * scale[:, 0]
+    clear = (residual_ok & np.isfinite(z).all(axis=1) & (real | nonreal).all(axis=1)
+             & (gap > 10 * radius))
+    return np.sort(np.where(real, z.real, np.nan), axis=1), clear
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,34 @@ def test_criterion_02_cubic_examples():
            "every t, so the interval is empty; the critical value actually "
            "attained at the pinning points is (88/81)sqrt(2/3), and no "
            "definition-consistent interval matches the quoted endpoints "
-           "(see the project decisions ledger for the full analysis)")
+           "(the test's docstring gives the full analysis)")
 def test_criterion_02_reference_endpoints():
+    """The recorded endpoints of I(f^2) for f = -X^3 + 2X; expected to fail.
+
+    The reference gives I(f^2) = [-(44/27)sqrt(2/3), (44/27)sqrt(2/3)],
+    about [-1.3306, 1.3306].  The package defines I(g) as the closure of
+    the t for which g - t has deg g real roots counted with multiplicity,
+    and under that definition I(f^2) is empty:
+
+    - f^2 = X^9 - 6X^7 + 12X^5 - 10X^3 + 4X has eight simple real critical
+      points: +-sqrt(2/3), the critical points of f, where f^2 takes the
+      values +-(88/81)sqrt(2/3) ~ +-0.8871; and the six preimages of
+      +-sqrt(2/3) under f, where it takes +-(4/3)sqrt(2/3) ~ +-1.0887.
+    - From the left, the local maxima of f^2 take the values 1.0887,
+      -0.8871, 1.0887, 1.0887 and the local minima -1.0887, -1.0887,
+      0.8871, -1.0887.  f^2 - t has nine real roots only if t lies at or
+      below every local maximum and at or above every local minimum,
+      that is 0.8871 <= t <= -0.8871: no t does.
+    - Direct root counting agrees: for t on a grid over [-3, 3], at most
+      7 of the 9 roots of f^2 - t are real.
+    - (44/27)sqrt(2/3) is not a critical value of f^2, so no interval
+      bounded by critical values, as the definition's intervals are,
+      has the quoted endpoints.
+
+    The verdict for f itself (not real, the check of criterion 2 above)
+    does not depend on this.  The test stays a strict xfail so that a
+    change that starts to reproduce the quoted endpoints is noticed.
+    """
     rep = classify_real_julia(P(0.0, 2.0, 0.0, -1.0))
     endpoint = (44.0 / 27.0) * math.sqrt(2.0 / 3.0)
     try:
@@ -89,7 +115,7 @@ def test_criterion_02_reference_endpoints():
         assert abs(rep.interval.lo + endpoint) <= 1e-9
         assert abs(rep.interval.hi - endpoint) <= 1e-9
     except AssertionError:
-        print("[criterion  2] reference endpoints: FAIL (expected; see ledger)")
+        print("[criterion  2] reference endpoints: FAIL (expected; see its docstring)")
         raise
     print("[criterion  2] reference endpoints: PASS")
 

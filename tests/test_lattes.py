@@ -151,6 +151,18 @@ class TestCriticalPoints:
         for curve in random_curves(rng, 10):
             lattes_critical_points(curve)       # mismatch raises
 
+    def test_double_torsion_preimages_kept(self):
+        # route 2 meets two double roots here; refining one of them used to
+        # land on the other and drop -4.6696
+        crit = lattes_critical_points(WeierstrassCurve(1, -4, -3))
+        ref = [-4.669591295300725, -1.3732418151647825, 0.2722088082687308,
+               5.197700172133576]
+        assert np.allclose(crit, ref, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("abc", [(-6, 2, 0), (-4, -4, 0), (2, -6, -3), (5, 0, 6)])
+    def test_routes_agree_on_double_roots(self, abc):
+        lattes_critical_points(WeierstrassCurve(*abc))       # mismatch raises
+
 
 class TestRamification:
     def test_generic_fiber_has_four_preimages(self):

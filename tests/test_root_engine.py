@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from juliareal.poly import Polynomial
-from juliareal.roots import (all_real_shifted, all_roots_real, complex_roots,
-                             real_root_count, real_roots, real_roots_ex,
+from juliareal.roots import (all_real_batch, all_real_shifted, all_roots_real,
+                             complex_roots, real_root_count, real_roots,
+                             real_roots_batch, real_roots_ex, roots_batch,
                              roots_shifted, square_free_decomposition,
                              square_free_part)
 
@@ -83,6 +84,15 @@ class TestRootsShifted:
             single = complex_roots(p - Polynomial([float(t)]))
             assert np.allclose(np.sort_complex(row), single, atol=1e-7)
 
+    def test_roots_batch_rows_are_independent(self):
+        rng = np.random.default_rng(12)
+        for d in (2, 3, 5):
+            C = rng.uniform(-2, 2, (6, d + 1))
+            batch = roots_batch(C)
+            for row, z in zip(C, batch):
+                single = roots_shifted(Polynomial(list(row)), [0.0])[0]
+                assert np.allclose(np.sort_complex(z), np.sort_complex(single), atol=1e-9)
+
     def test_residuals_small(self):
         rng = np.random.default_rng(9)
         p = Polynomial(list(rng.uniform(-2, 2, 5)))
@@ -124,6 +134,36 @@ class TestRealRootsMultiplicity:
     def test_real_roots_wrapper(self):
         assert [x for x, _ in real_roots(P(-4.0, 0.0, 1.0))] == [-2.0, 2.0]
 
+    def test_cluster_refinement_stays_at_its_cluster(self):
+        # double roots at -4.6696 and 0.2722 (the torsion route of the Lattes
+        # map of y^2 = x^3 + x^2 - 4x - 3): refining the left cluster must not
+        # jump to the right one, where |p| is just as small
+        p = from_roots([-4.669591295300725, -4.669591295300725,
+                        0.2722088082687308, 0.2722088082687308])
+        roots, _ = real_roots_ex(p)
+        assert [m for _, m in roots] == [2, 2]
+        assert abs(roots[0][0] + 4.669591295300725) < 1e-6
+        assert abs(roots[1][0] - 0.2722088082687308) < 1e-6
+
+
+class TestRealRootsBatch:
+    def test_clear_rows_match_real_roots_ex(self):
+        rng = np.random.default_rng(21)
+        C = rng.uniform(-3, 3, (40, 4))
+        C[:, 3] = 1.0
+        x, clear = real_roots_batch(C)
+        assert clear.all()
+        for row, xs in zip(C, x):
+            ref = [r for r, _ in real_roots_ex(Polynomial(list(row)))[0]]
+            assert np.allclose(xs[~np.isnan(xs)], ref, rtol=1e-12, atol=1e-12)
+
+    def test_multiple_and_near_real_roots_are_not_clear(self):
+        C = np.array([[-1.0, 3.0, -3.0, 1.0],      # (x-1)^3
+                      [2.0, -3.0, 0.0, 1.0],       # (x-1)^2 (x+2)
+                      [0.0, 1e-16, 0.0, 1.0]])     # x (x^2 + 1e-16)
+        _, clear = real_roots_batch(C)
+        assert not clear.any()
+
 
 class TestAllReal:
     def test_float_predicate(self):
@@ -141,6 +181,15 @@ class TestAllReal:
         ts = np.array([-2.5, -2.0, 0.0, 1.9, 2.0, 2.1])
         got = all_real_shifted(p, ts)
         assert list(got) == [False, True, True, True, True, False]
+
+    def test_all_real_batch_rows_match_shifted(self):
+        rng = np.random.default_rng(31)
+        for d in (2, 3, 4):
+            C = rng.uniform(-2, 2, (5, d + 1))
+            ts = rng.uniform(-3, 3, (5, 7))
+            got = all_real_batch(C, ts)
+            for row, t, g in zip(C, ts, got):
+                assert g.tolist() == all_real_shifted(Polynomial(list(row)), t).tolist()
 
     def test_all_real_shifted_quartic(self):
         p = from_roots([-1.5, -0.3, 0.4, 2.0])
