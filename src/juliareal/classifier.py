@@ -24,6 +24,18 @@ _CRIT_REALNESS_TOL = 1e-7
 _FIXED_REALNESS_TOL = 1e-6
 
 
+def _locate(x, lo, hi):
+    """(inside, near) for points x and intervals [lo, hi], floats or arrays.
+
+    inside: lo <= x <= hi up to CONTAIN_TOL; near: x within MARGINAL_TOL of
+    an end; both relative to 1 + |x|.  An infinite end is never near.
+    """
+    size = 1.0 + abs(x)
+    inside = (x >= lo - CONTAIN_TOL * size) & (x <= hi + CONTAIN_TOL * size)
+    near = (abs(x - lo) <= MARGINAL_TOL * size) | (abs(x - hi) <= MARGINAL_TOL * size)
+    return inside, near
+
+
 class CriticalIntervalError(RuntimeError):
     """Fast-path interval disagrees with the all-real-roots oracle."""
 
@@ -39,18 +51,11 @@ class CriticalInterval:
     hi: float
     empty: bool = False
 
-    def contains(self, x, slack=CONTAIN_TOL):
-        if self.empty:
-            return False
-        eps = slack * (1.0 + abs(x))
-        return self.lo - eps <= x <= self.hi + eps
+    def contains(self, x):
+        return not self.empty and bool(_locate(x, self.lo, self.hi)[0])
 
-    def near_boundary(self, x, slack=MARGINAL_TOL):
-        if self.empty:
-            return False
-        eps = slack * (1.0 + abs(x))
-        return (math.isfinite(self.lo) and abs(x - self.lo) <= eps) or \
-               (math.isfinite(self.hi) and abs(x - self.hi) <= eps)
+    def near_boundary(self, x):
+        return not self.empty and bool(_locate(x, self.lo, self.hi)[1])
 
     def to_json(self):
         if self.empty:
@@ -89,93 +94,85 @@ class ClassificationReport:
 
 # Chebyshev nodes on (-1, 1): the cross-check samples of a critical interval
 _SAMPLE_NODES = np.cos(np.pi * (np.arange(64) + 0.5) / 64)
-# all-real tolerance at the interior samples and at the pulled-in endpoints
-_SAMPLE_TOL = 1e-6
-_ENDPOINT_TOL = 1e-5
+# all-real tolerance at those samples, then at the two pulled-in endpoints
+_CROSS_CHECK_TOL = np.r_[np.full(len(_SAMPLE_NODES), 1e-6), 1e-5, 1e-5]
 # how far the cross-check pulls a finite endpoint into the interval, and the
 # gap by which lo may exceed hi before the interval counts as empty (relative)
 _ENDPOINT_PULL = 1e-9
 
 
-def _sample_points(lo, hi):
-    """Strictly interior Chebyshev-style sample of [lo, hi] (finite part)."""
-    if not math.isfinite(lo):
-        lo = hi - 10.0 * (1.0 + abs(hi)) if math.isfinite(hi) else -10.0
-    if not math.isfinite(hi):
-        hi = lo + 10.0 * (1.0 + abs(lo))
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return mid + half * _SAMPLE_NODES
+def _cross_check_targets(lo, hi, scale):
+    """The all-real cross-check targets of intervals [lo, hi] with lo < hi.
+
+    lo, hi and scale are floats or arrays of one shape; the targets have
+    that shape plus a last axis of 66: 64 Chebyshev samples of [lo, hi],
+    then lo and hi pulled in by _ENDPOINT_PULL * scale.  An infinite end
+    stays infinite and is sampled as if it lay 10 (1 + |other end|) away
+    (0 stands in for an infinite other end).  _CROSS_CHECK_TOL holds the
+    tolerances.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    end = np.where(np.isfinite(hi), hi, 0.0)
+    a = np.where(np.isfinite(lo), lo, end - 10.0 * (1.0 + np.abs(end)))
+    b = np.where(np.isfinite(hi), hi, a + 10.0 * (1.0 + np.abs(a)))
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    pull = _ENDPOINT_PULL * scale
+    return np.concatenate([mid[..., None] + half[..., None] * _SAMPLE_NODES,
+                           (lo + pull)[..., None], (hi - pull)[..., None]], axis=-1)
 
 
-def critical_interval(p: Polynomial, cross_check=True) -> CriticalInterval:
+def critical_interval(p: Polynomial) -> CriticalInterval:
     """Closure of {t : p - t has deg(p) real roots with multiplicity}.
 
     Fast path from critical values: the interval is bounded below by values
     at local minima, above by values at local maxima, and pinned to p(w) at
     any multiple critical point (a repeated root of p' must be a root of
     p - t whenever p - t splits).  The result is cross-checked against the
-    all-real predicate at 64 interior samples plus both endpoints.
+    all-real predicate in one call over 64 interior samples and the finite
+    endpoints, pulled slightly inward.
     """
     q = p.to_float()
     if q.degree < 2:
         raise ValueError("degree >= 2 required")
     dq = q.derivative()
     crit, _ = real_roots_ex(dq, realness_tol=_CRIT_REALNESS_TOL)
-    total_mult = sum(m for _, m in crit)
-    if total_mult < dq.degree:
+    after = sum(m for _, m in crit)
+    if after < dq.degree:
         # nonreal critical point: p - t can never split over R
         return CriticalInterval(math.nan, math.nan, empty=True)
 
-    xs = [x for x, _ in crit]
     lo, hi = -math.inf, math.inf
-    # signs of p' between consecutive critical points decide min vs max
-    probes = []
-    span = (xs[-1] - xs[0]) + 1.0
-    probes.append(xs[0] - span)
-    for a, b in zip(xs, xs[1:]):
-        probes.append(0.5 * (a + b))
-    probes.append(xs[-1] + span)
-    signs = [1.0 if dq(t) > 0 else -1.0 for t in probes]
-    for i, (x, m) in enumerate(crit):
+    # p' has the sign of its lead right of the last critical point and flips
+    # at each root of odd multiplicity: right of x it has the sign of
+    # lead * (-1)^after, with after the multiplicities right of x
+    for x, m in crit:
+        after -= m
         v = q(x)
         if m >= 2:
             lo = max(lo, v)
             hi = min(hi, v)
-        elif signs[i] > 0 and signs[i + 1] < 0:     # local max
-            hi = min(hi, v)
-        elif signs[i] < 0 and signs[i + 1] > 0:     # local min
+        elif (q.lead > 0) == (after % 2 == 0):      # p' > 0 to the right: local min
             lo = max(lo, v)
-        else:
-            # simple critical point without sign change cannot happen; treat
-            # as pinned to be safe
-            lo = max(lo, v)
+        else:                                       # local max
             hi = min(hi, v)
 
-    scale = 1.0 + max(abs(v) for v in (lo, hi) if math.isfinite(v)) \
-        if (math.isfinite(lo) or math.isfinite(hi)) else 1.0
+    scale = 1.0 + max((abs(v) for v in (lo, hi) if math.isfinite(v)), default=0.0)
     if lo > hi + _ENDPOINT_PULL * scale:
         return CriticalInterval(math.nan, math.nan, empty=True)
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
 
-    interval = CriticalInterval(lo, hi)
-    if cross_check and lo < hi:
-        ts = _sample_points(lo, hi)
-        ok = all_real_shifted(q, ts, tol=_SAMPLE_TOL)
-        if not ok.all():
-            bad = float(np.asarray(ts)[~np.asarray(ok)][0])
+    if lo < hi:
+        ts = _cross_check_targets(lo, hi, scale)
+        finite = np.flatnonzero(np.isfinite(ts))
+        failed = finite[~all_real_shifted(q, ts[finite], tol=_CROSS_CHECK_TOL[finite])]
+        if failed.size:
+            end = failed[0] - len(_SAMPLE_NODES)
             raise CriticalIntervalError(
-                f"fast-path interval [{lo}, {hi}] fails the all-real oracle "
-                f"at t={bad}; the all-real set may be disconnected")
-        for endpoint in (lo, hi):
-            if math.isfinite(endpoint):
-                pull = _ENDPOINT_PULL * scale
-                pulled = endpoint + (pull if endpoint == lo else -pull)
-                if not all_real_shifted(q, [pulled], tol=_ENDPOINT_TOL)[0]:
-                    raise CriticalIntervalError(
-                        f"fast-path endpoint {endpoint} fails the all-real oracle")
-    return interval
+                f"fast-path endpoint {(lo, hi)[end]} fails the all-real oracle" if end >= 0
+                else f"fast-path interval [{lo}, {hi}] fails the all-real oracle at "
+                     f"t={float(ts[failed[0]])}; the all-real set may be disconnected")
+    return CriticalInterval(lo, hi)
 
 
 def real_fixed_points(p: Polynomial, of_iterate=1):
@@ -183,11 +180,10 @@ def real_fixed_points(p: Polynomial, of_iterate=1):
     if p.degree < 2:
         raise ValueError("degree >= 2 required")
     q = p.to_float().iterate(of_iterate) - Polynomial([0.0, 1.0])
-    roots, marginal = real_roots_ex(q, realness_tol=_FIXED_REALNESS_TOL)
-    return roots, marginal
+    return real_roots_ex(q, realness_tol=_FIXED_REALNESS_TOL)
 
 
-def classify_real_julia(p: Polynomial, cross_check=True) -> ClassificationReport:
+def classify_real_julia(p: Polynomial) -> ClassificationReport:
     """Dispatch on (degree parity, lead sign) and test the containments."""
     q = p.to_float()
     if q.degree < 2:
@@ -195,72 +191,55 @@ def classify_real_julia(p: Polynomial, cross_check=True) -> ClassificationReport
     odd = q.degree % 2 == 1
     positive = q.lead > 0
     branch = f"{'odd' if odd else 'even'}-{'positive' if positive else 'negative'}"
-
-    if odd:
-        base = q if positive else q.iterate(2)
-        interval = critical_interval(base, cross_check=cross_check)
-        fps, marginal = real_fixed_points(q, of_iterate=1 if positive else 2)
-        points = [x for x, _ in fps]
-        report = ClassificationReport(False, branch, points, interval, marginal=marginal)
-        if interval.empty:
-            report.reason = "empty critical interval"
-            report.witness = max(points) if points else None
-            return report
-        for x in points:
-            if not interval.contains(x):
-                report.reason = "fixed point outside critical interval"
-                report.witness = x
-                return report
-            if interval.near_boundary(x):
-                report.marginal = True
-        report.julia_real = True
-        report.reason = "all fixed points inside critical interval"
-        return report
-
-    # even degree
-    interval = critical_interval(q, cross_check=cross_check)
-    fps, marginal = real_fixed_points(q, of_iterate=1)
+    # the odd-negative branch works on f o f
+    iterate = 2 if odd and not positive else 1
+    interval = critical_interval(q.iterate(2) if iterate == 2 else q)
+    fps, marginal = real_fixed_points(q, of_iterate=iterate)
     points = [x for x, _ in fps]
     report = ClassificationReport(False, branch, points, interval, marginal=marginal)
+    if odd:
+        return _decide(report, points, max(points, default=None),
+                       "fixed point outside critical interval",
+                       "all fixed points inside critical interval")
+
     if not points:
         report.reason = "no real fixed point"
         return report
-    if positive:
-        a2 = max(points)
-        pre, pre_marginal = real_roots_ex(q - Polynomial([a2]), realness_tol=1e-6)
-        real_pre = [x for x, _ in pre]
-        a1 = min(real_pre) if real_pre else a2
-    else:
-        a1 = min(points)
-        pre, pre_marginal = real_roots_ex(q - Polynomial([a1]), realness_tol=1e-6)
-        real_pre = [x for x, _ in pre]
-        a2 = max(real_pre) if real_pre else a1
+    # the extreme fixed point on the lead's side, then its farthest real preimage
+    end = max(points) if positive else min(points)
+    pre, pre_marginal = real_roots_ex(q - Polynomial([end]), realness_tol=_FIXED_REALNESS_TOL)
+    real_pre = [x for x, _ in pre] or [end]
+    a1, a2 = (min(real_pre), end) if positive else (end, max(real_pre))
     report.marginal = report.marginal or pre_marginal
     report.test_interval = (a1, a2)
+    return _decide(report, (a1, a2), a1, "test interval escapes critical interval",
+                   "test interval inside critical interval")
+
+
+def _decide(report, xs, empty_witness, outside, inside):
+    """Finish report: julia_real iff every x in xs lies in report.interval."""
+    interval = report.interval
     if interval.empty:
-        report.reason = "empty critical interval"
-        report.witness = a1
+        report.reason, report.witness = "empty critical interval", empty_witness
         return report
-    for x in (a1, a2):
+    for x in xs:
         if not interval.contains(x):
-            report.reason = "test interval escapes critical interval"
-            report.witness = x
+            report.reason, report.witness = outside, x
             return report
-        if interval.near_boundary(x):
-            report.marginal = True
-    report.julia_real = True
-    report.reason = "test interval inside critical interval"
+        report.marginal = report.marginal or interval.near_boundary(x)
+    report.julia_real, report.reason = True, inside
     return report
 
 
-def classify_batch(C, cross_check=True):
+def classify_batch(C):
     """classify_real_julia(...).julia_real for every row of C, shape (rows, d+1).
 
     The rows are coefficients in ascending powers, all of one odd degree
     d >= 3 with a positive lead: the branch a scan of X^3 + AX + B needs.
     Two batched solves give the critical points and the fixed points;
     realness, the critical interval, the cross-check of critical_interval
-    and containment are then array operations.  A row that this does not
+    (one all-real call over the same 66 targets per bounded row) and
+    containment are then array operations.  A row that this does not
     decide by a wide margin goes through classify_real_julia unchanged, so
     its errors still raise: clustered roots, a root near the realness
     tolerance, an interval near a single point, a fixed point near an
@@ -290,26 +269,16 @@ def classify_batch(C, cross_check=True):
     bounded = split & (lo < hi - 10 * _ENDPOINT_PULL * scale)
     decided &= empty | bounded
 
-    if cross_check:
-        rows = np.flatnonzero(bounded)
-        mid = 0.5 * (lo[rows] + hi[rows])
-        half = 0.5 * (hi[rows] - lo[rows])
-        pull = _ENDPOINT_PULL * scale[rows]
-        ts = np.concatenate([mid[:, None] + half[:, None] * _SAMPLE_NODES,
-                             (lo[rows] + pull)[:, None], (hi[rows] - pull)[:, None]], axis=1)
-        tol = np.r_[np.full(len(_SAMPLE_NODES), _SAMPLE_TOL), _ENDPOINT_TOL, _ENDPOINT_TOL]
-        decided[rows] &= all_real_batch(C[rows], ts, tol).all(axis=1)
+    rows = np.flatnonzero(bounded)
+    ts = _cross_check_targets(lo[rows], hi[rows], scale[rows])
+    decided[rows] &= all_real_batch(C[rows], ts, _CROSS_CHECK_TOL).all(axis=1)
 
-    slack = 1.0 + np.abs(fixed)
-    inside = (fixed >= lo[:, None] - CONTAIN_TOL * slack) & (fixed <= hi[:, None] + CONTAIN_TOL * slack)
-    near = ((np.abs(fixed - lo[:, None]) <= MARGINAL_TOL * slack)
-            | (np.abs(fixed - hi[:, None]) <= MARGINAL_TOL * slack))
+    inside, near = _locate(fixed, lo[:, None], hi[:, None])
     real = ~np.isnan(fixed)
     decided &= empty | ~near.any(axis=1)
     verdict = bounded & (inside | ~real).all(axis=1)
     for i in np.flatnonzero(~decided):
-        verdict[i] = classify_real_julia(Polynomial(C[i].tolist()),
-                                         cross_check=cross_check).julia_real
+        verdict[i] = classify_real_julia(Polynomial(C[i].tolist())).julia_real
     return verdict
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -16,12 +17,11 @@ from . import __version__
 from .classifier import classify_real_julia
 from .cubic_region import region_scan
 from .heights import canonical_height, functional_equation_residual
-from .lattes import (RationalMap, WeierstrassCurve, certify_nonabelian,
-                     duplication_lattes, lattes_critical_points,
-                     real_surjectivity)
+from .lattes import (WeierstrassCurve, certify_nonabelian, duplication_lattes,
+                     lattes_critical_points, real_surjectivity)
 from .orbit import (EmpiricalMeasure, backward_orbit, empirical_cdf_distance,
                     max_imag_stat, render_filled_julia)
-from .poly import Polynomial, poly_from_json
+from .poly import poly_from_json
 
 
 def _parse_poly(text):
@@ -34,19 +34,27 @@ def _parse_poly(text):
     return poly_from_json(coeffs)
 
 
-def _parse_rational(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {err}")
+def _checked(convert, what, ok=lambda value: True):
+    """argparse type: convert(text), a usage error unless ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
 
 
-def _parse_range(text):
-    try:
-        lo, hi = (float(v) for v in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"range must be lo:hi, got {text!r}")
-    return lo, hi
+_parse_rational = _checked(Fraction, "a rational p/q")
+_parse_range = _checked(lambda t: tuple(float(v) for v in t.split(":")), "a range lo:hi",
+                        lambda r: len(r) == 2)
+_parse_resolution = _checked(lambda t: tuple(int(v) for v in t.split("x")),
+                             "WxH, both positive", lambda r: len(r) == 2 and min(r) >= 1)
+_parse_step = _checked(float, "a positive step", lambda v: 0 < v < math.inf)
+_parse_count = _checked(int, "an integer >= 0", lambda v: v >= 0)
+_parse_positive = _checked(int, "an integer >= 1", lambda v: v >= 1)
 
 
 def _header(args):
@@ -88,7 +96,7 @@ def _cmd_region(args, argv):
 def _cmd_julia(args, argv):
     re_rng = args.re_range
     im_rng = args.im_range
-    width, height = (int(v) for v in args.resolution.split("x"))
+    width, height = args.resolution
     grid = render_filled_julia(args.poly, (re_rng[0], re_rng[1], im_rng[0], im_rng[1]),
                                (width, height), max_iter=args.max_iter)
     with open(args.out, "wb") as fh:
@@ -184,7 +192,7 @@ def build_parser():
     p = sub.add_parser("region", help="scan the cubic parameter region")
     p.add_argument("--a-range", type=_parse_range, default=(-6.0, 1.0))
     p.add_argument("--b-range", type=_parse_range, default=(-4.0, 4.0))
-    p.add_argument("--step", type=float, default=0.05)
+    p.add_argument("--step", type=_parse_step, default=0.05)
     p.add_argument("--out", required=True)
     p.add_argument("--pgm")
     p.set_defaults(func=_cmd_region)
@@ -193,23 +201,23 @@ def build_parser():
     p.add_argument("--poly", type=_parse_poly, required=True)
     p.add_argument("--re-range", type=_parse_range, default=(-2.5, 2.5))
     p.add_argument("--im-range", type=_parse_range, default=(-1.0, 1.0))
-    p.add_argument("--resolution", default="512x205")
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--resolution", type=_parse_resolution, default="512x205")
+    p.add_argument("--max-iter", type=_parse_positive, default=100)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_julia)
 
     p = sub.add_parser("equidist", help="backward-orbit equidistribution report")
     p.add_argument("--poly", type=_parse_poly, required=True)
     p.add_argument("--alpha", type=_parse_rational, required=True)
-    p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--compare-depth", type=int)
+    p.add_argument("--depth", type=_parse_count, default=10)
+    p.add_argument("--compare-depth", type=_parse_count)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_equidist)
 
     p = sub.add_parser("heights", help="canonical height report")
     p.add_argument("--poly", type=_parse_poly, required=True)
     p.add_argument("--x", type=_parse_rational, required=True)
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--depth", type=_parse_positive, default=10)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_heights)
 

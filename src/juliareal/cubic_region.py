@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import classify_batch
-from .poly import Polynomial, discriminant
+from .poly import Polynomial
 
 # cells per classify_batch call in region_scan: bounds each (cells, 66)
 # cross-check array to about 0.5 MB
@@ -87,7 +87,12 @@ def fixed_point_trajectory(a, b_grid):
     return rows
 
 
-def boundary_distance(A, B, a_samples=2001, a_lo=-9.0):
+# samples of the boundary curve's A <= -3 branch, B >= 0, for boundary_distance
+_CURVE_A = np.linspace(-9.0, -3.0, 2001)
+_CURVE_B = np.sqrt(np.maximum(region_bound(_CURVE_A), 0.0))
+
+
+def boundary_distance(A, B):
     """Euclidean distance in the (A, B) plane to the curve B^2 = -4A(A+3)^2/27.
 
     The curve (A <= -3 branch, both signs of B) is sampled densely and the
@@ -95,17 +100,15 @@ def boundary_distance(A, B, a_samples=2001, a_lo=-9.0):
     which is all the scan band test needs.  A and B may be arrays of one
     shape; the result then has that shape.
     """
-    As = np.linspace(a_lo, -3.0, a_samples)
-    Bs = np.sqrt(np.maximum(region_bound(As), 0.0))
     A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
     a, b = A.ravel(), np.abs(B.ravel())
     out = np.empty(a.size)
     # the nearer branch is the one on B's side: (Bs - |B|)^2 is the smaller
     # of (Bs - B)^2 and (Bs + B)^2, bit for bit
-    step = max(1, _DISTANCE_CHUNK // a_samples)
+    step = max(1, _DISTANCE_CHUNK // _CURVE_A.size)
     for i in range(0, a.size, step):
-        d2 = np.square(As - a[i:i + step, None])
-        d2 += np.square(Bs - b[i:i + step, None])
+        d2 = np.square(_CURVE_A - a[i:i + step, None])
+        d2 += np.square(_CURVE_B - b[i:i + step, None])
         out[i:i + step] = np.sqrt(d2.min(axis=1))
     out = out.reshape(A.shape)
     return float(out) if out.ndim == 0 else out
@@ -140,7 +143,7 @@ class ScanSummary:
         return buf.getvalue()
 
 
-def region_scan(a_range, b_range, step, cross_check=True) -> ScanSummary:
+def region_scan(a_range, b_range, step) -> ScanSummary:
     """Grid cross-validation of the analytic region against the classifier.
 
     a_range/b_range are inclusive (lo, hi) bounds stepped by `step`.  Rows are
@@ -160,7 +163,7 @@ def region_scan(a_range, b_range, step, cross_check=True) -> ScanSummary:
     C[:, 0], C[:, 1], C[:, 3] = b_cells, a_cells, 1.0
     verdicts = np.zeros(a_cells.size, dtype=bool)
     for i in range(0, a_cells.size, _SCAN_BLOCK):
-        verdicts[i:i + _SCAN_BLOCK] = classify_batch(C[i:i + _SCAN_BLOCK], cross_check)
+        verdicts[i:i + _SCAN_BLOCK] = classify_batch(C[i:i + _SCAN_BLOCK])
     distances = boundary_distance(a_cells, b_cells)
 
     rows = []

@@ -14,14 +14,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .classifier import classify_real_julia
-from .orbit import ExceptionalPointError, OrbitStatus, orbit_status
-from .poly import Polynomial, discriminant, poly_to_json, sylvester_resultant
-from .roots import real_roots, roots_shifted
+from .orbit import _PREFIX_KEEP, OrbitStatus, check_non_exceptional, orbit_status
+from .poly import Polynomial, poly_to_json, sylvester_resultant
+from .roots import real_roots_ex
 
 _EXACT = (int, Fraction)
+_CRIT_MATCH_TOL = 1e-8      # the two critical-point routes agree this closely (relative)
+_COVER_TOL = 1e-9           # a narrower gap between piece ranges is no gap (relative)
 
 
 class SingularCurveError(ValueError):
@@ -161,27 +161,32 @@ class CriticalPointMismatchError(RuntimeError):
     """Derivative route and torsion route disagree; indicates a bug."""
 
 
-def lattes_critical_points(curve: WeierstrassCurve, tol=1e-8):
+class InvariantError(RuntimeError):
+    """A fact the certificate relies on failed in computation; indicates a bug."""
+
+
+def lattes_critical_points(curve: WeierstrassCurve):
     """Real critical points of f, computed twice and reconciled.
 
     Route 1: real roots of the numerator of f'.  Route 2: real solutions of
     f(X) = rho over the real roots rho of F (x-coordinates of points Q with
-    [2]Q a finite 2-torsion point).  The two sets must agree within tol.
+    [2]Q a finite 2-torsion point).  The two sets must agree within
+    _CRIT_MATCH_TOL.
     """
     f = duplication_lattes(curve)
     Fp = curve.F.to_float()
     w = f.derivative_numerator().to_float()
-    route1 = sorted(x for x, _ in real_roots(w))
+    route1 = sorted(x for x, _ in real_roots_ex(w)[0])
 
     route2 = []
-    for rho, _ in real_roots(Fp):
+    for rho, _ in real_roots_ex(Fp)[0]:
         g = (f.num.to_float() - Polynomial([rho]) * f.den.to_float())
-        route2.extend(x for x, _ in real_roots(g))
+        route2.extend(x for x, _ in real_roots_ex(g)[0])
     route2.sort()
 
     scale = 1.0 + max((abs(x) for x in route1), default=0.0)
     if len(route1) != len(route2) or any(
-            abs(u - v) > tol * scale for u, v in zip(route1, route2)):
+            abs(u - v) > _CRIT_MATCH_TOL * scale for u, v in zip(route1, route2)):
         raise CriticalPointMismatchError(
             f"derivative route {route1} vs torsion route {route2}")
     return route1
@@ -197,7 +202,7 @@ def _piece_ranges(f: RationalMap, breakpoints):
     eps = 1e-7
     pts = sorted(breakpoints)
     edges = [-math.inf] + pts + [math.inf]
-    poles = {x for x, _ in real_roots(f.den.to_float())}
+    poles = {x for x, _ in real_roots_ex(f.den.to_float())[0]}
 
     def limit(x, side):
         if x == -math.inf:
@@ -219,7 +224,7 @@ def _piece_ranges(f: RationalMap, breakpoints):
     return ranges
 
 
-def real_surjectivity(curve: WeierstrassCurve, tol=1e-9):
+def real_surjectivity(curve: WeierstrassCurve):
     """Is the duplication Lattes map onto the real projective line?
 
     Negative disc(F): yes, witnessed by the two real critical points c1 < c2
@@ -231,7 +236,7 @@ def real_surjectivity(curve: WeierstrassCurve, tol=1e-9):
     ff = RationalMap(f.num.to_float(), f.den.to_float())
     disc = float(curve.disc)
     crit = lattes_critical_points(curve)
-    poles = [x for x, _ in real_roots(ff.den.to_float())]
+    poles = [x for x, _ in real_roots_ex(ff.den.to_float())[0]]
 
     if disc < 0:
         c1, c2 = crit
@@ -240,7 +245,9 @@ def real_surjectivity(curve: WeierstrassCurve, tol=1e-9):
             "c1": c1, "c2": c2, "alpha": alpha,
             "f_c1": float(ff(c1)), "f_c2": float(ff(c2)),
         }
-        assert c1 < alpha < c2
+        if not c1 < alpha < c2:
+            raise InvariantError(
+                f"critical points {c1}, {c2} do not straddle the real root {alpha} of F")
         return {"surjective": True, "witness": witness}
 
     ranges = _piece_ranges(ff, sorted(crit + poles))
@@ -248,7 +255,7 @@ def real_surjectivity(curve: WeierstrassCurve, tol=1e-9):
     covered_hi = -math.inf
     gap = None
     for lo, hi in ranges:
-        pad = tol * (1.0 + abs(lo))
+        pad = _COVER_TOL * (1.0 + abs(lo))
         if lo > covered_hi + pad and covered_hi > -math.inf:
             gap = (covered_hi, lo)
             break
@@ -266,9 +273,7 @@ def real_surjectivity(curve: WeierstrassCurve, tol=1e-9):
 
 def _integer_scaled(p: Polynomial):
     fracs = [Fraction(c) for c in p.coeffs]
-    L = 1
-    for fr in fracs:
-        L = L * fr.denominator // math.gcd(L, fr.denominator)
+    L = math.lcm(*(fr.denominator for fr in fracs))
     return [int(fr * L) for fr in fracs]
 
 
@@ -290,12 +295,11 @@ def _bezout_constant(n_coeffs, d_coeffs):
     g = r0.coeffs[0]
     u = Polynomial([c / g for c in s0.coeffs])
     v = Polynomial([c / g for c in t0.coeffs])
-    L = 1
-    for c in list(u.coeffs) + list(v.coeffs):
-        L = L * Fraction(c).denominator // math.gcd(L, Fraction(c).denominator)
+    L = math.lcm(*(Fraction(c).denominator for c in (*u.coeffs, *v.coeffs)))
     U = Polynomial([int(Fraction(c) * L) for c in u.coeffs])
     V = Polynomial([int(Fraction(c) * L) for c in v.coeffs])
-    assert U * a + V * b == Polynomial([Fraction(L)])
+    if U * a + V * b != Polynomial([Fraction(L)]):
+        raise InvariantError(f"Bezout identity U N + V D = {L} fails after integer scaling")
     S = sum(abs(c) for c in U.coeffs) + sum(abs(c) for c in V.coeffs)
     return L, S
 
@@ -350,7 +354,7 @@ def rational_orbit_status(f: RationalMap, alpha, max_steps=64) -> OrbitStatus:
                                reason=f"orbit hits the pole at step {k}; "
                                       "infinity is a fixed point of the map",
                                prefix=prefix)
-        if len(prefix) < 8:
+        if len(prefix) < _PREFIX_KEEP:
             prefix.append(x)
         if x in seen:
             j = seen[x]
@@ -397,17 +401,6 @@ class NonAbelianCertificate:
         }
 
 
-def _check_not_exceptional_rational(f: RationalMap, alpha):
-    """Reject alpha whose preimage is a single point (totally ramified)."""
-    g = (f.num.to_float() - Polynomial([float(alpha)]) * f.den.to_float())
-    if g.degree < 1:
-        raise ExceptionalPointError(f"degenerate preimage equation at {alpha}")
-    roots = roots_shifted(g, [0.0])[0]
-    scale = 1.0 + float(np.abs(roots).max())
-    if f.degree >= 2 and (np.abs(roots - roots[0]) <= 1e-6 * scale).all():
-        raise ExceptionalPointError(f"{alpha} is an exceptional point of the map")
-
-
 def certify_nonabelian(target, alpha, curve: WeierstrassCurve | None = None,
                        disabled=frozenset()) -> NonAbelianCertificate:
     """Assemble the three-part certificate for a polynomial or Lattes map.
@@ -434,7 +427,6 @@ def certify_nonabelian(target, alpha, curve: WeierstrassCurve | None = None,
         report = classify_real_julia(p.to_float())
         cert.julia_nonreal = {"pass": not report.julia_real,
                               "reason": report.reason}
-        from .orbit import check_non_exceptional
         check_non_exceptional(p, float(alpha))
         status = orbit_status(p, alpha)
     elif isinstance(target, RationalMap):
@@ -447,7 +439,7 @@ def certify_nonabelian(target, alpha, curve: WeierstrassCurve | None = None,
             "pass": True,
             "reason": "Lattes map: Julia set is the whole complex projective line",
         }
-        _check_not_exceptional_rational(target, alpha)
+        check_non_exceptional(target, alpha)
         status = rational_orbit_status(target, alpha)
     else:
         raise TypeError("target must be a Polynomial or RationalMap")

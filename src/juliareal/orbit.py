@@ -17,6 +17,8 @@ from .poly import Polynomial
 from .roots import RootFindingError, roots_shifted
 
 DEFAULT_ORBIT_CAP = 3 ** 10
+_EXCEPTIONAL_TOL = 1e-6     # preimages this close (relative) make alpha exceptional
+_NONREAL_TOL = 1e-9         # an orbit point with larger |Im| makes a measure nonreal
 
 
 class OrbitCapError(ValueError):
@@ -59,6 +61,8 @@ def render_filled_julia(p: Polynomial, window, resolution, max_iter=100):
     width, height = resolution
     if width < 1 or height < 1:
         raise ValueError("positive resolution required")
+    if max_iter < 1:
+        raise ValueError("max_iter >= 1 required")
     q = p.to_float()
     radius = escape_radius(q)
     xs = np.linspace(re_min, re_max, width)
@@ -104,6 +108,8 @@ def backward_orbit(p: Polynomial, alpha, depth, cap=DEFAULT_ORBIT_CAP) -> Backwa
     d = q.degree
     if d < 1:
         raise ValueError("degree >= 1 required")
+    if depth < 0:
+        raise ValueError("depth >= 0 required")
     if d ** depth > cap:
         raise OrbitCapError(f"{d}^{depth} points exceeds cap {cap}")
     level = np.array([complex(alpha)], dtype=complex)
@@ -125,12 +131,21 @@ def max_imag_stat(orbit: BackwardOrbit) -> float:
     return float(np.abs(orbit.points.imag).max())
 
 
-def check_non_exceptional(p: Polynomial, alpha, tol=1e-9):
-    """Refuse measure work when f^-1(alpha) is a single point (as a set)."""
-    q = p.to_float()
-    roots = roots_shifted(q, [complex(alpha)])[0]
+def check_non_exceptional(f, alpha):
+    """Refuse measure work when f^-1(alpha) is a single point (as a set).
+
+    f is a Polynomial or a rational map num/den; then f^-1(alpha) solves
+    num - alpha den = 0.
+    """
+    if isinstance(f, Polynomial):
+        g, target = f.to_float(), complex(alpha)
+    else:
+        g, target = f.num.to_float() - Polynomial([float(alpha)]) * f.den.to_float(), 0.0
+    if g.degree < 1:
+        raise ExceptionalPointError(f"degenerate preimage equation at {alpha}")
+    roots = roots_shifted(g, [target])[0]
     scale = 1.0 + float(np.abs(roots).max())
-    if q.degree >= 2 and (np.abs(roots - roots[0]) <= max(tol, 1e-6) * scale).all():
+    if f.degree >= 2 and (np.abs(roots - roots[0]) <= _EXCEPTIONAL_TOL * scale).all():
         raise ExceptionalPointError(
             f"f^-1({alpha}) is the single point {roots[0]}; "
             "equidistribution does not apply")
@@ -144,9 +159,8 @@ class EmpiricalMeasure:
     has_nonreal: bool = False
 
     @classmethod
-    def from_orbit(cls, orbit: BackwardOrbit, nonreal_tol=1e-9):
-        pts = orbit.points
-        return cls(samples=pts, has_nonreal=bool(max_imag_stat(orbit) > nonreal_tol))
+    def from_orbit(cls, orbit: BackwardOrbit):
+        return cls(samples=orbit.points, has_nonreal=bool(max_imag_stat(orbit) > _NONREAL_TOL))
 
     @property
     def real_parts(self):

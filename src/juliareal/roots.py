@@ -103,20 +103,28 @@ def _aberth_batch(C):
     radii = 0.9 * (1.0 + 0.08 * np.arange(d) / max(d - 1, 1))
     z = R[:, None] * radii[None, :] * np.exp(1j * angles)[None, :]
     tol = 1e-14
+    # each row stops at its own convergence, so it gets the roots it would
+    # get alone and a slow row costs no work on the others
+    rows, Ca, za = np.arange(B), C, z
     for _ in range(_ABERTH_MAX_ITER):
-        p, dpv = _horner_many(C, z)
+        if rows.size == 0:
+            break
+        p, dpv = _horner_many(Ca, za)
         bad = dpv == 0
         if bad.any():
             dpv = np.where(bad, 1e-30, dpv)
         N = p / dpv
-        diffs = z[:, :, None] - z[:, None, :]
+        diffs = za[:, :, None] - za[:, None, :]
         np.einsum("bii->bi", diffs)[:] = np.inf
         S = (1.0 / diffs).sum(axis=2)
         w = N / (1.0 - N * S)
         w = np.where(np.isfinite(w), w, N)
-        z = z - w
-        if (np.abs(w) <= tol * (1.0 + np.abs(z))).all():
-            break
+        za = za - w
+        live = ~(np.abs(w) <= tol * (1.0 + np.abs(za))).all(axis=1)
+        if not live.all():
+            z[rows] = za
+            rows, Ca, za = rows[live], Ca[live], za[live]
+    z[rows] = za
     return z
 
 
@@ -145,7 +153,8 @@ def roots_batch(C):
     """All roots of every row of C, shape (rows, d+1) in ascending powers.
 
     Closed forms for d <= 3, Aberth-Ehrlich above, then a residual-monotone
-    Newton polish; returns shape (rows, d), complex.
+    Newton polish; returns shape (rows, d), complex.  Each row gets the
+    roots it would get alone.
     """
     C = np.asarray(C, dtype=complex)
     d = C.shape[1] - 1
@@ -315,10 +324,6 @@ def real_roots_ex(p: Polynomial, realness_tol=REALNESS_TOL):
         out = [(float(c.real), m) for c, m in accepted]
     out.sort()
     return out, marginal
-
-
-def real_roots(p: Polynomial, realness_tol=REALNESS_TOL):
-    return real_roots_ex(p, realness_tol)[0]
 
 
 def all_roots_real(p: Polynomial, tol=REALNESS_TOL):

@@ -143,6 +143,24 @@ class TestCertify:
         assert code == 2
 
 
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("argv", [
+        ["julia", "--poly", "[-2,0,1]", "--resolution", "abc"],
+        ["julia", "--poly", "[-2,0,1]", "--resolution", "0x5"],
+        ["julia", "--poly", "[-2,0,1]", "--max-iter", "0"],
+        ["region", "--step", "0"],
+        ["equidist", "--poly", "[-2,0,1]", "--alpha", "1/3", "--depth", "-1"],
+        ["equidist", "--poly", "[-2,0,1]", "--alpha", "1/3", "--compare-depth", "-2"],
+        ["heights", "--poly", "[-2,0,1]", "--x", "1/3", "--depth", "0"],
+    ])
+    def test_usage_error_exit_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "expected" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

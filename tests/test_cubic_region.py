@@ -36,9 +36,9 @@ def scalar_calls(monkeypatch):
     """The polynomials classify_batch hands to classify_real_julia."""
     calls = []
 
-    def counted(p, cross_check=True):
+    def counted(p):
         calls.append(p)
-        return classify_real_julia(p, cross_check=cross_check)
+        return classify_real_julia(p)
 
     monkeypatch.setattr(classifier, "classify_real_julia", counted)
     return calls
@@ -218,9 +218,6 @@ class TestBatchEquivalence:
         C = np.array([[B, A, 0.0, 1.0] for A, B in cells])
         assert classify_batch(C).tolist() == expected
         assert len(scalar_calls) == len(cells)
-        scalar_calls.clear()
-        assert classify_batch(C, cross_check=False).tolist() == expected
-        assert scalar_calls == []
 
     def test_quintics_match_scalar(self):
         rng = np.random.default_rng(5)

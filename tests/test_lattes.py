@@ -11,7 +11,10 @@ from juliareal.lattes import (INFINITY, CriticalPointMismatchError, CurvePoint,
                               double_point, duplication_lattes,
                               lattes_critical_points, rational_orbit_status,
                               real_surjectivity)
-from juliareal.orbit import ExceptionalPointError
+from juliareal import lattes
+from juliareal.cli import main
+from juliareal.lattes import InvariantError, _bezout_constant
+from juliareal.orbit import ExceptionalPointError, check_non_exceptional
 from juliareal.poly import Polynomial
 
 
@@ -199,8 +202,8 @@ class TestSurjectivity:
         probe = (lo + hi) / 2
         f = duplication_lattes(E_POS)
         g = f.num.to_float() - Polynomial([probe]) * f.den.to_float()
-        from juliareal.roots import real_roots
-        assert real_roots(g) == []
+        from juliareal.roots import real_roots_ex
+        assert real_roots_ex(g)[0] == []
 
 
 class TestRationalOrbit:
@@ -273,6 +276,12 @@ class TestCertify:
         with pytest.raises(ExceptionalPointError):
             certify_nonabelian(P(0, 0, 0, 1), Fraction(0))
 
+    def test_exceptional_alpha_rejected_for_rational_map(self):
+        # X^2 / 1 is totally ramified over 0
+        with pytest.raises(ExceptionalPointError):
+            check_non_exceptional(RationalMap(P(0, 0, 1), P(1)), Fraction(0))
+        check_non_exceptional(duplication_lattes(E_NEG), Fraction(1, 3))
+
     def test_unknown_check_name(self):
         with pytest.raises(ValueError):
             certify_nonabelian(P(0, -1, 0, 1), Fraction(1, 2),
@@ -284,3 +293,19 @@ class TestCertify:
         js = cert.to_json()
         assert set(js) == {"map", "alpha", "checks", "verdict"}
         assert set(js["checks"]) == {"surjective", "julia_nonreal", "nonperiodic"}
+
+
+class TestInvariantErrors:
+    def test_critical_points_not_straddling_the_root(self, monkeypatch, capsys):
+        monkeypatch.setattr(lattes, "lattes_critical_points", lambda curve: [5.0, 6.0])
+        with pytest.raises(InvariantError, match="do not straddle"):
+            real_surjectivity(E_NEG)
+        assert main(["lattes", "--curve", "0,0,-2"]) == 1
+        assert "do not straddle" in capsys.readouterr().err
+
+    def test_bezout_identity_fails(self, monkeypatch):
+        # X^2 + 1 and 2X: U, V have denominators, which an LCM of 1 truncates
+        assert _bezout_constant([1, 0, 1], [0, 2])[0] == 2
+        monkeypatch.setattr(lattes.math, "lcm", lambda *dens: 1)
+        with pytest.raises(InvariantError, match="Bezout"):
+            _bezout_constant([1, 0, 1], [0, 2])

@@ -1,0 +1,21 @@
+"""Static checks over the library sources."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "juliareal").rglob("*.py"))
+
+
+def test_sources_found():
+    assert len(SOURCES) >= 5
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert, so a check written as one silently vanishes;
+    # library code raises a real error instead
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert statement on line(s) {lines}"

@@ -198,6 +198,16 @@ class TestExceptionalGuard:
         check_non_exceptional(CHEB, 0.0)
 
 
+class TestInputChecks:
+    def test_negative_depth(self):
+        with pytest.raises(ValueError):
+            backward_orbit(CHEB, 0.5, -1)
+
+    def test_zero_max_iter(self):
+        with pytest.raises(ValueError):
+            render_filled_julia(CHEB, (-2, 2, -1, 1), (4, 4), max_iter=0)
+
+
 class TestOrbitStatus:
     def test_periodic(self):
         st = orbit_status(P(-1, 0, 1), Fraction(0))
