@@ -31,6 +31,10 @@ def _parse_poly(text):
         raise argparse.ArgumentTypeError(f"bad polynomial {text!r}: {err}")
     if not isinstance(coeffs, list) or not coeffs:
         raise argparse.ArgumentTypeError("polynomial must be a nonempty JSON array")
+    # JSON NaN and Infinity, and numbers too large for a float, parse as
+    # non-finite floats
+    if any(isinstance(c, float) and not math.isfinite(c) for c in coeffs):
+        raise argparse.ArgumentTypeError(f"expected finite coefficients, got {text!r}")
     return poly_from_json(coeffs)
 
 
@@ -48,8 +52,9 @@ def _checked(convert, what, ok=lambda value: True):
 
 
 _parse_rational = _checked(Fraction, "a rational p/q")
-_parse_range = _checked(lambda t: tuple(float(v) for v in t.split(":")), "a range lo:hi",
-                        lambda r: len(r) == 2)
+_parse_range = _checked(lambda t: tuple(float(v) for v in t.split(":")),
+                        "a finite range lo:hi with lo <= hi",
+                        lambda r: len(r) == 2 and all(map(math.isfinite, r)) and r[0] <= r[1])
 _parse_resolution = _checked(lambda t: tuple(int(v) for v in t.split("x")),
                              "WxH, both positive", lambda r: len(r) == 2 and min(r) >= 1)
 _parse_step = _checked(float, "a positive step", lambda v: 0 < v < math.inf)
@@ -115,7 +120,7 @@ def _cmd_equidist(args, argv):
         "points": orbit.points.size,
         "max_imag": max_imag_stat(orbit),
     }
-    if args.compare_depth:
+    if args.compare_depth is not None:
         other = backward_orbit(args.poly, float(args.alpha), args.compare_depth)
         payload["ks_distance"] = empirical_cdf_distance(
             EmpiricalMeasure.from_orbit(orbit), EmpiricalMeasure.from_orbit(other))

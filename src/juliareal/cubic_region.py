@@ -146,14 +146,16 @@ class ScanSummary:
 def region_scan(a_range, b_range, step) -> ScanSummary:
     """Grid cross-validation of the analytic region against the classifier.
 
-    a_range/b_range are inclusive (lo, hi) bounds stepped by `step`.  Rows are
-    emitted in (A, B) lexicographic order; the classifier verdicts come from
-    classify_batch, a block of cells at a time.
+    a_range/b_range are inclusive (lo, hi) bounds with lo <= hi, stepped by
+    `step`.  Rows are emitted in (A, B) lexicographic order; the classifier
+    verdicts come from classify_batch, a block of cells at a time.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     a_lo, a_hi = a_range
     b_lo, b_hi = b_range
+    if not (a_lo <= a_hi and b_lo <= b_hi):
+        raise ValueError(f"ranges must run from lo to hi, got {a_range} and {b_range}")
     a_vals = np.arange(round((a_hi - a_lo) / step) + 1) * step + a_lo
     b_vals = np.arange(round((b_hi - b_lo) / step) + 1) * step + b_lo
     a_cells, b_cells = (g.ravel() for g in np.meshgrid(a_vals, b_vals, indexing="ij"))

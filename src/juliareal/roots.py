@@ -4,7 +4,12 @@ Float side: closed forms for degrees <= 3, simultaneous Aberth-Ehrlich
 iteration with Newton polishing above that.  The batched entry point,
 roots_batch, solves every row of a coefficient matrix at once; roots_shifted
 builds that matrix for p(X) = t over a whole vector of targets, which is what
-backward-orbit expansion needs.
+backward-orbit expansion needs.  Aberth stops a row once each of its roots
+takes a step below 1e-14 (1 + |z|) or lies on the rounding floor of Horner's
+rule, |p(z)| <= 8 eps sum |c_i| |z|^i (MPSolve's rule, Bini & Fiorentino
+2000), so roots next to a multiple root stop as soon as their steps are
+noise.  real_roots_ex merges root clusters into multiple roots and refines
+an m-fold cluster by Newton's method on p^(m-1), where it is a simple root.
 
 Exact side: Sturm chains and Yun square-free decomposition over Fractions.
 """
@@ -27,6 +32,8 @@ _REGROUP_TOL = 1e-4
 _PAIR_TOL = 1e-13
 
 _ABERTH_MAX_ITER = 120
+# Aberth's rounding-floor stop, in units of eps (_on_rounding_floor)
+_FLOOR_ULPS = 8
 _POLISH_STEPS = 4
 
 
@@ -95,6 +102,24 @@ def _fujiwara_radius(C):
     return 2.0 * np.maximum(r.max(axis=1), 1e-30)
 
 
+def _on_rounding_floor(C, z, p):
+    """Is |p(z)| within the rounding error of Horner's rule at z?
+
+    A root next to a multiple root never meets Aberth's step test: its steps
+    are rounding noise.  It is done once |p(z)| <= _FLOOR_ULPS * eps *
+    sum |c_i| |z|^i.  The sum is formed in place, so the test adds two
+    temporaries of z's shape.
+    """
+    size = np.abs(z)
+    floor = np.abs(C[:, -1:]) * size
+    for i in range(C.shape[1] - 2, 0, -1):
+        floor += np.abs(C[:, i:i + 1])
+        floor *= size
+    floor += np.abs(C[:, :1])
+    floor *= _FLOOR_ULPS * np.finfo(float).eps
+    return np.abs(p, out=size) <= floor
+
+
 def _aberth_batch(C):
     B, dp1 = C.shape
     d = dp1 - 1
@@ -110,17 +135,18 @@ def _aberth_batch(C):
         if rows.size == 0:
             break
         p, dpv = _horner_many(Ca, za)
+        on_floor = _on_rounding_floor(Ca, za, p)
         bad = dpv == 0
         if bad.any():
             dpv = np.where(bad, 1e-30, dpv)
         N = p / dpv
         diffs = za[:, :, None] - za[:, None, :]
         np.einsum("bii->bi", diffs)[:] = np.inf
-        S = (1.0 / diffs).sum(axis=2)
+        S = np.divide(1.0, diffs, out=diffs).sum(axis=2)
         w = N / (1.0 - N * S)
         w = np.where(np.isfinite(w), w, N)
         za = za - w
-        live = ~(np.abs(w) <= tol * (1.0 + np.abs(za))).all(axis=1)
+        live = ~(on_floor | (np.abs(w) <= tol * (1.0 + np.abs(za)))).all(axis=1)
         if not live.all():
             z[rows] = za
             rows, Ca, za = rows[live], Ca[live], za[live]
@@ -190,13 +216,19 @@ def _residual_ok(C, z, slack=1.0):
 
 
 def _pair_conjugates(roots):
-    """Symmetrize the root multiset of a real polynomial under conjugation."""
+    """Symmetrize the root multiset of a real polynomial under conjugation.
+
+    Roots above the axis are matched, in sort order, with the conjugates of
+    those below it; the roots come back unchanged unless every matched pair
+    lies within CLUSTER_TOL of each other (relative).
+    """
     scale = 1.0 + np.abs(roots).max()
     tiny = _PAIR_TOL * scale
     pos = sorted((z for z in roots if z.imag > tiny), key=lambda z: (z.real, z.imag))
     neg = sorted((z.conjugate() for z in roots if z.imag < -tiny),
                  key=lambda z: (z.real, z.imag))
-    if len(pos) != len(neg):
+    if len(pos) != len(neg) or any(abs(a - b) > CLUSTER_TOL * scale
+                                   for a, b in zip(pos, neg)):
         return roots
     out = [z for z in roots if abs(z.imag) <= tiny]
     for a, b in zip(pos, neg):
@@ -234,21 +266,26 @@ def _res_tol(p, x):
     return 1e-8 * maxc * max(1.0, abs(x)) ** p.degree
 
 
-def _modified_newton(p, dp, x, m, radius, steps=12):
-    # p is float-noise-limited near multiple roots; keep the best iterate, but
-    # only among iterates within radius of the cluster center: one farther out
-    # has jumped toward another root, where |p| is just as small
+def _modified_newton(p, x, m, radius, steps=12):
+    # near an m-fold root p is rounding noise, but the root is a simple root
+    # of p^(m-1), where Newton converges.  Keep the best iterate by that
+    # residual, but only among iterates within radius of the cluster center:
+    # one farther out has jumped toward another root.
+    q = p
+    for _ in range(m - 1):
+        q = q.derivative()
+    dq = q.derivative()
     x0 = x
-    best, best_res = x, abs(p(x))
+    best, best_res = x, abs(q(x))
     for _ in range(steps):
-        dv = dp(x)
+        dv = dq(x)
         if dv == 0:
             break
-        step = m * p(x) / dv
+        step = q(x) / dv
         x = x - step
         if abs(x - x0) > radius:
             break
-        res = abs(p(x))
+        res = abs(q(x))
         if res < best_res:
             best, best_res = x, res
         if abs(step) <= 1e-15 * (1.0 + abs(x)):
@@ -272,13 +309,12 @@ def _chain_clusters(values, tol):
 def real_roots_ex(p: Polynomial, realness_tol=REALNESS_TOL):
     """Distinct real roots with multiplicities, plus a marginality flag.
 
-    Clusters within 1e-6 (relative) are merged as multiple roots and refined
-    with multiplicity-corrected Newton; near-real clusters that refine onto
+    Clusters within 1e-6 (relative) are merged as multiple roots, an m-fold
+    cluster refined by Newton on p^(m-1); near-real clusters that refine onto
     the axis are accepted too (this recovers e.g. triple roots whose float
     images scatter ~eps^(1/3) off the axis).
     """
     q = p.to_float()
-    dq = q.derivative()
     roots = complex_roots(q)
     scale = 1.0 + float(np.abs(roots).max())
     accepted = []   # (center: complex, mult)
@@ -288,7 +324,7 @@ def real_roots_ex(p: Polynomial, realness_tol=REALNESS_TOL):
         m = len(cluster)
         center = sum(cluster) / m
         if m >= 2:
-            center = _modified_newton(q, dq, center, m, CLUSTER_TOL * scale)
+            center = _modified_newton(q, center, m, CLUSTER_TOL * scale)
         if abs(center.imag) <= (realness_tol if m == 1 else 1e-6) * (1.0 + abs(center)):
             accepted.append((center, m))
             if m == 1 and abs(center.imag) > 0.1 * realness_tol * (1.0 + abs(center)):
@@ -311,7 +347,7 @@ def real_roots_ex(p: Polynomial, realness_tol=REALNESS_TOL):
                 out.extend((float(c.real), m) for c, m, _ in members)
                 continue
             m = sum(mm for _, mm, _ in members)
-            center = _modified_newton(q, dq, sum(c for c, _, _ in members) / len(members),
+            center = _modified_newton(q, sum(c for c, _, _ in members) / len(members),
                                       m, _REGROUP_TOL * scale)
             if (m >= 2 and abs(center.imag) <= 1e-6 * (1.0 + abs(center))
                     and abs(q(center)) <= _res_tol(q, center)):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from juliareal.cli import main
+from juliareal.cubic_region import region_scan
 
 
 def run(capsys, *argv):
@@ -70,6 +71,12 @@ class TestRegion:
         strip = lambda p: "\n".join(p.read_text().splitlines()[1:])
         assert strip(a) == strip(b)
 
+    @pytest.mark.parametrize("a_range, b_range", [((1.0, -1.0), (0.0, 1.0)),
+                                                  ((-1.0, 1.0), (1.0, 0.0))])
+    def test_reversed_range_rejected(self, a_range, b_range):
+        with pytest.raises(ValueError):
+            region_scan(a_range, b_range, 0.5)
+
 
 class TestJulia:
     def test_render(self, tmp_path, capsys):
@@ -99,6 +106,13 @@ class TestEquidist:
         lines = out.read_text().strip().splitlines()
         assert lines[1] == "re,im,weight"
         assert len(lines) == 2 + 32
+
+    def test_compare_depth_zero(self, capsys):
+        # level 0 is the single point alpha
+        code, printed = run(capsys, "equidist", "--poly", "[-2,0,1]",
+                            "--alpha", "1/3", "--depth", "3", "--compare-depth", "0")
+        assert code == 0
+        assert 0 < json.loads(printed)["ks_distance"] <= 1
 
 
 class TestHeights:
@@ -152,6 +166,13 @@ class TestMalformedNumbers:
         ["equidist", "--poly", "[-2,0,1]", "--alpha", "1/3", "--depth", "-1"],
         ["equidist", "--poly", "[-2,0,1]", "--alpha", "1/3", "--compare-depth", "-2"],
         ["heights", "--poly", "[-2,0,1]", "--x", "1/3", "--depth", "0"],
+        ["classify", "--poly", "[NaN,0,1]"],
+        ["classify", "--poly", "[1,0,Infinity]"],
+        ["classify", "--poly", "[-Infinity,0,1]"],
+        ["classify", "--poly", "[1,0,1e400]"],
+        ["region", "--a-range=1:-1", "--b-range=0:1"],
+        ["region", "--a-range=-1:1", "--b-range=1:0"],
+        ["region", "--a-range=-inf:1"],
     ])
     def test_usage_error_exit_2(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

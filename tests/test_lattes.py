@@ -166,6 +166,30 @@ class TestCriticalPoints:
     def test_routes_agree_on_double_roots(self, abc):
         lattes_critical_points(WeierstrassCurve(*abc))       # mismatch raises
 
+    def test_double_roots_not_merged_with_a_neighbour(self):
+        # route 2 used to return -1.0, the mean of the double roots -1 +- sqrt 11
+        crit = lattes_critical_points(WeierstrassCurve(-6, -4, 3))
+        ref = [-1 - math.sqrt(11), -0.231537705748297, -1 + math.sqrt(11), 13.314300236046517]
+        assert np.allclose(crit, ref, rtol=0, atol=1e-8)
+
+    def test_double_root_refined_past_the_noise(self):
+        # route 2's double root at 11.4016 used to miss route 1 by 1.28e-7,
+        # the noise of |p| near a double root, against a bound of 1.24e-7
+        crit = lattes_critical_points(WeierstrassCurve(-6, 2, -3))
+        assert np.allclose(crit, [0.08377713420656234, 11.401622530196239], rtol=0, atol=1e-9)
+
+    # the curves of the box |a|, |b|, |c| <= 6 on which the two routes still
+    # disagreed after the cluster refinement stopped jumping between roots
+    @pytest.mark.parametrize("abc", [
+        (-6, -4, 3), (-6, 2, -3), (-6, 2, -2), (-6, 2, 2), (-5, -2, 4), (-5, -1, 0),
+        (-4, 0, 5), (-4, 1, 0), (-3, -1, 6), (-3, 2, -6), (-3, 2, 6), (-2, -4, 3),
+        (-2, -2, 0), (-2, 2, -4), (-1, -2, 0), (0, -6, 4), (4, -2, 0), (4, -2, 1),
+        (5, 2, -1), (5, 5, 1), (6, -1, 4)])
+    def test_routes_agree_on_near_double_torsion_preimages(self, abc):
+        curve = WeierstrassCurve(*abc)
+        crit = lattes_critical_points(curve)      # mismatch raises
+        assert len(crit) == (2 if curve.disc < 0 else 4)
+
 
 class TestRamification:
     def test_generic_fiber_has_four_preimages(self):

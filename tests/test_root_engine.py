@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from juliareal import roots
 from juliareal.poly import Polynomial
 from juliareal.roots import (all_real_batch, all_real_shifted, all_roots_real,
                              complex_roots, real_root_count, real_roots_batch,
@@ -96,6 +97,20 @@ class TestRootsShifted:
             for row, z in zip(C, batch):
                 assert np.array_equal(z, roots_shifted(Polynomial(list(row)), [0.0])[0])
 
+    def test_stops_at_rounding_floor_near_double_root(self, monkeypatch):
+        # 2T_4(x/2) - t at the cross-check's pulled-in endpoint t = -2 + 1e-9
+        # has two pairs of roots 4e-5 apart: their Aberth steps stay rounding
+        # noise, far above the step test, and used to run to the cap
+        calls = []
+        horner = roots._horner_many
+        monkeypatch.setattr(roots, "_horner_many",
+                            lambda C, z: calls.append(1) or horner(C, z))
+        z = roots_batch(np.array([[2.0 + 2.0 - 1e-9, 0.0, -4.0, 0.0, 1.0]]))
+        assert len(calls) < roots._ABERTH_MAX_ITER // 3
+        x = np.sort(z[0].real)
+        assert np.allclose(x, [-np.sqrt(2), -np.sqrt(2), np.sqrt(2), np.sqrt(2)], atol=1e-4)
+        assert np.abs(z.imag).max() <= 1e-12
+
     def test_residuals_small(self):
         rng = np.random.default_rng(9)
         p = Polynomial(list(rng.uniform(-2, 2, 5)))
@@ -147,6 +162,24 @@ class TestRealRootsMultiplicity:
         assert [m for _, m in roots] == [2, 2]
         assert abs(roots[0][0] + 4.669591295300725) < 1e-6
         assert abs(roots[1][0] - 0.2722088082687308) < 1e-6
+
+
+class TestPairConjugates:
+    def test_far_apart_roots_are_not_averaged(self):
+        # route 2 of the Lattes map of y^2 = x^3 - 6x^2 - 6x + 3 at
+        # rho = 6.8157: two near-double roots whose scatter puts both
+        # copies of 13.997 above the axis and both copies of -0.366 below;
+        # pairing by sort order averaged them to 6.8157 four times
+        z = np.array([13.997236084274710 + 2.25e-8j, 13.997236257364218 + 1.72e-8j,
+                      -0.365763946381089 - 1.76e-10j, -0.365763930265975 - 1.44e-11j])
+        out = roots._pair_conjugates(z)
+        assert np.abs(out - 6.815736116938951).min() > 1.0
+        assert np.array_equal(np.sort_complex(out), np.sort_complex(z))
+
+    def test_near_conjugates_are_paired(self):
+        z = np.array([2.0 + 1e-3j, 2.0 + 1e-9 - 1e-3j, -1.0])
+        out = np.sort_complex(roots._pair_conjugates(z))
+        assert out[1] == np.conj(out[2])
 
 
 class TestRealRootsBatch:
