@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .poly import Polynomial, poly_to_json
-from .roots import all_real_batch, all_real_shifted, real_roots_batch, real_roots_ex
+from .roots import (CLUSTER_TOL, TwoCycles, all_real_batch, all_real_shifted,
+                    real_roots_batch, real_roots_ex, roots_batch)
 
 # containment slack for "fixed point inside interval" (relative)
 CONTAIN_TOL = 1e-8
@@ -121,51 +122,68 @@ def _cross_check_targets(lo, hi, scale):
                            (lo + pull)[..., None], (hi - pull)[..., None]], axis=-1)
 
 
-def critical_interval(p: Polynomial) -> CriticalInterval:
-    """Closure of {t : p - t has deg(p) real roots with multiplicity}.
+def _critical_points(q):
+    """Real critical points (x, m, kind) of q in ascending order, or None.
 
-    Fast path from critical values: the interval is bounded below by values
-    at local minima, above by values at local maxima, and pinned to p(w) at
-    any multiple critical point (a repeated root of p' must be a root of
-    p - t whenever p - t splits).  The result is cross-checked against the
-    all-real predicate in one call over 64 interior samples and the finite
-    endpoints, pulled slightly inward.
+    m is the multiplicity as a root of q'; kind is +1 at a local minimum,
+    -1 at a local maximum and 0 at a multiple critical point.  None means
+    some critical point is nonreal.
     """
-    q = p.to_float()
-    if q.degree < 2:
-        raise ValueError("degree >= 2 required")
     dq = q.derivative()
     crit, _ = real_roots_ex(dq, realness_tol=_CRIT_REALNESS_TOL)
     after = sum(m for _, m in crit)
     if after < dq.degree:
-        # nonreal critical point: p - t can never split over R
-        return CriticalInterval(math.nan, math.nan, empty=True)
-
-    lo, hi = -math.inf, math.inf
+        return None
+    out = []
     # p' has the sign of its lead right of the last critical point and flips
     # at each root of odd multiplicity: right of x it has the sign of
     # lead * (-1)^after, with after the multiplicities right of x
     for x, m in crit:
         after -= m
-        v = q(x)
         if m >= 2:
-            lo = max(lo, v)
-            hi = min(hi, v)
+            kind = 0
         elif (q.lead > 0) == (after % 2 == 0):      # p' > 0 to the right: local min
-            lo = max(lo, v)
+            kind = 1
         else:                                       # local max
-            hi = min(hi, v)
+            kind = -1
+        out.append((x, m, kind))
+    return out
 
+
+def _bounds(extremes):
+    """[lo, hi] from (value, kind) pairs: lo is the largest value at a
+    minimum, hi the smallest at a maximum, and a multiple critical point
+    pins both (a repeated root of p' must be a root of p - t whenever p - t
+    splits)."""
+    lo, hi = -math.inf, math.inf
+    for v, kind in extremes:
+        if kind >= 0:
+            lo = max(lo, v)
+        if kind <= 0:
+            hi = min(hi, v)
+    return lo, hi
+
+
+_EMPTY = CriticalInterval(math.nan, math.nan, empty=True)
+
+
+def _checked_interval(lo, hi, splits):
+    """The CriticalInterval [lo, hi], cross-checked by splits(ts, tol).
+
+    splits gives, for each target t, whether p - t splits over R (to the
+    realness tolerance tol of that target).  It runs once, over 64
+    interior samples and the finite endpoints pulled slightly inward.
+    """
     scale = 1.0 + max((abs(v) for v in (lo, hi) if math.isfinite(v)), default=0.0)
     if lo > hi + _ENDPOINT_PULL * scale:
-        return CriticalInterval(math.nan, math.nan, empty=True)
+        return _EMPTY
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
 
     if lo < hi:
         ts = _cross_check_targets(lo, hi, scale)
         finite = np.flatnonzero(np.isfinite(ts))
-        failed = finite[~all_real_shifted(q, ts[finite], tol=_CROSS_CHECK_TOL[finite])]
+        failed = finite[~splits(ts[finite], _CROSS_CHECK_TOL[finite])]
         if failed.size:
             end = failed[0] - len(_SAMPLE_NODES)
             raise CriticalIntervalError(
@@ -175,26 +193,106 @@ def critical_interval(p: Polynomial) -> CriticalInterval:
     return CriticalInterval(lo, hi)
 
 
-def real_fixed_points(p: Polynomial, of_iterate=1):
-    """Sorted distinct real fixed points of p (or p^2), with multiplicities."""
+def critical_interval(p: Polynomial) -> CriticalInterval:
+    """Closure of {t : p - t has deg(p) real roots with multiplicity}.
+
+    Fast path from critical values: the interval is bounded below by values
+    at local minima, above by values at local maxima, and pinned to p(w) at
+    any multiple critical point.  The result is cross-checked against the
+    all-real predicate in one call over 64 interior samples and the finite
+    endpoints, pulled slightly inward.
+    """
+    q = p.to_float()
+    if q.degree < 2:
+        raise ValueError("degree >= 2 required")
+    crit = _critical_points(q)
+    if crit is None:
+        # nonreal critical point: p - t can never split over R
+        return _EMPTY
+    lo, hi = _bounds((q(x), kind) for x, _, kind in crit)
+    return _checked_interval(lo, hi, lambda ts, tol: all_real_shifted(q, ts, tol=tol))
+
+
+def square_critical_interval(p: Polynomial) -> CriticalInterval:
+    """critical_interval of p o p, from degree-d solves of p alone.
+
+    p o p is never expanded.  With g = p o p, g - t splits iff p - t splits
+    with every root in I_p, p's critical interval, so:
+
+    - the critical points of g are crit(p) and the preimages of each
+      critical point c, all real iff crit(p) lies in I_p;
+    - a preimage of c is an extremum of g of c's kind with value p(c), so
+      I_g lies in I_p;
+    - c itself gives g the value p(p(c)), with c's kind where p' > 0 at
+      p(c), the other kind where p' < 0 (the sign comes from the
+      multiplicity parity of the critical points right of p(c)), and a pin
+      where p(c) is itself a critical point or c is multiple.
+
+    The cross-check solves p - t, one degree-d row per target, and asks
+    that it split with every root in I_p; I_p is cross-checked as in
+    critical_interval.
+    """
+    q = p.to_float()
+    if q.degree < 2:
+        raise ValueError("degree >= 2 required")
+    crit = _critical_points(q)
+    if crit is None:
+        return _EMPTY
+    values = [q(x) for x, _, _ in crit]
+    extremes = [(v, kind) for v, (_, _, kind) in zip(values, crit)]
+    outer = _checked_interval(*_bounds(extremes),
+                              lambda ts, tol: all_real_shifted(q, ts, tol=tol))
+    if outer.empty or not all(outer.contains(x) for x, _, _ in crit):
+        # a critical point outside I_p has nonreal preimages
+        return _EMPTY
+    # extremes now holds the preimages of each critical point; add the
+    # critical points themselves
+    for v, (_, _, kind) in zip(values, crit):
+        if kind == 0 or any(abs(v - c) <= CLUSTER_TOL * (1.0 + abs(v)) for c, _, _ in crit):
+            kind = 0
+        elif (q.lead > 0) != (sum(m for c, m, _ in crit if c > v) % 2 == 0):   # p' < 0 at v
+            kind = -kind
+        extremes.append((q(v), kind))
+    row = np.array([float(c) for c in q.coeffs])
+
+    def splits(ts, tol):
+        C = np.repeat(row[None, :], len(ts), axis=0)
+        C[:, 0] -= ts
+        z = roots_batch(C)
+        real = np.abs(z.imag) <= tol[:, None] * (1.0 + np.abs(z))
+        return (real & _locate(z.real, outer.lo, outer.hi)[0]).all(axis=1)
+
+    return _checked_interval(*_bounds(extremes), splits)
+
+
+def real_fixed_points(p: Polynomial):
+    """Sorted distinct real fixed points of p, with multiplicities."""
     if p.degree < 2:
         raise ValueError("degree >= 2 required")
-    q = p.to_float().iterate(of_iterate) - Polynomial([0.0, 1.0])
+    q = p.to_float() - Polynomial([0.0, 1.0])
     return real_roots_ex(q, realness_tol=_FIXED_REALNESS_TOL)
 
 
 def classify_real_julia(p: Polynomial) -> ClassificationReport:
-    """Dispatch on (degree parity, lead sign) and test the containments."""
+    """Dispatch on (degree parity, lead sign) and test the containments.
+
+    The odd-negative branch decides on p o p, which has odd degree and a
+    positive lead: its critical interval comes from square_critical_interval
+    and its real fixed points (those of p and its real 2-cycles) from
+    TwoCycles, both without expanding p o p.
+    """
     q = p.to_float()
     if q.degree < 2:
         raise ValueError("degree >= 2 required")
     odd = q.degree % 2 == 1
     positive = q.lead > 0
     branch = f"{'odd' if odd else 'even'}-{'positive' if positive else 'negative'}"
-    # the odd-negative branch works on f o f
-    iterate = 2 if odd and not positive else 1
-    interval = critical_interval(q.iterate(2) if iterate == 2 else q)
-    fps, marginal = real_fixed_points(q, of_iterate=iterate)
+    if odd and not positive:
+        interval = square_critical_interval(q)
+        fps, marginal = real_roots_ex(TwoCycles(q), realness_tol=_FIXED_REALNESS_TOL)
+    else:
+        interval = critical_interval(q)
+        fps, marginal = real_fixed_points(q)
     points = [x for x, _ in fps]
     report = ClassificationReport(False, branch, points, interval, marginal=marginal)
     if odd:
@@ -292,29 +390,3 @@ def _horner_real(C, x):
     for i in range(C.shape[1] - 2, -1, -1):
         acc = acc * x + C[:, i:i + 1]
     return acc
-
-
-def forward_escape_check(p: Polynomial, x, max_iter=256):
-    """Does the forward orbit of x run off to +inf?  (positive lead only)
-
-    True once the orbit exceeds the escape radius on the positive side;
-    False means no escape within the iteration budget.
-    """
-    from .orbit import escape_radius
-
-    q = p.to_float()
-    if q.lead <= 0:
-        raise ValueError("positive lead coefficient required")
-    radius = escape_radius(q)
-    v = float(x)
-    for _ in range(max_iter):
-        if v > radius:
-            return True
-        if v < -radius:
-            if q.degree % 2 == 1:
-                return False    # certified escape to -inf instead
-            # even degree: next iterate is large positive
-        v = q(v)
-        if not math.isfinite(v):
-            return v > 0
-    return False

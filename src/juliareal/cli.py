@@ -24,6 +24,20 @@ from .orbit import (EmpiricalMeasure, backward_orbit, empirical_cdf_distance,
 from .poly import poly_from_json
 
 
+def _is_coefficient(c):
+    """A finite JSON number other than a bool, or a "p/q" string with q != 0."""
+    if isinstance(c, str):
+        try:
+            Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    # JSON NaN and Infinity, and numbers too large for a float, parse as
+    # non-finite floats
+    return (isinstance(c, int) and not isinstance(c, bool)
+            or isinstance(c, float) and math.isfinite(c))
+
+
 def _parse_poly(text):
     try:
         coeffs = json.loads(text)
@@ -31,10 +45,9 @@ def _parse_poly(text):
         raise argparse.ArgumentTypeError(f"bad polynomial {text!r}: {err}")
     if not isinstance(coeffs, list) or not coeffs:
         raise argparse.ArgumentTypeError("polynomial must be a nonempty JSON array")
-    # JSON NaN and Infinity, and numbers too large for a float, parse as
-    # non-finite floats
-    if any(isinstance(c, float) and not math.isfinite(c) for c in coeffs):
-        raise argparse.ArgumentTypeError(f"expected finite coefficients, got {text!r}")
+    if not all(map(_is_coefficient, coeffs)):
+        raise argparse.ArgumentTypeError(
+            f'expected finite numbers or "p/q" strings as coefficients, got {text!r}')
     return poly_from_json(coeffs)
 
 

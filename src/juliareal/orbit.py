@@ -1,6 +1,6 @@
 """Brute-force dynamical ground truth.
 
-Escape-time membership and renders, backward-orbit trees via the batched
+Escape-time renders, backward-orbit trees via the batched
 root solver, empirical preimage measures with a Kolmogorov-Smirnov distance,
 and exact (big-rational) orbit-status certification.
 """
@@ -29,25 +29,19 @@ class ExceptionalPointError(ValueError):
     """Base point has a one-point preimage set; measures degenerate."""
 
 
-def escape_radius(p: Polynomial) -> float:
-    """R with |z| > R implying |p(z)| >= 2|z| (and hence monotone escape)."""
-    q = p.to_float()
-    if q.degree < 2:
+def escape_radius(p: Polynomial):
+    """R with |z| > R implying |p(z)| >= 2|z| (and hence monotone escape).
+
+    max(1, (2 + sum_{i<d} |c_i|) / |c_d|): a Fraction, exactly, when p has
+    exact coefficients, else a float.
+    """
+    if p.degree < 2:
         raise ValueError("degree >= 2 required")
-    return max(1.0, (2.0 + sum(abs(float(c)) for c in q.coeffs[:-1])) / abs(float(q.lead)))
-
-
-def filled_julia_member(p: Polynomial, z, max_iter=200):
-    """'escaped(k)' if the orbit leaves the escape radius at step k <= budget,
-    else 'inside' -- which only means "did not escape within budget"."""
+    if p.is_exact:
+        coeffs = [abs(Fraction(c)) for c in p.coeffs]
+        return max(Fraction(1), (2 + sum(coeffs[:-1])) / coeffs[-1])
     q = p.to_float()
-    radius = escape_radius(q)
-    v = complex(z)
-    for k in range(max_iter + 1):
-        if abs(v) > radius:
-            return ("escaped", k)
-        v = q(v)
-    return ("inside", None)
+    return max(1.0, (2.0 + sum(abs(float(c)) for c in q.coeffs[:-1])) / abs(float(q.lead)))
 
 
 def render_filled_julia(p: Polynomial, window, resolution, max_iter=100):
@@ -252,7 +246,7 @@ def orbit_status(p: Polynomial, alpha, max_steps=64, bit_cap=10 ** 6) -> OrbitSt
                    f"q={alpha.denominator}, d={d}, strictly increasing",
             prefix=prefix[:_PREFIX_KEEP])
 
-    radius = Fraction(escape_radius(q))
+    radius = escape_radius(q)
     seen = {alpha: 0}
     x = alpha
     for k in range(1, max_steps + 1):

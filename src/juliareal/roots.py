@@ -4,18 +4,24 @@ Float side: closed forms for degrees <= 3, simultaneous Aberth-Ehrlich
 iteration with Newton polishing above that.  The batched entry point,
 roots_batch, solves every row of a coefficient matrix at once; roots_shifted
 builds that matrix for p(X) = t over a whole vector of targets, which is what
-backward-orbit expansion needs.  Aberth stops a row once each of its roots
-takes a step below 1e-14 (1 + |z|) or lies on the rounding floor of Horner's
-rule, |p(z)| <= 8 eps sum |c_i| |z|^i (MPSolve's rule, Bini & Fiorentino
-2000), so roots next to a multiple root stop as soon as their steps are
-noise.  real_roots_ex merges root clusters into multiple roots and refines
-an m-fold cluster by Newton's method on p^(m-1), where it is a simple root.
+backward-orbit expansion needs.  Aberth and the polish see a polynomial only
+through an evaluator returning p, p' and the rounding floor: Horner for the
+rows of a coefficient matrix, NestedHorner for f(f(z)) - z without expanding
+f o f (as MPSolve evaluates implicitly defined polynomials, Bini & Robol
+2014).  Aberth stops a row once each of its roots takes a step below
+1e-14 (1 + |z|) or lies on the rounding floor, for Horner's rule
+|p(z)| <= 8 eps sum |c_i| |z|^i (MPSolve's rule, Bini & Fiorentino 2000), so
+roots next to a multiple root stop as soon as their steps are noise.
+real_roots_ex merges root clusters into multiple roots and refines an
+m-fold cluster by Newton's method on p^(m-1), where it is a simple root; it
+takes a Polynomial or a TwoCycles, f(f(X)) - X.
 
 Exact side: Sturm chains and Yun square-free decomposition over Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +38,7 @@ _REGROUP_TOL = 1e-4
 _PAIR_TOL = 1e-13
 
 _ABERTH_MAX_ITER = 120
-# Aberth's rounding-floor stop, in units of eps (_on_rounding_floor)
+# Aberth's rounding-floor stop, in units of eps (Horner, NestedHorner)
 _FLOOR_ULPS = 8
 _POLISH_STEPS = 4
 
@@ -102,40 +108,109 @@ def _fujiwara_radius(C):
     return 2.0 * np.maximum(r.max(axis=1), 1e-30)
 
 
-def _on_rounding_floor(C, z, p):
-    """Is |p(z)| within the rounding error of Horner's rule at z?
+def _magnitude(C, z):
+    """sum |c_i| |z|^i for each row of C at the points z of that row.
 
-    A root next to a multiple root never meets Aberth's step test: its steps
-    are rounding noise.  It is done once |p(z)| <= _FLOOR_ULPS * eps *
-    sum |c_i| |z|^i.  The sum is formed in place, so the test adds two
-    temporaries of z's shape.
+    Formed by Horner's rule in place on |z|, so it costs two temporaries of
+    z's shape.  Horner's rule evaluates p(z) to within a small multiple of
+    eps times this.
     """
     size = np.abs(z)
-    floor = np.abs(C[:, -1:]) * size
+    acc = np.abs(C[:, -1:]) * size
     for i in range(C.shape[1] - 2, 0, -1):
-        floor += np.abs(C[:, i:i + 1])
-        floor *= size
-    floor += np.abs(C[:, :1])
-    floor *= _FLOOR_ULPS * np.finfo(float).eps
-    return np.abs(p, out=size) <= floor
+        acc += np.abs(C[:, i:i + 1])
+        acc *= size
+    acc += np.abs(C[:, :1])
+    return acc
 
 
-def _aberth_batch(C):
-    B, dp1 = C.shape
-    d = dp1 - 1
-    R = _fujiwara_radius(C)
+class Horner:
+    """Evaluator of the rows of a coefficient matrix C, shape (rows, d+1).
+
+    Called on z of shape (rows, k), it returns p(z), p'(z) and, with
+    floor=True, the rounding floor of Horner's rule, _FLOOR_ULPS * eps *
+    sum |c_i| |z|^i (else None).  take(rows) restricts it to some rows.
+    """
+
+    def __init__(self, C):
+        self.C = C
+        self.degree = C.shape[1] - 1
+
+    def radius(self):
+        return _fujiwara_radius(self.C)
+
+    def take(self, rows):
+        return Horner(self.C[rows])
+
+    def __call__(self, z, floor=False):
+        p, dp = _horner_many(self.C, z)
+        if not floor:
+            return p, dp, None
+        bound = _magnitude(self.C, z)
+        bound *= _FLOOR_ULPS * np.finfo(float).eps
+        return p, dp, bound
+
+
+class NestedHorner:
+    """Evaluator of f(f(z)) - z for each row f of a coefficient matrix C.
+
+    f o f is never expanded: w = f(z) and f(w) are two Horner passes of
+    degree d, the derivative is f'(w) f'(z) - 1, and the rounding floor
+    carries the error of w through f'(w) and adds the floors of the outer
+    pass and of the subtraction, _FLOOR_ULPS * eps * (|f'(w)| sum |c_i|
+    |z|^i + sum |c_i| |w|^i + |z|).  The polynomial has degree d^2; its
+    roots are the fixed points and the 2-cycles of f.
+    """
+
+    def __init__(self, C):
+        self.C = C
+        self.degree = (C.shape[1] - 1) ** 2
+
+    def radius(self):
+        # past the positive root of |c_d| r^d - sum_{i<d} |c_i| r^i - r,
+        # |f(z)| > |z|, so no point there is periodic; the Fujiwara bound
+        # of that Cauchy polynomial bounds the root
+        A = np.abs(self.C)
+        A[:, 1] += 1.0
+        return _fujiwara_radius(A)
+
+    def take(self, rows):
+        return NestedHorner(self.C[rows])
+
+    def __call__(self, z, floor=False):
+        w, dw = _horner_many(self.C, z)
+        u, du = _horner_many(self.C, w)
+        p, dp = u - z, du * dw - 1.0
+        if not floor:
+            return p, dp, None
+        bound = np.abs(du) * _magnitude(self.C, z)
+        bound += _magnitude(self.C, w)
+        bound += np.abs(z)
+        bound *= _FLOOR_ULPS * np.finfo(float).eps
+        return p, dp, bound
+
+
+def _aberth_batch(ev):
+    """Aberth-Ehrlich on every row of evaluator ev, from a circle of starts.
+
+    A row stops once each of its roots takes a step below 1e-14 (1 + |z|)
+    or lies on ev's rounding floor: a root next to a multiple root never
+    meets the step test, since its steps are rounding noise.
+    """
+    d = ev.degree
+    R = ev.radius()
     angles = 2 * np.pi * (np.arange(d) + 0.37) / d + 0.61
     radii = 0.9 * (1.0 + 0.08 * np.arange(d) / max(d - 1, 1))
     z = R[:, None] * radii[None, :] * np.exp(1j * angles)[None, :]
     tol = 1e-14
     # each row stops at its own convergence, so it gets the roots it would
     # get alone and a slow row costs no work on the others
-    rows, Ca, za = np.arange(B), C, z
+    rows, eva, za = np.arange(len(R)), ev, z
     for _ in range(_ABERTH_MAX_ITER):
         if rows.size == 0:
             break
-        p, dpv = _horner_many(Ca, za)
-        on_floor = _on_rounding_floor(Ca, za, p)
+        p, dpv, floor = eva(za, floor=True)
+        on_floor = np.abs(p) <= floor
         bad = dpv == 0
         if bad.any():
             dpv = np.where(bad, 1e-30, dpv)
@@ -149,52 +224,55 @@ def _aberth_batch(C):
         live = ~(on_floor | (np.abs(w) <= tol * (1.0 + np.abs(za)))).all(axis=1)
         if not live.all():
             z[rows] = za
-            rows, Ca, za = rows[live], Ca[live], za[live]
+            rows, eva, za = rows[live], eva.take(live), za[live]
     z[rows] = za
     return z
 
 
-def _polish_batch(C, z, steps=_POLISH_STEPS):
+def _polish_batch(ev, z, steps=_POLISH_STEPS):
     # Residual-monotone Newton: near multiple roots p/p' is noise over noise
     # and an unguarded step can wander by O(1e-2), so a step is kept only
     # where it actually shrinks |p|.
     best = z
-    best_res = np.abs(_horner_many(C, z)[0])
+    best_res = np.abs(ev(z)[0])
     for _ in range(steps):
-        p, dpv = _horner_many(C, z)
+        p, dpv, _ = ev(z)
         bad = dpv == 0
         if bad.any():
             dpv = np.where(bad, 1, dpv)
         step = np.where(bad, 0, p / dpv)
         step = np.where(np.abs(step) < 1.0 + np.abs(z), step, 0)
         z = z - step
-        res = np.abs(_horner_many(C, z)[0])
+        res = np.abs(ev(z)[0])
         improved = res < best_res
         best = np.where(improved, z, best)
         best_res = np.where(improved, res, best_res)
     return best
 
 
-def roots_batch(C):
+def roots_batch(C, evaluator=Horner):
     """All roots of every row of C, shape (rows, d+1) in ascending powers.
 
-    Closed forms for d <= 3, Aberth-Ehrlich above, then a residual-monotone
-    Newton polish; returns shape (rows, d), complex.  Each row gets the
-    roots it would get alone.
+    With the default evaluator the rows are polynomials: closed forms for
+    d <= 3, Aberth-Ehrlich above.  With evaluator=NestedHorner the roots
+    are those of f(f(z)) - z for each row f, by Aberth with nested
+    evaluation.  A residual-monotone Newton polish follows; returns shape
+    (rows, degree), complex.  Each row gets the roots it would get alone.
     """
     C = np.asarray(C, dtype=complex)
     d = C.shape[1] - 1
     if d < 1:
         raise ValueError("degree >= 1 required")
-    if d == 1:
+    ev = evaluator(C)
+    if evaluator is not Horner or d > 3:
+        z = _aberth_batch(ev)
+    elif d == 1:
         return (-C[:, 0] / C[:, 1])[:, None]
-    if d == 2:
+    elif d == 2:
         z = _quadratic_batch(C)
-    elif d == 3:
-        z = _cubic_batch(C)
     else:
-        z = _aberth_batch(C)
-    return _polish_batch(C, z)
+        z = _cubic_batch(C)
+    return _polish_batch(ev, z)
 
 
 def roots_shifted(p: Polynomial, targets):
@@ -237,22 +315,86 @@ def _pair_conjugates(roots):
     return np.array(out, dtype=complex)
 
 
-def complex_roots(p: Polynomial):
+def _series_horner(coeffs, s):
+    """The polynomial with these coefficients at the power series s, truncated
+    to len(s) terms, by Horner's rule."""
+    n = len(s)
+    acc = [coeffs[-1]] + [0.0] * (n - 1)
+    for c in reversed(coeffs[:-1]):
+        acc = [sum(acc[i] * s[k - i] for i in range(k + 1)) for k in range(n)]
+        acc[0] += c
+    return acc
+
+
+class TwoCycles:
+    """f(f(X)) - X for a real polynomial f of degree d >= 2, never expanded.
+
+    Its d^2 roots, with multiplicity, are the fixed points and the 2-cycles
+    of f.  It has what real_roots_ex needs of a polynomial: degree,
+    to_float, evaluation at a point and derivative(); the order-th
+    derivative is evaluated by Horner's rule on Taylor series truncated
+    after that order.  complex_roots solves it with NestedHorner, and its
+    residuals are held to 1e-8 of the magnitude sum whose eps multiple is
+    NestedHorner's rounding floor, as a polynomial's are held to 1e-8 of
+    its coefficient scale.
+    """
+
+    def __init__(self, f: Polynomial, order=0):
+        f = f.to_float()
+        if f.degree < 2:
+            raise ValueError("degree >= 2 required")
+        self.f, self.order = f, order
+        self.degree = f.degree ** 2 - order
+        self.C = np.array([[complex(c) for c in f.coeffs]])
+
+    def to_float(self):
+        return self
+
+    def derivative(self):
+        return TwoCycles(self.f, self.order + 1)
+
+    def __call__(self, x):
+        n = self.order + 1
+        s = [x, 1.0, *[0.0] * (n - 2)][:n]
+        for _ in range(2):
+            s = _series_horner(self.f.coeffs, s)
+        s[0] -= x
+        if n > 1:
+            s[1] -= 1.0
+        return math.factorial(self.order) * s[-1]
+
+    def residual_tol(self, z):
+        """The largest |f(f(z)) - z| accepted at each point of z."""
+        z = np.asarray(z, dtype=complex).reshape(1, -1)
+        floor = NestedHorner(self.C)(z, floor=True)[2][0]
+        return 1e-8 / (_FLOOR_ULPS * np.finfo(float).eps) * floor
+
+
+def complex_roots(p):
     """All deg(p) complex roots with multiplicity, polished.
 
-    Conjugate pairing is enforced for real input.  Raises RootFindingError if
-    residuals stay above 1e-8 relative to the coefficient scale.
+    p is a Polynomial or a TwoCycles.  Conjugate pairing is enforced for
+    real input.  Raises RootFindingError if residuals stay above 1e-8
+    relative to the coefficient scale (for TwoCycles, the scale of nested
+    evaluation).
     """
     d = p.degree
     if d < 1:
         raise ValueError("degree >= 1 required")
-    z = roots_shifted(p, [0.0])[0]
-    C = np.array([[complex(c) for c in p.coeffs]])
-    ok, res = _residual_ok(C, z[None, :])
-    if not ok[0]:
+    if isinstance(p, TwoCycles):
+        z = roots_batch(p.C, NestedHorner)[0]
+        res = np.abs(NestedHorner(p.C)(z[None, :])[0][0])
+        ok, worst, real = bool((res <= p.residual_tol(z)).all()), res.max(), True
+    else:
+        z = roots_shifted(p, [0.0])[0]
+        C = np.array([[complex(c) for c in p.coeffs]])
+        ok, res = _residual_ok(C, z[None, :])
+        ok, worst = ok[0], res[0]
+        real = all(float(complex(c).imag) == 0.0 for c in p.coeffs)
+    if not ok:
         raise RootFindingError(
-            f"root polishing stalled (max residual {res[0]:.3e})", best=z)
-    if all(float(complex(c).imag) == 0.0 for c in p.coeffs):
+            f"root polishing stalled (max residual {worst:.3e})", best=z)
+    if real:
         z = _pair_conjugates(z)
     return np.sort_complex(z)
 
@@ -262,6 +404,8 @@ def complex_roots(p: Polynomial):
 # ---------------------------------------------------------------------------
 
 def _res_tol(p, x):
+    if isinstance(p, TwoCycles):
+        return float(p.residual_tol([x])[0])
     maxc = max(abs(complex(c)) for c in p.coeffs)
     return 1e-8 * maxc * max(1.0, abs(x)) ** p.degree
 
@@ -306,8 +450,10 @@ def _chain_clusters(values, tol):
     return clusters
 
 
-def real_roots_ex(p: Polynomial, realness_tol=REALNESS_TOL):
+def real_roots_ex(p, realness_tol=REALNESS_TOL):
     """Distinct real roots with multiplicities, plus a marginality flag.
+
+    p is a Polynomial or a TwoCycles (f(f(X)) - X, never expanded).
 
     Clusters within 1e-6 (relative) are merged as multiple roots, an m-fold
     cluster refined by Newton on p^(m-1); near-real clusters that refine onto
@@ -332,18 +478,24 @@ def real_roots_ex(p: Polynomial, realness_tol=REALNESS_TOL):
         else:
             leftovers.append((center, m))
     # Second pass: multiple roots scatter ~eps^(1/m), well past the 1e-6
-    # cluster radius.  Regroup off-axis leftovers (optionally absorbing an
-    # adjacent accepted root) at a wider radius and re-refine with the
-    # combined multiplicity; accept only if the result lands on the axis with
-    # a small residual.
+    # cluster radius, so the members of one may stay off the axis, refine
+    # onto it as a smaller cluster, or pass as simple roots that did not
+    # polish onto the axis (loose: farther off it than REALNESS_TOL).
+    # Regroup at a wider radius; re-refine each group of two or more that
+    # holds such a member with the combined multiplicity, and accept the
+    # result only if it lands on the axis with a small residual.
+    def settled(c, m, real):
+        return real and m == 1 and abs(c.imag) <= REALNESS_TOL * (1.0 + abs(c))
+
     out = []
-    if leftovers:
-        pool = [(c, m, True) for c, m in accepted] + [(c, m, False) for c, m in leftovers]
+    pool = [(c, m, True) for c, m in accepted] + [(c, m, False) for c, m in leftovers]
+    if leftovers or not all(settled(*member) for member in pool):
         vals = np.array([c for c, m, _ in pool])
         for g in _chain_clusters(vals, _REGROUP_TOL * scale):
             idxs = sorted({int(np.argmin(np.abs(vals - z))) for z in g})
             members = [pool[i] for i in idxs]
-            if all(real for _, _, real in members):
+            if all(real for _, _, real in members) and (
+                    len(members) == 1 or all(settled(*member) for member in members)):
                 out.extend((float(c.real), m) for c, m, _ in members)
                 continue
             m = sum(mm for _, mm, _ in members)

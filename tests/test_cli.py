@@ -25,6 +25,11 @@ class TestClassify:
             main(["classify", "--poly", "not json"])
         assert exc.value.code == 2
 
+    def test_rational_string_coefficients(self, capsys):
+        code, out = run(capsys, "classify", "--poly", '["-5/2",0,1.0]')
+        assert code == 0
+        assert json.loads(out)["julia_real"] is True
+
     def test_degree_failure_exit_1(self, capsys):
         code, _ = run(capsys, "classify", "--poly", "[1,2]")
         assert code == 1
@@ -173,6 +178,12 @@ class TestMalformedNumbers:
         ["region", "--a-range=1:-1", "--b-range=0:1"],
         ["region", "--a-range=-1:1", "--b-range=1:0"],
         ["region", "--a-range=-inf:1"],
+        ["classify", "--poly", "[null,0,1]"],
+        ["classify", "--poly", "[[1],0,1]"],
+        ["classify", "--poly", "[{},0,1]"],
+        ["classify", "--poly", '["1/0",0,1]'],
+        ["classify", "--poly", '["one",0,1]'],
+        ["classify", "--poly", "[true,0,1]"],
     ])
     def test_usage_error_exit_2(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from juliareal.classifier import (classify_real_julia, critical_interval,
-                                  forward_escape_check, real_fixed_points)
+                                  square_critical_interval)
 from juliareal.poly import AffineMap, Polynomial, conjugate
+from juliareal.roots import TwoCycles, real_roots_ex
 
 
 def P(*coeffs):
@@ -61,14 +62,31 @@ class TestCriticalInterval:
 
 class TestFixedPoints:
     def test_chebyshev_square_fixed_points(self):
-        f = P(0.0, -3.0, 0.0, 1.0) * -1      # -x^3 + 3x... rebuild directly
+        # fixed points of f o f for f = -x^3 + 3x, from nested evaluation
         f = P(0.0, 3.0, 0.0, -1.0)
-        fps, _ = real_fixed_points(f, of_iterate=2)
+        fps, _ = real_roots_ex(TwoCycles(f), realness_tol=1e-6)
         xs = sorted(x for x, _ in fps)
         golden = sorted([0.0, 2.0, -2.0, math.sqrt(2), -math.sqrt(2),
                          (1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2,
                          (-1 + math.sqrt(5)) / 2, (-1 - math.sqrt(5)) / 2])
         assert np.allclose(xs, golden, atol=1e-6)
+
+    def test_triple_roots_listed_once(self):
+        # f'(+-1) = -1 for f = -x^3 + 2x, so f o f - x has triple roots there
+        rep = classify_real_julia(P(0.0, 2.0, 0.0, -1.0))
+        golden = [-math.sqrt(3), -1.0, 0.0, 1.0, math.sqrt(3)]
+        assert len(rep.fixed_points) == len(golden)
+        assert np.allclose(rep.fixed_points, golden, rtol=0, atol=1e-9)
+        assert rep.marginal
+
+    def test_two_cycles_match_expansion(self):
+        f = P(0.3, 2.0, 0.1, -1.2)
+        g = TwoCycles(f)
+        expanded = f.iterate(2) - P(0.0, 1.0)
+        x = 0.7 + 0.2j
+        for _ in range(5):
+            assert abs(g(x) - expanded(x)) <= 1e-12 * (1 + abs(expanded(x)))
+            g, expanded = g.derivative(), expanded.derivative()
 
 
 class TestQuadraticLaw:
@@ -150,21 +168,51 @@ class TestConjugationInvariance:
         assert abs(rep.interval.hi - phi(2.0)) < 1e-6
 
 
-class TestEscapeCheck:
-    def test_escape_above_largest_fixed_point(self):
-        f = P(-2.0, 0.0, 1.0)
-        assert forward_escape_check(f, 2.001)
-        assert not forward_escape_check(f, 1.9)
-        assert not forward_escape_check(f, 2.0)
+def chebyshev(d):
+    """Coefficients of 2 T_d(x/2): P0 = 2, P1 = x, P(n+1) = x Pn - P(n-1)."""
+    prev, cur = [2.0], [0.0, 1.0]
+    for _ in range(d - 1):
+        nxt = [0.0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur
 
-    def test_negative_lead_rejected(self):
-        with pytest.raises(ValueError):
-            forward_escape_check(P(0.0, 3.0, 0.0, -1.0), 1.0)
 
-    def test_odd_degree_minus_infinity(self):
-        # x^3: big negative inputs run to -infinity, not +infinity
-        assert not forward_escape_check(P(0.0, 0.0, 0.0, 1.0), -5.0)
-        assert forward_escape_check(P(0.0, 0.0, 0.0, 1.0), 5.0)
+class TestOddNegative:
+    """f o f is decided from degree-d solves of f and nested evaluation."""
+
+    def test_fixed_faulty_conjugate(self):
+        # -s 2T_5(x/2), s = 2.1959, conjugated by x -> 0.52 x + 0.95: the
+        # monomial expansion of f o f gave julia_real=False here
+        f = P(-0.1640145477184376, -23.699426895131577, 142.59479902344336,
+              -231.07067881639261, 142.7766240101416, -30.01534793573532)
+        rep = classify_real_julia(f)
+        assert rep.branch == "odd-negative"
+        assert rep.julia_real
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_conjugates_follow_the_law(self, d):
+        # -s 2T_d(x/2) under a real affine conjugation has a real Julia set
+        # iff |s| >= 1
+        rng = np.random.default_rng(700 + d)
+        base = chebyshev(d)
+        for k in range(24):
+            real = k % 2 == 0
+            s = rng.uniform(1.25, 2.5) if real else rng.uniform(0.3, 0.8)
+            phi = AffineMap(rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(-0.7, 0.7)),
+                            rng.uniform(-1.5, 1.5))
+            rep = classify_real_julia(conjugate(P(*(-s * c for c in base)), phi))
+            assert rep.branch == "odd-negative"
+            assert rep.julia_real is real, (d, s, phi)
+
+    def test_square_interval_matches_expansion(self):
+        for f in (P(0.0, 3.0, 0.0, -1.0), P(0.5, 3.2, -0.1, -1.0),
+                  P(0.0, 2.0, 0.0, -1.0)):
+            iv, ref = square_critical_interval(f), critical_interval(f.iterate(2))
+            assert iv.empty == ref.empty
+            if not iv.empty:
+                assert abs(iv.lo - ref.lo) < 1e-9 and abs(iv.hi - ref.hi) < 1e-9
 
 
 class TestDegreeGuards:

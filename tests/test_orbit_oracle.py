@@ -7,7 +7,7 @@ import pytest
 from juliareal.orbit import (BackwardOrbit, EmpiricalMeasure, ExceptionalPointError,
                              OrbitCapError, backward_orbit, check_non_exceptional,
                              empirical_cdf_distance, escape_radius,
-                             filled_julia_member, max_imag_stat, orbit_status,
+                             max_imag_stat, orbit_status,
                              render_filled_julia)
 from juliareal.poly import Polynomial
 
@@ -36,6 +36,11 @@ class TestEscapeRadius:
         assert escape_radius(CHEB) == 4.0
         assert escape_radius(P(0.0, -3.0, 0.0, 1.0)) == 5.0
 
+    def test_exact_for_exact_input(self):
+        # (2 + 2) / 3 for 3X^2 + 2; the Fraction of its float lies 2^-52/3 below
+        R = escape_radius(P(2, 0, 3))
+        assert R == Fraction(4, 3) and isinstance(R, Fraction)
+
     def test_escape_property(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -50,16 +55,6 @@ class TestEscapeRadius:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             escape_radius(P(0.0, 1.0))
-
-
-class TestFilledJulia:
-    def test_chebyshev_interval(self):
-        assert filled_julia_member(CHEB, 1.5)[0] == "inside"
-        status, k = filled_julia_member(CHEB, 2.1)
-        assert status == "escaped" and k >= 1
-
-    def test_powering_fixed_point(self):
-        assert filled_julia_member(P(0.0, 0.0, 1.0), 0.0)[0] == "inside"
 
 
 class TestRender:
