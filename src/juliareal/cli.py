@@ -32,9 +32,9 @@ def _is_coefficient(c):
         except (ValueError, ZeroDivisionError):
             return False
         return True
-    # JSON NaN and Infinity, and numbers too large for a float, parse as
-    # non-finite floats
-    return (isinstance(c, int) and not isinstance(c, bool)
+    # JSON NaN and Infinity, and decimals too large for a float, parse as
+    # non-finite floats; integers that large are rejected alike
+    return (isinstance(c, int) and not isinstance(c, bool) and abs(c) <= sys.float_info.max
             or isinstance(c, float) and math.isfinite(c))
 
 

@@ -184,6 +184,7 @@ class TestMalformedNumbers:
         ["classify", "--poly", '["1/0",0,1]'],
         ["classify", "--poly", '["one",0,1]'],
         ["classify", "--poly", "[true,0,1]"],
+        ["classify", "--poly", "[1,0,1" + "0" * 400 + "]"],
     ])
     def test_usage_error_exit_2(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
