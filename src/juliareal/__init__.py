@@ -9,7 +9,7 @@ from .lattes import (NonAbelianCertificate, RationalMap, WeierstrassCurve,
 from .orbit import (BackwardOrbit, EmpiricalMeasure, OrbitStatus,
                     backward_orbit, empirical_cdf_distance, max_imag_stat,
                     orbit_status)
-from .poly import AffineMap, Polynomial, conjugate, cubic_normal_form
+from .poly import AffineMap, Polynomial, conjugate
 from .roots import all_roots_real, complex_roots, real_roots_ex
 
 __version__ = "0.1.0"
@@ -20,7 +20,7 @@ __all__ = [
     "RationalMap", "WeierstrassCurve", "all_roots_real", "b_zero",
     "backward_orbit", "canonical_height", "certify_nonabelian",
     "classify_batch", "classify_real_julia", "complex_roots", "conjugate", "critical_interval",
-    "cubic_normal_form", "duplication_lattes", "empirical_cdf_distance",
+    "duplication_lattes", "empirical_cdf_distance",
     "functional_equation_residual", "in_region", "max_imag_stat",
     "orbit_status", "real_roots_ex", "real_surjectivity", "region_scan",
     "weil_height",

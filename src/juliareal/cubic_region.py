@@ -15,34 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import classify_batch
-from .poly import Polynomial
+from .roots import roots_batch
 
 # cells per classify_batch call in region_scan: bounds each (cells, 66)
 # cross-check array to about 0.5 MB
 _SCAN_BLOCK = 1024
 # float64 elements per boundary_distance temporary: about 1 MB
 _DISTANCE_CHUNK = 1 << 17
-
-
-@dataclass(frozen=True)
-class CubicParams:
-    A: float
-    B: float
-
-    @property
-    def a(self):
-        """sqrt(-A/3); only defined on the A <= 0 half-plane."""
-        if self.A > 0:
-            raise ValueError("a = sqrt(-A/3) needs A <= 0")
-        return math.sqrt(-self.A / 3.0)
-
-    def poly(self):
-        return Polynomial([self.B, self.A, 0.0, 1.0])
-
-    def critical_interval_endpoints(self):
-        """[B - 2a^3, B + 2a^3] for A <= 0."""
-        cube = self.a ** 3
-        return (self.B - 2.0 * cube, self.B + 2.0 * cube)
 
 
 def region_bound(A):
@@ -81,7 +60,7 @@ def fixed_point_trajectory(a, b_grid):
         if not in_three_fixed_set(A, B):
             rows.append((B, math.nan, math.nan, False))
             continue
-        r = np.roots([1.0, 0.0, A - 1.0, B])
+        r = roots_batch(np.array([[B, A - 1.0, 0.0, 1.0]]))[0]
         real = np.sort(r.real[np.abs(r.imag) <= 1e-7 * (1.0 + np.abs(r))])
         rows.append((B, float(real[0]), float(real[-1]), True))
     return rows

@@ -7,7 +7,6 @@ are stored in ascending power order, c0 .. cd, trailing zeros trimmed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -233,28 +232,6 @@ def conjugate(p: Polynomial, phi: AffineMap) -> Polynomial:
     """phi o p o phi^{-1}."""
     inner = p.compose(phi.inverse().as_poly())
     return phi.as_poly().compose(inner)
-
-
-def cubic_normal_form(p: Polynomial):
-    """Conjugate a cubic into +-X^3 + A X + B.
-
-    Returns (normal form, phi) with conjugate(p, phi) equal to the normal
-    form; the X^2 coefficient is zeroed exactly and the cubic coefficient
-    snapped to +-1.
-    """
-    if p.degree != 3:
-        raise ValueError(f"cubic expected, got degree {p.degree}")
-    c3 = float(p.coeffs[3])
-    c2 = float(p.coeffs[2])
-    h = math.sqrt(abs(c3))
-    k = h * c2 / (3.0 * c3)
-    phi = AffineMap(h, k)
-    g = conjugate(p.to_float(), phi)
-    coeffs = [float(c) for c in g.coeffs] + [0.0] * (4 - len(g.coeffs))
-    # residual quadratic term / lead deviation is pure rounding; snap it
-    coeffs[2] = 0.0
-    coeffs[3] = math.copysign(1.0, c3)
-    return Polynomial(coeffs), phi
 
 
 # -- resultants and discriminants -----------------------------------------

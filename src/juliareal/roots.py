@@ -11,7 +11,11 @@ f o f (as MPSolve evaluates implicitly defined polynomials, Bini & Robol
 2014).  Aberth stops a row once each of its roots takes a step below
 1e-14 (1 + |z|) or lies on the rounding floor, for Horner's rule
 |p(z)| <= 8 eps sum |c_i| |z|^i (MPSolve's rule, Bini & Fiorentino 2000), so
-roots next to a multiple root stop as soon as their steps are noise.
+roots next to a multiple root stop as soon as their steps are noise; a row
+still moving after _ABERTH_MAX_ITER iterations raises RootFindingError.
+The Newton polish reuses each step's residual evaluation as the next
+step's p and p', so it makes 1 + _POLISH_STEPS = 5 evaluator passes, and
+Horner's rule runs in place on one buffer each for p and p'.
 real_roots_ex merges root clusters into multiple roots and refines an
 m-fold cluster by Newton's method on p^(m-1), where it is a simple root; it
 takes a Polynomial or a TwoCycles, f(f(X)) - X.
@@ -56,12 +60,19 @@ class RootFindingError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _horner_many(C, z):
-    d = C.shape[1] - 1
-    p = np.broadcast_to(C[:, -1:], z.shape).astype(complex).copy()
-    dp = np.zeros_like(z)
-    for i in range(d - 1, -1, -1):
-        dp = dp * z + p
-        p = p * z + C[:, i:i + 1]
+    """p(z) and p'(z) for each row of C at the points z of that row.
+
+    Horner's rule in place on one buffer each for p and p', with the
+    operations, and so the rounding, of p = p z + c_i and p' = p' z + p.
+    """
+    p = np.empty(z.shape, dtype=complex)
+    p[...] = C[:, -1:]
+    dp = np.zeros(z.shape, dtype=complex)
+    for i in range(C.shape[1] - 2, -1, -1):
+        dp *= z
+        dp += p
+        p *= z
+        p += C[:, i:i + 1]
     return p, dp
 
 
@@ -195,7 +206,9 @@ def _aberth_batch(ev):
 
     A row stops once each of its roots takes a step below 1e-14 (1 + |z|)
     or lies on ev's rounding floor: a root next to a multiple root never
-    meets the step test, since its steps are rounding noise.
+    meets the step test, since its steps are rounding noise.  Returns the
+    iterates and the indices of the rows still live after _ABERTH_MAX_ITER
+    iterations.
     """
     d = ev.degree
     R = ev.radius()
@@ -226,24 +239,26 @@ def _aberth_batch(ev):
             z[rows] = za
             rows, eva, za = rows[live], eva.take(live), za[live]
     z[rows] = za
-    return z
+    return z, rows
 
 
-def _polish_batch(ev, z, steps=_POLISH_STEPS):
+def _polish_batch(ev, z):
     # Residual-monotone Newton: near multiple roots p/p' is noise over noise
     # and an unguarded step can wander by O(1e-2), so a step is kept only
-    # where it actually shrinks |p|.
-    best = z
-    best_res = np.abs(ev(z)[0])
-    for _ in range(steps):
-        p, dpv, _ = ev(z)
+    # where it actually shrinks |p|.  The evaluation that gives a step's
+    # residual also gives the next step's p and p', so the polish makes
+    # 1 + _POLISH_STEPS evaluator passes.
+    p, dpv, _ = ev(z)
+    best, best_res = z, np.abs(p)
+    for _ in range(_POLISH_STEPS):
         bad = dpv == 0
         if bad.any():
             dpv = np.where(bad, 1, dpv)
         step = np.where(bad, 0, p / dpv)
         step = np.where(np.abs(step) < 1.0 + np.abs(z), step, 0)
         z = z - step
-        res = np.abs(ev(z)[0])
+        p, dpv, _ = ev(z)
+        res = np.abs(p)
         improved = res < best_res
         best = np.where(improved, z, best)
         best_res = np.where(improved, res, best_res)
@@ -258,21 +273,29 @@ def roots_batch(C, evaluator=Horner):
     are those of f(f(z)) - z for each row f, by Aberth with nested
     evaluation.  A residual-monotone Newton polish follows; returns shape
     (rows, degree), complex.  Each row gets the roots it would get alone.
+    Raises RootFindingError, with the polished iterates as best, if any row
+    is still moving after _ABERTH_MAX_ITER Aberth iterations.
     """
     C = np.asarray(C, dtype=complex)
     d = C.shape[1] - 1
     if d < 1:
         raise ValueError("degree >= 1 required")
     ev = evaluator(C)
+    stalled = ()
     if evaluator is not Horner or d > 3:
-        z = _aberth_batch(ev)
+        z, stalled = _aberth_batch(ev)
     elif d == 1:
         return (-C[:, 0] / C[:, 1])[:, None]
     elif d == 2:
         z = _quadratic_batch(C)
     else:
         z = _cubic_batch(C)
-    return _polish_batch(ev, z)
+    z = _polish_batch(ev, z)
+    if len(stalled):
+        raise RootFindingError(
+            f"Aberth iteration did not converge on {len(stalled)} of {len(z)} rows "
+            f"in {_ABERTH_MAX_ITER} iterations", best=z)
+    return z
 
 
 def roots_shifted(p: Polynomial, targets):
@@ -374,9 +397,9 @@ def complex_roots(p):
     """All deg(p) complex roots with multiplicity, polished.
 
     p is a Polynomial or a TwoCycles.  Conjugate pairing is enforced for
-    real input.  Raises RootFindingError if residuals stay above 1e-8
-    relative to the coefficient scale (for TwoCycles, the scale of nested
-    evaluation).
+    real input.  Raises RootFindingError if Aberth does not converge or
+    residuals stay above 1e-8 relative to the coefficient scale (for
+    TwoCycles, the scale of nested evaluation).
     """
     d = p.degree
     if d < 1:

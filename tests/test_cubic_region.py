@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from juliareal import classifier
 from juliareal.classifier import classify_batch, classify_real_julia
-from juliareal.cubic_region import (CubicParams, b_zero, boundary_distance,
+from juliareal.cubic_region import (b_zero, boundary_distance,
                                     fixed_point_trajectory, in_region,
                                     in_three_fixed_set, region_bound,
                                     region_scan)
@@ -67,14 +67,6 @@ class TestMembership:
         rng = np.random.default_rng(2)
         for A, B in rng.uniform(-8, 2, (200, 2)):
             assert in_region(A, B) == in_region(A, -B)
-
-    def test_cubic_params(self):
-        cp = CubicParams(-12.0, 0.0)
-        assert abs(cp.a - 2.0) < 1e-12
-        lo, hi = cp.critical_interval_endpoints()
-        assert abs(lo + 16) < 1e-12 and abs(hi - 16) < 1e-12
-        with pytest.raises(ValueError):
-            CubicParams(1.0, 0.0).a
 
 
 class TestBZero:

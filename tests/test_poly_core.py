@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from juliareal.poly import (AffineMap, DegreeCapError, Polynomial, close,
-                            conjugate, cubic_normal_form, discriminant,
+                            conjugate, discriminant,
                             poly_from_json, poly_to_json, resultant,
                             sylvester_resultant)
 
@@ -112,25 +112,6 @@ class TestAffine:
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
             AffineMap(0.0, 1.0)
-
-
-class TestCubicNormalForm:
-    def test_kills_quadratic_term(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            c = rng.uniform(-2, 2, 4)
-            c[3] = c[3] if abs(c[3]) > 0.3 else 1.1
-            p = Polynomial(list(c))
-            normal, phi = cubic_normal_form(p)
-            assert normal.coeffs[2] == 0.0
-            assert abs(normal.coeffs[3]) == 1.0
-            g = conjugate(p, phi)
-            assert np.allclose(list(g.coeffs) + [0] * (4 - len(g.coeffs)),
-                               normal.coeffs, atol=1e-7)
-
-    def test_non_cubic_rejected(self):
-        with pytest.raises(ValueError):
-            cubic_normal_form(P(1, 2, 3))
 
 
 class TestResultants:

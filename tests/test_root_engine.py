@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from juliareal import roots
+from juliareal.orbit import backward_orbit
 from juliareal.poly import Polynomial
-from juliareal.roots import (all_real_batch, all_real_shifted, all_roots_real,
-                             complex_roots, real_root_count, real_roots_batch,
-                             real_roots_ex, roots_batch, roots_shifted,
-                             square_free_decomposition, square_free_part)
+from juliareal.roots import (RootFindingError, all_real_batch, all_real_shifted,
+                             all_roots_real, complex_roots, real_root_count,
+                             real_roots_batch, real_roots_ex, roots_batch,
+                             roots_shifted, square_free_decomposition,
+                             square_free_part)
 
 
 def P(*coeffs):
@@ -21,6 +23,16 @@ def from_roots(roots):
     for r in roots:
         p = p * Polynomial([-r, 1.0])
     return p
+
+
+def reference_horner(C, z):
+    """Out-of-place Horner's rule: a fresh array for every term."""
+    p = np.broadcast_to(C[:, -1:], z.shape).astype(complex)
+    dp = np.zeros(z.shape, dtype=complex)
+    for i in range(C.shape[1] - 2, -1, -1):
+        dp = dp * z + p
+        p = p * z + C[:, i:i + 1]
+    return p, dp
 
 
 class TestComplexRoots:
@@ -111,6 +123,16 @@ class TestRootsShifted:
         assert np.allclose(x, [-np.sqrt(2), -np.sqrt(2), np.sqrt(2), np.sqrt(2)], atol=1e-4)
         assert np.abs(z.imag).max() <= 1e-12
 
+    def test_polish_reuses_each_residual(self, monkeypatch):
+        # closed form, then one pass at the start of the polish and one per
+        # step, whose value is both that step's residual and the next p
+        calls = []
+        horner = roots._horner_many
+        monkeypatch.setattr(roots, "_horner_many",
+                            lambda C, z: calls.append(1) or horner(C, z))
+        roots_batch(np.array([[-0.5, 2.0, -1.0, 1.0]]))
+        assert len(calls) == 1 + roots._POLISH_STEPS == 5
+
     def test_residuals_small(self):
         rng = np.random.default_rng(9)
         p = Polynomial(list(rng.uniform(-2, 2, 5)))
@@ -118,6 +140,37 @@ class TestRootsShifted:
         roots = roots_shifted(p, targets)
         vals = np.array([[p(z) for z in row] for row in roots])
         assert np.abs(vals - targets[:, None]).max() < 1e-7
+
+
+class TestHornerKernel:
+    def test_in_place_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for d in range(1, 7):
+            for rows, k in ((1, d), (5, 3), (40, 7)):
+                scale = 10.0 ** rng.uniform(-3, 3, (rows, d + 1))
+                C = scale * (rng.standard_normal((rows, d + 1))
+                             + 1j * rng.standard_normal((rows, d + 1)))
+                z = 10.0 ** rng.uniform(-2, 1, (rows, k)) * np.exp(
+                    2j * np.pi * rng.random((rows, k)))
+                p, dp = roots._horner_many(C, z)
+                ref_p, ref_dp = reference_horner(C, z)
+                assert np.array_equal(p, ref_p) and np.array_equal(dp, ref_dp)
+
+
+class TestNonConvergence:
+    QUARTIC = P(0.3, -1.2, 0.0, 0.5, 1.0)
+
+    def test_backward_orbit_names_the_level(self, monkeypatch):
+        monkeypatch.setattr(roots, "_ABERTH_MAX_ITER", 1)
+        with pytest.raises(RootFindingError, match="level 1") as info:
+            backward_orbit(self.QUARTIC, 0.25, 2)
+        assert info.value.best.shape == (1, 4)
+
+    def test_complex_roots_raises(self, monkeypatch):
+        monkeypatch.setattr(roots, "_ABERTH_MAX_ITER", 1)
+        with pytest.raises(RootFindingError, match="did not converge") as info:
+            complex_roots(self.QUARTIC)
+        assert np.isfinite(info.value.best).all()
 
 
 class TestRealRootsMultiplicity:
