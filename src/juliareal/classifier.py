@@ -13,16 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .poly import Polynomial, poly_to_json
-from .roots import (CLUSTER_TOL, TwoCycles, all_real_batch, all_real_shifted,
-                    real_roots_batch, real_roots_ex, roots_batch)
-
-# containment slack for "fixed point inside interval" (relative)
-CONTAIN_TOL = 1e-8
-# verdicts this close to an interval endpoint are flagged marginal
-MARGINAL_TOL = 1e-7
-# realness tolerances for the critical points and for the fixed points
-_CRIT_REALNESS_TOL = 1e-7
-_FIXED_REALNESS_TOL = 1e-6
+from .roots import (TwoCycles, all_real_batch, all_real_shifted, near_axis,
+                    real_roots_batch, real_roots_ex, roots_shifted)
+from .tolerances import (CLUSTER_TOL, CONTAIN_TOL, CRIT_REALNESS_TOL, ENDPOINT_PULL,
+                         FIXED_REALNESS_TOL, MARGINAL_TOL, SPLIT_ENDPOINT_TOL, SPLIT_TOL)
 
 
 def _locate(x, lo, hi):
@@ -96,10 +90,7 @@ class ClassificationReport:
 # Chebyshev nodes on (-1, 1): the cross-check samples of a critical interval
 _SAMPLE_NODES = np.cos(np.pi * (np.arange(64) + 0.5) / 64)
 # all-real tolerance at those samples, then at the two pulled-in endpoints
-_CROSS_CHECK_TOL = np.r_[np.full(len(_SAMPLE_NODES), 1e-6), 1e-5, 1e-5]
-# how far the cross-check pulls a finite endpoint into the interval, and the
-# gap by which lo may exceed hi before the interval counts as empty (relative)
-_ENDPOINT_PULL = 1e-9
+_CROSS_CHECK_TOL = np.r_[np.full(len(_SAMPLE_NODES), SPLIT_TOL), [SPLIT_ENDPOINT_TOL] * 2]
 
 
 def _cross_check_targets(lo, hi, scale):
@@ -107,7 +98,7 @@ def _cross_check_targets(lo, hi, scale):
 
     lo, hi and scale are floats or arrays of one shape; the targets have
     that shape plus a last axis of 66: 64 Chebyshev samples of [lo, hi],
-    then lo and hi pulled in by _ENDPOINT_PULL * scale.  An infinite end
+    then lo and hi pulled in by ENDPOINT_PULL * scale.  An infinite end
     stays infinite and is sampled as if it lay 10 (1 + |other end|) away
     (0 stands in for an infinite other end).  _CROSS_CHECK_TOL holds the
     tolerances.
@@ -117,7 +108,7 @@ def _cross_check_targets(lo, hi, scale):
     a = np.where(np.isfinite(lo), lo, end - 10.0 * (1.0 + np.abs(end)))
     b = np.where(np.isfinite(hi), hi, a + 10.0 * (1.0 + np.abs(a)))
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    pull = _ENDPOINT_PULL * scale
+    pull = ENDPOINT_PULL * scale
     return np.concatenate([mid[..., None] + half[..., None] * _SAMPLE_NODES,
                            (lo + pull)[..., None], (hi - pull)[..., None]], axis=-1)
 
@@ -130,7 +121,7 @@ def _critical_points(q):
     some critical point is nonreal.
     """
     dq = q.derivative()
-    crit, _ = real_roots_ex(dq, realness_tol=_CRIT_REALNESS_TOL)
+    crit, _ = real_roots_ex(dq, realness_tol=CRIT_REALNESS_TOL)
     after = sum(m for _, m in crit)
     if after < dq.degree:
         return None
@@ -175,7 +166,7 @@ def _checked_interval(lo, hi, splits):
     interior samples and the finite endpoints pulled slightly inward.
     """
     scale = 1.0 + max((abs(v) for v in (lo, hi) if math.isfinite(v)), default=0.0)
-    if lo > hi + _ENDPOINT_PULL * scale:
+    if lo > hi + ENDPOINT_PULL * scale:
         return _EMPTY
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
@@ -253,14 +244,10 @@ def square_critical_interval(p: Polynomial) -> CriticalInterval:
         elif (q.lead > 0) != (sum(m for c, m, _ in crit if c > v) % 2 == 0):   # p' < 0 at v
             kind = -kind
         extremes.append((q(v), kind))
-    row = np.array([float(c) for c in q.coeffs])
 
     def splits(ts, tol):
-        C = np.repeat(row[None, :], len(ts), axis=0)
-        C[:, 0] -= ts
-        z = roots_batch(C)
-        real = np.abs(z.imag) <= tol[:, None] * (1.0 + np.abs(z))
-        return (real & _locate(z.real, outer.lo, outer.hi)[0]).all(axis=1)
+        z = roots_shifted(q, ts)
+        return (near_axis(z, tol[:, None]) & _locate(z.real, outer.lo, outer.hi)[0]).all(axis=1)
 
     return _checked_interval(*_bounds(extremes), splits)
 
@@ -270,7 +257,7 @@ def real_fixed_points(p: Polynomial):
     if p.degree < 2:
         raise ValueError("degree >= 2 required")
     q = p.to_float() - Polynomial([0.0, 1.0])
-    return real_roots_ex(q, realness_tol=_FIXED_REALNESS_TOL)
+    return real_roots_ex(q, realness_tol=FIXED_REALNESS_TOL)
 
 
 def classify_real_julia(p: Polynomial) -> ClassificationReport:
@@ -289,7 +276,7 @@ def classify_real_julia(p: Polynomial) -> ClassificationReport:
     branch = f"{'odd' if odd else 'even'}-{'positive' if positive else 'negative'}"
     if odd and not positive:
         interval = square_critical_interval(q)
-        fps, marginal = real_roots_ex(TwoCycles(q), realness_tol=_FIXED_REALNESS_TOL)
+        fps, marginal = real_roots_ex(TwoCycles(q), realness_tol=FIXED_REALNESS_TOL)
     else:
         interval = critical_interval(q)
         fps, marginal = real_fixed_points(q)
@@ -305,7 +292,7 @@ def classify_real_julia(p: Polynomial) -> ClassificationReport:
         return report
     # the extreme fixed point on the lead's side, then its farthest real preimage
     end = max(points) if positive else min(points)
-    pre, pre_marginal = real_roots_ex(q - Polynomial([end]), realness_tol=_FIXED_REALNESS_TOL)
+    pre, pre_marginal = real_roots_ex(q - Polynomial([end]), realness_tol=FIXED_REALNESS_TOL)
     real_pre = [x for x, _ in pre] or [end]
     a1, a2 = (min(real_pre), end) if positive else (end, max(real_pre))
     report.marginal = report.marginal or pre_marginal
@@ -347,8 +334,8 @@ def classify_batch(C):
     d = C.shape[-1] - 1
     if C.ndim != 2 or d < 3 or d % 2 == 0 or not (C[:, -1] > 0).all():
         raise ValueError("rows of one odd degree >= 3 with positive lead required")
-    crit, crit_clear = real_roots_batch(C[:, 1:] * np.arange(1, d + 1), _CRIT_REALNESS_TOL)
-    fixed, fixed_clear = real_roots_batch(C - np.eye(1, d + 1, 1), _FIXED_REALNESS_TOL)
+    crit, crit_clear = real_roots_batch(C[:, 1:] * np.arange(1, d + 1), CRIT_REALNESS_TOL)
+    fixed, fixed_clear = real_roots_batch(C - np.eye(1, d + 1, 1), FIXED_REALNESS_TOL)
     decided = crit_clear & fixed_clear & np.isfinite(C).all(axis=1)
 
     # p' has even degree and positive lead: with all its roots real and
@@ -363,8 +350,8 @@ def classify_batch(C):
     scale = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
     # nonreal critical points leave the interval empty
     empty = decided & ~split
-    empty[split] = lo[split] > hi[split] + 10 * _ENDPOINT_PULL * scale[split]
-    bounded = split & (lo < hi - 10 * _ENDPOINT_PULL * scale)
+    empty[split] = lo[split] > hi[split] + 10 * ENDPOINT_PULL * scale[split]
+    bounded = split & (lo < hi - 10 * ENDPOINT_PULL * scale)
     decided &= empty | bounded
 
     rows = np.flatnonzero(bounded)

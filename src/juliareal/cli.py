@@ -99,12 +99,8 @@ def _cmd_region(args, argv):
     with open(args.out, "w", newline="") as fh:
         summary.to_csv(fh, header_comment=_header(argv))
     if args.pgm:
-        a_lo, a_hi = args.a_range
-        b_lo, b_hi = args.b_range
-        a_count = round((a_hi - a_lo) / args.step) + 1
-        b_count = round((b_hi - b_lo) / args.step) + 1
         with open(args.pgm, "wb") as fh:
-            fh.write(summary.to_pgm(a_count, b_count))
+            fh.write(summary.to_pgm())
     print(json.dumps({"cells": summary.cells,
                       "disagreements": summary.disagreements,
                       "max_disagree_distance": summary.max_disagree_distance}))

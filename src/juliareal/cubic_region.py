@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import classify_batch
-from .roots import roots_batch
+from .roots import near_axis, roots_batch
+from .tolerances import TRAJECTORY_REALNESS_TOL
 
 # cells per classify_batch call in region_scan: bounds each (cells, 66)
 # cross-check array to about 0.5 MB
@@ -61,7 +62,7 @@ def fixed_point_trajectory(a, b_grid):
             rows.append((B, math.nan, math.nan, False))
             continue
         r = roots_batch(np.array([[B, A - 1.0, 0.0, 1.0]]))[0]
-        real = np.sort(r.real[np.abs(r.imag) <= 1e-7 * (1.0 + np.abs(r))])
+        real = np.sort(r.real[near_axis(r, TRAJECTORY_REALNESS_TOL)])
         rows.append((B, float(real[0]), float(real[-1]), True))
     return rows
 
@@ -99,6 +100,7 @@ class ScanSummary:
     disagreements: int
     max_disagree_distance: float
     rows: list       # (A, B, analytic, classifier, agree, boundary_distance)
+    shape: tuple     # (number of A values, number of B values) of the grid
 
     def to_csv(self, stream, header_comment=None):
         if header_comment:
@@ -110,8 +112,9 @@ class ScanSummary:
             w.writerow([f"{A:.6g}", f"{B:.6g}", int(an), int(cl), int(ag),
                         f"{dist:.6g}"])
 
-    def to_pgm(self, a_count, b_count):
+    def to_pgm(self):
         """P5 bitmap, rows over A, columns over B: 255 in-region, 0 out, 128 disagree."""
+        a_count, b_count = self.shape
         img = np.zeros((a_count, b_count), dtype=np.uint8)
         for idx, (A, B, an, cl, ag, dist) in enumerate(self.rows):
             i, j = divmod(idx, b_count)
@@ -158,4 +161,4 @@ def region_scan(a_range, b_range, step) -> ScanSummary:
             disagreements += 1
             max_dist = max(max_dist, dist)
         rows.append((A, B, analytic, verdict, agree, dist))
-    return ScanSummary(len(rows), disagreements, max_dist, rows)
+    return ScanSummary(len(rows), disagreements, max_dist, rows, (a_vals.size, b_vals.size))

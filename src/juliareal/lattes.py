@@ -18,10 +18,9 @@ from .classifier import classify_real_julia
 from .orbit import _PREFIX_KEEP, OrbitStatus, check_non_exceptional, orbit_status
 from .poly import Polynomial, poly_to_json, sylvester_resultant
 from .roots import real_roots_ex
+from .tolerances import COVER_TOL, CRIT_MATCH_TOL, ON_CURVE_TOL, POLE_MATCH_TOL, POLE_PROBE
 
 _EXACT = (int, Fraction)
-_CRIT_MATCH_TOL = 1e-8      # the two critical-point routes agree this closely (relative)
-_COVER_TOL = 1e-9           # a narrower gap between piece ranges is no gap (relative)
 
 
 class SingularCurveError(ValueError):
@@ -68,7 +67,7 @@ class CurvePoint:
     def zero():
         return CurvePoint(at_infinity=True)
 
-    def on_curve(self, curve: WeierstrassCurve, rel=1e-9):
+    def on_curve(self, curve: WeierstrassCurve, rel=ON_CURVE_TOL):
         if self.at_infinity:
             return True
         lhs = self.y * self.y
@@ -171,7 +170,7 @@ def lattes_critical_points(curve: WeierstrassCurve):
     Route 1: real roots of the numerator of f'.  Route 2: real solutions of
     f(X) = rho over the real roots rho of F (x-coordinates of points Q with
     [2]Q a finite 2-torsion point).  The two sets must agree within
-    _CRIT_MATCH_TOL.
+    CRIT_MATCH_TOL.
     """
     f = duplication_lattes(curve)
     Fp = curve.F.to_float()
@@ -186,23 +185,21 @@ def lattes_critical_points(curve: WeierstrassCurve):
 
     scale = 1.0 + max((abs(x) for x in route1), default=0.0)
     if len(route1) != len(route2) or any(
-            abs(u - v) > _CRIT_MATCH_TOL * scale for u, v in zip(route1, route2)):
+            abs(u - v) > CRIT_MATCH_TOL * scale for u, v in zip(route1, route2)):
         raise CriticalPointMismatchError(
             f"derivative route {route1} vs torsion route {route2}")
     return route1
 
 
-def _piece_ranges(f: RationalMap, breakpoints):
-    """Monotone-piece ranges of f over the real line split at breakpoints.
+def _piece_ranges(f: RationalMap, crit, poles):
+    """Monotone-piece ranges of f over the real line split at its real
+    critical points and poles.
 
     Each piece has no interior critical point or pole, so its range is the
     interval between its endpoint limits; pole limits are resolved by sign
     probes just inside the piece.
     """
-    eps = 1e-7
-    pts = sorted(breakpoints)
-    edges = [-math.inf] + pts + [math.inf]
-    poles = {x for x, _ in real_roots_ex(f.den.to_float())[0]}
+    edges = [-math.inf] + sorted(crit + poles) + [math.inf]
 
     def limit(x, side):
         if x == -math.inf:
@@ -210,8 +207,8 @@ def _piece_ranges(f: RationalMap, breakpoints):
         if x == math.inf:
             return math.inf if f.num.degree > f.den.degree else None
         near = min(poles, default=None, key=lambda p: abs(p - x))
-        if near is not None and abs(near - x) <= 1e-12 * (1.0 + abs(x)):
-            h = eps * (1.0 + abs(x))
+        if near is not None and abs(near - x) <= POLE_MATCH_TOL * (1.0 + abs(x)):
+            h = POLE_PROBE * (1.0 + abs(x))
             v = f(x + side * h)
             return math.copysign(math.inf, v)
         return f(x)
@@ -250,12 +247,12 @@ def real_surjectivity(curve: WeierstrassCurve):
                 f"critical points {c1}, {c2} do not straddle the real root {alpha} of F")
         return {"surjective": True, "witness": witness}
 
-    ranges = _piece_ranges(ff, sorted(crit + poles))
+    ranges = _piece_ranges(ff, crit, poles)
     ranges.sort()
     covered_hi = -math.inf
     gap = None
     for lo, hi in ranges:
-        pad = _COVER_TOL * (1.0 + abs(lo))
+        pad = COVER_TOL * (1.0 + abs(lo))
         if lo > covered_hi + pad and covered_hi > -math.inf:
             gap = (covered_hi, lo)
             break

@@ -13,12 +13,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .heights import DEFAULT_BIT_CAP
 from .poly import Polynomial
 from .roots import RootFindingError, roots_shifted
+from .tolerances import EXCEPTIONAL_TOL, NONREAL_TOL
 
 DEFAULT_ORBIT_CAP = 3 ** 10
-_EXCEPTIONAL_TOL = 1e-6     # preimages this close (relative) make alpha exceptional
-_NONREAL_TOL = 1e-9         # an orbit point with larger |Im| makes a measure nonreal
 
 
 class OrbitCapError(ValueError):
@@ -139,7 +139,7 @@ def check_non_exceptional(f, alpha):
         raise ExceptionalPointError(f"degenerate preimage equation at {alpha}")
     roots = roots_shifted(g, [target])[0]
     scale = 1.0 + float(np.abs(roots).max())
-    if f.degree >= 2 and (np.abs(roots - roots[0]) <= _EXCEPTIONAL_TOL * scale).all():
+    if f.degree >= 2 and (np.abs(roots - roots[0]) <= EXCEPTIONAL_TOL * scale).all():
         raise ExceptionalPointError(
             f"f^-1({alpha}) is the single point {roots[0]}; "
             "equidistribution does not apply")
@@ -154,7 +154,7 @@ class EmpiricalMeasure:
 
     @classmethod
     def from_orbit(cls, orbit: BackwardOrbit):
-        return cls(samples=orbit.points, has_nonreal=bool(max_imag_stat(orbit) > _NONREAL_TOL))
+        return cls(samples=orbit.points, has_nonreal=bool(max_imag_stat(orbit) > NONREAL_TOL))
 
     @property
     def real_parts(self):
@@ -215,14 +215,15 @@ class OrbitStatus:
 _PREFIX_KEEP = 8
 
 
-def orbit_status(p: Polynomial, alpha, max_steps=64, bit_cap=10 ** 6) -> OrbitStatus:
+def orbit_status(p: Polynomial, alpha, max_steps=64) -> OrbitStatus:
     """Exact orbit classification for rational alpha under an exact polynomial.
 
     periodic(k): alpha revisits itself after exactly k steps.
     preperiodic(tail, k): some later value repeats.
     nonperiodic: certified by monotone escape past the escape radius, or --
     for monic integer polynomials -- by exact q^(d^k) denominator growth.
-    Anything else within the step budget is 'undecided'.
+    Anything else within the step budget, or with an orbit value past
+    DEFAULT_BIT_CAP bits, is 'undecided'.
     """
     if not p.is_exact:
         raise ValueError("exact rational coefficients required")
@@ -265,6 +266,6 @@ def orbit_status(p: Polynomial, alpha, max_steps=64, bit_cap=10 ** 6) -> OrbitSt
                 reason=f"escape: |f^{k}(alpha)| = {float(abs(x)):.6g} exceeds "
                        f"escape radius {float(radius):.6g}",
                 prefix=prefix)
-        if x.numerator.bit_length() + x.denominator.bit_length() > bit_cap:
+        if x.numerator.bit_length() + x.denominator.bit_length() > DEFAULT_BIT_CAP:
             break
     return OrbitStatus("undecided", prefix=prefix)

@@ -12,11 +12,6 @@ from fractions import Fraction
 
 import numpy as np
 
-# Coefficient comparisons throughout the package: relative 1e-9 with an
-# absolute floor of 1e-12.
-REL_TOL = 1e-9
-ABS_TOL = 1e-12
-
 # Composition/iteration refuses to build anything bigger than this many
 # coefficients.
 DEGREE_CAP = 10**6
@@ -26,11 +21,6 @@ _EXACT_TYPES = (int, Fraction)
 
 class DegreeCapError(ValueError):
     """Raised when iteration would exceed the coefficient-count cap."""
-
-
-def close(a, b, rel=REL_TOL, abs_=ABS_TOL):
-    """Scalar comparison with relative tolerance and absolute floor."""
-    return abs(a - b) <= max(abs_, rel * max(abs(a), abs(b)))
 
 
 def _trim(coeffs):
@@ -223,10 +213,6 @@ class AffineMap:
     def as_poly(self):
         return Polynomial([self.shift, self.scale])
 
-    @staticmethod
-    def identity():
-        return AffineMap(1.0, 0.0)
-
 
 def conjugate(p: Polynomial, phi: AffineMap) -> Polynomial:
     """phi o p o phi^{-1}."""
@@ -234,7 +220,7 @@ def conjugate(p: Polynomial, phi: AffineMap) -> Polynomial:
     return phi.as_poly().compose(inner)
 
 
-# -- resultants and discriminants -----------------------------------------
+# -- resultants -----------------------------------------------------------
 
 def _det_exact(rows):
     """Fraction-free Bareiss determinant of a square matrix of Fractions."""
@@ -280,33 +266,6 @@ def sylvester_resultant(a, b):
     if exact:
         return _det_exact(rows)
     return float(np.linalg.det(np.array(rows, dtype=float)))
-
-
-def resultant(p: Polynomial, q: Polynomial):
-    return sylvester_resultant(list(p.coeffs), list(q.coeffs))
-
-
-def discriminant(p: Polynomial):
-    """Discriminant, with closed forms for degrees 2 and 3.
-
-    Cubic sign convention: disc > 0 means three distinct real roots,
-    disc < 0 one real root, disc = 0 a repeated root.
-    """
-    d = p.degree
-    if d < 2:
-        raise ValueError("discriminant needs degree >= 2")
-    c = p.coeffs
-    if d == 2:
-        return c[1] * c[1] - 4 * c[2] * c[0]
-    if d == 3:
-        a3, a2, a1, a0 = c[3], c[2], c[1], c[0]
-        return (18 * a3 * a2 * a1 * a0 - 4 * a2**3 * a0 + a2**2 * a1**2
-                - 4 * a3 * a1**3 - 27 * a3**2 * a0**2)
-    res = resultant(p, p.derivative())
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    if p.is_exact:
-        return sign * Fraction(res) / Fraction(p.lead)
-    return sign * res / p.lead
 
 
 # -- serialization ---------------------------------------------------------

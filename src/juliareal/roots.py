@@ -9,10 +9,11 @@ through an evaluator returning p, p' and the rounding floor: Horner for the
 rows of a coefficient matrix, NestedHorner for f(f(z)) - z without expanding
 f o f (as MPSolve evaluates implicitly defined polynomials, Bini & Robol
 2014).  Aberth stops a row once each of its roots takes a step below
-1e-14 (1 + |z|) or lies on the rounding floor, for Horner's rule
-|p(z)| <= 8 eps sum |c_i| |z|^i (MPSolve's rule, Bini & Fiorentino 2000), so
-roots next to a multiple root stop as soon as their steps are noise; a row
-still moving after _ABERTH_MAX_ITER iterations raises RootFindingError.
+ABERTH_STEP_TOL (1 + |z|) or lies on the rounding floor, for Horner's rule
+|p(z)| <= FLOOR_ULPS eps sum |c_i| |z|^i (MPSolve's rule, Bini & Fiorentino
+2000), so roots next to a multiple root stop as soon as their steps are
+noise; a row still moving after _ABERTH_MAX_ITER iterations raises
+RootFindingError.  The tolerances are those of the tolerances module.
 The Newton polish reuses each step's residual evaluation as the next
 step's p and p', so it makes 1 + _POLISH_STEPS = 5 evaluator passes, and
 Horner's rule runs in place on one buffer each for p and p'.
@@ -31,20 +32,17 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Polynomial
-
-# default realness tolerance (relative)
-REALNESS_TOL = 1e-9
-# float-domain root clustering radius (relative)
-CLUSTER_TOL = 1e-6
-# wider radius at which off-axis clusters are regrouped (relative)
-_REGROUP_TOL = 1e-4
-# roots this close to the axis are left alone by conjugate pairing (relative)
-_PAIR_TOL = 1e-13
+from .tolerances import (ABERTH_STEP_TOL, CLUSTER_TOL, DIVISION_GUARD, FLOOR_ULPS,
+                         MULTIPLE_REALNESS_TOL, NEWTON_STEP_TOL, PAIR_TOL, REALNESS_TOL,
+                         REGROUP_TOL, RESIDUAL_TOL, SPLIT_TOL)
 
 _ABERTH_MAX_ITER = 120
-# Aberth's rounding-floor stop, in units of eps (Horner, NestedHorner)
-_FLOOR_ULPS = 8
 _POLISH_STEPS = 4
+
+
+def near_axis(z, tol):
+    """The realness rule |Im z| <= tol (1 + |z|), on a number or an array."""
+    return abs(z.imag) <= tol * (1.0 + abs(z))
 
 
 class RootFindingError(RuntimeError):
@@ -116,7 +114,7 @@ def _fujiwara_radius(C):
     k = d - np.arange(d)
     with np.errstate(divide="ignore"):
         r = ratios ** (1.0 / k)
-    return 2.0 * np.maximum(r.max(axis=1), 1e-30)
+    return 2.0 * np.maximum(r.max(axis=1), DIVISION_GUARD)
 
 
 def _magnitude(C, z):
@@ -139,7 +137,7 @@ class Horner:
     """Evaluator of the rows of a coefficient matrix C, shape (rows, d+1).
 
     Called on z of shape (rows, k), it returns p(z), p'(z) and, with
-    floor=True, the rounding floor of Horner's rule, _FLOOR_ULPS * eps *
+    floor=True, the rounding floor of Horner's rule, FLOOR_ULPS * eps *
     sum |c_i| |z|^i (else None).  take(rows) restricts it to some rows.
     """
 
@@ -158,8 +156,14 @@ class Horner:
         if not floor:
             return p, dp, None
         bound = _magnitude(self.C, z)
-        bound *= _FLOOR_ULPS * np.finfo(float).eps
+        bound *= FLOOR_ULPS * np.finfo(float).eps
         return p, dp, bound
+
+    def residual_tol(self, z, rel=RESIDUAL_TOL):
+        """The largest |p(z)| accepted at each point of z: rel times the
+        coefficient scale max |c_i| times max(1, |z|)^d."""
+        scale = np.abs(self.C).max(axis=1, keepdims=True)
+        return rel * scale * np.maximum(1.0, np.abs(z)) ** self.degree
 
 
 class NestedHorner:
@@ -168,7 +172,7 @@ class NestedHorner:
     f o f is never expanded: w = f(z) and f(w) are two Horner passes of
     degree d, the derivative is f'(w) f'(z) - 1, and the rounding floor
     carries the error of w through f'(w) and adds the floors of the outer
-    pass and of the subtraction, _FLOOR_ULPS * eps * (|f'(w)| sum |c_i|
+    pass and of the subtraction, FLOOR_ULPS * eps * (|f'(w)| sum |c_i|
     |z|^i + sum |c_i| |w|^i + |z|).  The polynomial has degree d^2; its
     roots are the fixed points and the 2-cycles of f.
     """
@@ -197,16 +201,22 @@ class NestedHorner:
         bound = np.abs(du) * _magnitude(self.C, z)
         bound += _magnitude(self.C, w)
         bound += np.abs(z)
-        bound *= _FLOOR_ULPS * np.finfo(float).eps
+        bound *= FLOOR_ULPS * np.finfo(float).eps
         return p, dp, bound
+
+    def residual_tol(self, z, rel=RESIDUAL_TOL):
+        """The largest |f(f(z)) - z| accepted at each point of z: rel over
+        FLOOR_ULPS * eps times the rounding floor, that is rel times the
+        magnitude sum whose eps multiple is the floor."""
+        return rel / (FLOOR_ULPS * np.finfo(float).eps) * self(z, floor=True)[2]
 
 
 def _aberth_batch(ev):
     """Aberth-Ehrlich on every row of evaluator ev, from a circle of starts.
 
-    A row stops once each of its roots takes a step below 1e-14 (1 + |z|)
-    or lies on ev's rounding floor: a root next to a multiple root never
-    meets the step test, since its steps are rounding noise.  Returns the
+    A row stops once each of its roots takes a step below ABERTH_STEP_TOL
+    (1 + |z|) or lies on ev's rounding floor: a root next to a multiple
+    root never meets the step test, since its steps are rounding noise.  Returns the
     iterates and the indices of the rows still live after _ABERTH_MAX_ITER
     iterations.
     """
@@ -215,7 +225,6 @@ def _aberth_batch(ev):
     angles = 2 * np.pi * (np.arange(d) + 0.37) / d + 0.61
     radii = 0.9 * (1.0 + 0.08 * np.arange(d) / max(d - 1, 1))
     z = R[:, None] * radii[None, :] * np.exp(1j * angles)[None, :]
-    tol = 1e-14
     # each row stops at its own convergence, so it gets the roots it would
     # get alone and a slow row costs no work on the others
     rows, eva, za = np.arange(len(R)), ev, z
@@ -226,7 +235,7 @@ def _aberth_batch(ev):
         on_floor = np.abs(p) <= floor
         bad = dpv == 0
         if bad.any():
-            dpv = np.where(bad, 1e-30, dpv)
+            dpv = np.where(bad, DIVISION_GUARD, dpv)
         N = p / dpv
         diffs = za[:, :, None] - za[:, None, :]
         np.einsum("bii->bi", diffs)[:] = np.inf
@@ -234,7 +243,7 @@ def _aberth_batch(ev):
         w = N / (1.0 - N * S)
         w = np.where(np.isfinite(w), w, N)
         za = za - w
-        live = ~(on_floor | (np.abs(w) <= tol * (1.0 + np.abs(za)))).all(axis=1)
+        live = ~(on_floor | (np.abs(w) <= ABERTH_STEP_TOL * (1.0 + np.abs(za)))).all(axis=1)
         if not live.all():
             z[rows] = za
             rows, eva, za = rows[live], eva.take(live), za[live]
@@ -306,16 +315,6 @@ def roots_shifted(p: Polynomial, targets):
     return roots_batch(C)
 
 
-def _residual_ok(C, z, slack=1.0):
-    """Per row: is every |p(z)| within slack * 1e-8 of the coefficient scale
-    times max(1, |z|)^d?  Also returns each row's largest |p(z)|."""
-    p, _ = _horner_many(C, z)
-    maxc = np.abs(C).max(axis=1, keepdims=True)
-    d = C.shape[1] - 1
-    thresh = slack * 1e-8 * maxc * np.maximum(1.0, np.abs(z)) ** d
-    return (np.abs(p) <= thresh).all(axis=1), np.abs(p).max(axis=1)
-
-
 def _pair_conjugates(roots):
     """Symmetrize the root multiset of a real polynomial under conjugation.
 
@@ -324,7 +323,7 @@ def _pair_conjugates(roots):
     lies within CLUSTER_TOL of each other (relative).
     """
     scale = 1.0 + np.abs(roots).max()
-    tiny = _PAIR_TOL * scale
+    tiny = PAIR_TOL * scale
     pos = sorted((z for z in roots if z.imag > tiny), key=lambda z: (z.real, z.imag))
     neg = sorted((z.conjugate() for z in roots if z.imag < -tiny),
                  key=lambda z: (z.real, z.imag))
@@ -356,10 +355,7 @@ class TwoCycles:
     of f.  It has what real_roots_ex needs of a polynomial: degree,
     to_float, evaluation at a point and derivative(); the order-th
     derivative is evaluated by Horner's rule on Taylor series truncated
-    after that order.  complex_roots solves it with NestedHorner, and its
-    residuals are held to 1e-8 of the magnitude sum whose eps multiple is
-    NestedHorner's rounding floor, as a polynomial's are held to 1e-8 of
-    its coefficient scale.
+    after that order.  complex_roots solves it with NestedHorner.
     """
 
     def __init__(self, f: Polynomial, order=0):
@@ -386,38 +382,32 @@ class TwoCycles:
             s[1] -= 1.0
         return math.factorial(self.order) * s[-1]
 
-    def residual_tol(self, z):
-        """The largest |f(f(z)) - z| accepted at each point of z."""
-        z = np.asarray(z, dtype=complex).reshape(1, -1)
-        floor = NestedHorner(self.C)(z, floor=True)[2][0]
-        return 1e-8 / (_FLOOR_ULPS * np.finfo(float).eps) * floor
+
+def _evaluator(p):
+    """The evaluator of p, as one row: NestedHorner for a TwoCycles, else Horner."""
+    if isinstance(p, TwoCycles):
+        return NestedHorner(p.C)
+    return Horner(np.array([[complex(c) for c in p.coeffs]]))
 
 
 def complex_roots(p):
     """All deg(p) complex roots with multiplicity, polished.
 
     p is a Polynomial or a TwoCycles.  Conjugate pairing is enforced for
-    real input.  Raises RootFindingError if Aberth does not converge or
-    residuals stay above 1e-8 relative to the coefficient scale (for
-    TwoCycles, the scale of nested evaluation).
+    real input.  Raises RootFindingError if Aberth does not converge or a
+    residual exceeds its evaluator's residual_tol.
     """
-    d = p.degree
-    if d < 1:
+    if p.degree < 1:
         raise ValueError("degree >= 1 required")
-    if isinstance(p, TwoCycles):
-        z = roots_batch(p.C, NestedHorner)[0]
-        res = np.abs(NestedHorner(p.C)(z[None, :])[0][0])
-        ok, worst, real = bool((res <= p.residual_tol(z)).all()), res.max(), True
-    else:
-        z = roots_shifted(p, [0.0])[0]
-        C = np.array([[complex(c) for c in p.coeffs]])
-        ok, res = _residual_ok(C, z[None, :])
-        ok, worst = ok[0], res[0]
-        real = all(float(complex(c).imag) == 0.0 for c in p.coeffs)
-    if not ok:
+    ev = _evaluator(p)
+    # a polynomial is solved as p - 0, like every other shifted solve
+    z = roots_shifted(p, [0.0]) if isinstance(ev, Horner) else roots_batch(ev.C, NestedHorner)
+    z = z[0]
+    res = np.abs(ev(z[None, :])[0][0])
+    if not (res <= ev.residual_tol(z[None, :])[0]).all():
         raise RootFindingError(
-            f"root polishing stalled (max residual {worst:.3e})", best=z)
-    if real:
+            f"root polishing stalled (max residual {res.max():.3e})", best=z)
+    if not ev.C.imag.any():
         z = _pair_conjugates(z)
     return np.sort_complex(z)
 
@@ -426,14 +416,7 @@ def complex_roots(p):
 # real roots with multiplicities (float domain)
 # ---------------------------------------------------------------------------
 
-def _res_tol(p, x):
-    if isinstance(p, TwoCycles):
-        return float(p.residual_tol([x])[0])
-    maxc = max(abs(complex(c)) for c in p.coeffs)
-    return 1e-8 * maxc * max(1.0, abs(x)) ** p.degree
-
-
-def _modified_newton(p, x, m, radius, steps=12):
+def _modified_newton(p, x, m, radius):
     # near an m-fold root p is rounding noise, but the root is a simple root
     # of p^(m-1), where Newton converges.  Keep the best iterate by that
     # residual, but only among iterates within radius of the cluster center:
@@ -444,7 +427,7 @@ def _modified_newton(p, x, m, radius, steps=12):
     dq = q.derivative()
     x0 = x
     best, best_res = x, abs(q(x))
-    for _ in range(steps):
+    for _ in range(12):
         dv = dq(x)
         if dv == 0:
             break
@@ -455,7 +438,7 @@ def _modified_newton(p, x, m, radius, steps=12):
         res = abs(q(x))
         if res < best_res:
             best, best_res = x, res
-        if abs(step) <= 1e-15 * (1.0 + abs(x)):
+        if abs(step) <= NEWTON_STEP_TOL * (1.0 + abs(x)):
             break
     return best
 
@@ -478,9 +461,9 @@ def real_roots_ex(p, realness_tol=REALNESS_TOL):
 
     p is a Polynomial or a TwoCycles (f(f(X)) - X, never expanded).
 
-    Clusters within 1e-6 (relative) are merged as multiple roots, an m-fold
-    cluster refined by Newton on p^(m-1); near-real clusters that refine onto
-    the axis are accepted too (this recovers e.g. triple roots whose float
+    Clusters within CLUSTER_TOL (relative) are merged as multiple roots, an
+    m-fold cluster refined by Newton on p^(m-1); near-real clusters that
+    refine onto the axis are accepted too (this recovers e.g. triple roots whose float
     images scatter ~eps^(1/3) off the axis).
     """
     q = p.to_float()
@@ -494,27 +477,27 @@ def real_roots_ex(p, realness_tol=REALNESS_TOL):
         center = sum(cluster) / m
         if m >= 2:
             center = _modified_newton(q, center, m, CLUSTER_TOL * scale)
-        if abs(center.imag) <= (realness_tol if m == 1 else 1e-6) * (1.0 + abs(center)):
+        if near_axis(center, realness_tol if m == 1 else MULTIPLE_REALNESS_TOL):
             accepted.append((center, m))
-            if m == 1 and abs(center.imag) > 0.1 * realness_tol * (1.0 + abs(center)):
+            if m == 1 and not near_axis(center, 0.1 * realness_tol):
                 marginal = True
         else:
             leftovers.append((center, m))
-    # Second pass: multiple roots scatter ~eps^(1/m), well past the 1e-6
-    # cluster radius, so the members of one may stay off the axis, refine
-    # onto it as a smaller cluster, or pass as simple roots that did not
-    # polish onto the axis (loose: farther off it than REALNESS_TOL).
+    # Second pass: multiple roots scatter ~eps^(1/m), well past the
+    # CLUSTER_TOL radius, so the members of one may stay off the axis,
+    # refine onto it as a smaller cluster, or pass as simple roots that did
+    # not polish onto the axis (loose: farther off it than REALNESS_TOL).
     # Regroup at a wider radius; re-refine each group of two or more that
     # holds such a member with the combined multiplicity, and accept the
     # result only if it lands on the axis with a small residual.
     def settled(c, m, real):
-        return real and m == 1 and abs(c.imag) <= REALNESS_TOL * (1.0 + abs(c))
+        return real and m == 1 and near_axis(c, REALNESS_TOL)
 
     out = []
     pool = [(c, m, True) for c, m in accepted] + [(c, m, False) for c, m in leftovers]
     if leftovers or not all(settled(*member) for member in pool):
         vals = np.array([c for c, m, _ in pool])
-        for g in _chain_clusters(vals, _REGROUP_TOL * scale):
+        for g in _chain_clusters(vals, REGROUP_TOL * scale):
             idxs = sorted({int(np.argmin(np.abs(vals - z))) for z in g})
             members = [pool[i] for i in idxs]
             if all(real for _, _, real in members) and (
@@ -523,9 +506,9 @@ def real_roots_ex(p, realness_tol=REALNESS_TOL):
                 continue
             m = sum(mm for _, mm, _ in members)
             center = _modified_newton(q, sum(c for c, _, _ in members) / len(members),
-                                      m, _REGROUP_TOL * scale)
-            if (m >= 2 and abs(center.imag) <= 1e-6 * (1.0 + abs(center))
-                    and abs(q(center)) <= _res_tol(q, center)):
+                                      m, REGROUP_TOL * scale)
+            if (m >= 2 and near_axis(center, MULTIPLE_REALNESS_TOL) and abs(q(center))
+                    <= _evaluator(q).residual_tol(np.array([[center]]))[0, 0]):
                 out.append((float(center.real), m))
                 marginal = True
             else:
@@ -542,10 +525,10 @@ def all_roots_real(p: Polynomial, tol=REALNESS_TOL):
     if p.is_exact:
         return real_count_with_multiplicity(p) == p.degree
     roots = complex_roots(p)
-    return bool((np.abs(roots.imag) <= tol * (1.0 + np.abs(roots))).all())
+    return bool(near_axis(roots, tol).all())
 
 
-def all_real_batch(C, targets, tol=1e-6):
+def all_real_batch(C, targets, tol=SPLIT_TOL):
     """all_roots_real(p_i - t) for every target t in row i of targets.
 
     C has shape (rows, d+1), real coefficients in ascending powers; targets
@@ -572,11 +555,10 @@ def all_real_batch(C, targets, tol=1e-6):
     shifted = np.repeat(C[:, None, :], t.shape[1], axis=1)
     shifted[:, :, 0] -= t
     z = roots_batch(shifted.reshape(-1, d + 1)).reshape(t.shape + (d,))
-    tol = np.asarray(tol)[..., None]
-    return (np.abs(z.imag) <= tol * (1.0 + np.abs(z))).all(axis=-1)
+    return near_axis(z, np.asarray(tol)[..., None]).all(axis=-1)
 
 
-def all_real_shifted(p: Polynomial, targets, tol=1e-6):
+def all_real_shifted(p: Polynomial, targets, tol=SPLIT_TOL):
     """Vectorized all_roots_real(p - t) over a target vector (float domain)."""
     t = np.asarray(targets, dtype=float).ravel()
     C = np.array([[float(c) for c in p.coeffs]])
@@ -598,16 +580,15 @@ def real_roots_batch(C, realness_tol=REALNESS_TOL):
     C = np.asarray(C, dtype=complex)
     d = C.shape[1] - 1
     z = roots_batch(C)
-    residual_ok, _ = _residual_ok(C, z, slack=0.1)
-    size = np.abs(z)
-    scale = 1.0 + size.max(axis=1, initial=0.0, keepdims=True)
-    off_axis = np.abs(z.imag)
-    real = (off_axis <= _PAIR_TOL * scale) & (off_axis <= 0.1 * realness_tol * (1.0 + size))
-    nonreal = off_axis > 10 * realness_tol * (1.0 + size)
+    ev = Horner(C)
+    residual_ok = (np.abs(ev(z)[0]) <= ev.residual_tol(z, 0.1 * RESIDUAL_TOL)).all(axis=1)
+    scale = 1.0 + np.abs(z).max(axis=1, initial=0.0, keepdims=True)
+    real = (np.abs(z.imag) <= PAIR_TOL * scale) & near_axis(z, 0.1 * realness_tol)
+    nonreal = ~near_axis(z, 10 * realness_tol)
     pairwise = np.abs(z[:, :, None] - z[:, None, :]) + np.diag(np.full(d, np.inf))
     gap = pairwise.min(axis=(1, 2), initial=np.inf)
     # off-axis roots are regrouped at the wider radius
-    radius = np.where(nonreal.any(axis=1), _REGROUP_TOL, CLUSTER_TOL) * scale[:, 0]
+    radius = np.where(nonreal.any(axis=1), REGROUP_TOL, CLUSTER_TOL) * scale[:, 0]
     clear = (residual_ok & np.isfinite(z).all(axis=1) & (real | nonreal).all(axis=1)
              & (gap > 10 * radius))
     return np.sort(np.where(real, z.real, np.nan), axis=1), clear

@@ -161,9 +161,14 @@ class TestScan:
 
     def test_pgm_bytes(self):
         s = region_scan((-4.0, -3.5), (0.0, 0.5), 0.5)
-        data = s.to_pgm(2, 2)
+        data = s.to_pgm()
         assert data.startswith(b"P5\n2 2\n255\n")
         assert len(data) == len(b"P5\n2 2\n255\n") + 4
+        # 2 A values by 3 B values: the header gives width (B) then height (A)
+        s = region_scan((-4.0, -3.5), (0.0, 1.0), 0.5)
+        assert s.shape == (2, 3)
+        assert s.to_pgm() == b"P5\n3 2\n255\n" + bytes(
+            128 if not ag else (255 if an else 0) for _, _, an, _, ag, _ in s.rows)
 
     def test_step_validation(self):
         with pytest.raises(ValueError):

@@ -229,6 +229,17 @@ class TestSurjectivity:
         from juliareal.roots import real_roots_ex
         assert real_roots_ex(g)[0] == []
 
+    def test_poles_solved_once(self, monkeypatch):
+        # route 1, the roots of F, one solve per real root of F (three for
+        # x^3 - x), then the real poles: 6, with no second pole solve
+        calls = []
+        solve = lattes.real_roots_ex
+        monkeypatch.setattr(lattes, "real_roots_ex",
+                            lambda p, *a, **k: calls.append(1) or solve(p, *a, **k))
+        out = real_surjectivity(E_POS)
+        assert len(calls) == 6
+        assert not out["surjective"]
+
 
 class TestRationalOrbit:
     def test_height_growth_certificate(self):

@@ -19,3 +19,15 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statement on line(s) {lines}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "tolerances.py"],
+                         ids=lambda p: p.name)
+def test_no_tolerance_literals(path):
+    # every tolerance is defined once, in tolerances.py; a small float
+    # literal anywhere else is a tolerance kept outside the table
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, float)
+             and 0 < abs(node.value) < 1e-3]
+    assert found == [], f"{path.name}: tolerance literal(s) (line, value) {found}"

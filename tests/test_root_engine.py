@@ -287,6 +287,14 @@ class TestAllReal:
         ref = [all_roots_real(p - Polynomial([float(t)])) for t in ts]
         assert list(got) == ref
 
+    def test_near_axis_same_on_numbers_and_arrays(self):
+        rng = np.random.default_rng(41)
+        z = rng.uniform(-5, 5, 200) + 1j * rng.choice([0.0, 1e-12, 1e-9, 1e-6, 1e-3], 200)
+        for tol in (1e-9, 1e-6):
+            got = roots.near_axis(z, tol)
+            assert got.tolist() == [bool(roots.near_axis(complex(v), tol)) for v in z]
+            assert got.tolist() == (np.abs(z.imag) <= tol * (1.0 + np.abs(z))).tolist()
+
 
 class TestSturm:
     def test_real_root_count_line(self):
