@@ -204,11 +204,10 @@ class NestedHorner:
         bound *= FLOOR_ULPS * np.finfo(float).eps
         return p, dp, bound
 
-    def residual_tol(self, z, rel=RESIDUAL_TOL):
-        """The largest |f(f(z)) - z| accepted at each point of z: rel over
-        FLOOR_ULPS * eps times the rounding floor, that is rel times the
-        magnitude sum whose eps multiple is the floor."""
-        return rel / (FLOOR_ULPS * np.finfo(float).eps) * self(z, floor=True)[2]
+    def residual_tol(self, z):
+        """The largest |f(f(z)) - z| accepted at each point of z: RESIDUAL_TOL
+        times the magnitude sum whose FLOOR_ULPS * eps multiple is the floor."""
+        return RESIDUAL_TOL / (FLOOR_ULPS * np.finfo(float).eps) * self(z, floor=True)[2]
 
 
 def _aberth_batch(ev):
