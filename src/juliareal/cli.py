@@ -13,12 +13,11 @@ import math
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, lattes
 from .classifier import classify_real_julia
 from .cubic_region import region_scan
-from .heights import canonical_height, functional_equation_residual
-from .lattes import (WeierstrassCurve, certify_nonabelian, duplication_lattes,
-                     lattes_critical_points, real_surjectivity)
+from .heights import height_report
+from .lattes import WeierstrassCurve, certify_nonabelian, duplication_lattes
 from .orbit import (EmpiricalMeasure, backward_orbit, empirical_cdf_distance,
                     max_imag_stat, render_filled_julia)
 from .poly import poly_from_json
@@ -145,13 +144,13 @@ def _cmd_equidist(args, argv):
 
 
 def _cmd_heights(args, argv):
-    est, err = canonical_height(args.poly, args.x, args.depth)
+    est, err, residual = height_report(args.poly, args.x, args.depth)
     payload = {
         "x": str(args.x),
         "depth": args.depth,
         "estimate": est,
         "error_bound": err,
-        "residual": functional_equation_residual(args.poly, args.x, args.depth),
+        "residual": residual,
     }
     _emit_json(payload, args.out, argv)
     return 0
@@ -168,13 +167,14 @@ def _parse_curve(text):
 def _cmd_lattes(args, argv):
     curve = args.curve
     f = duplication_lattes(curve)
-    surj = real_surjectivity(curve)
+    # the critical points are computed once and shared with the surjectivity decision
+    crit = lattes.lattes_critical_points(curve)
     payload = {
         "curve": {"a": str(curve.a), "b": str(curve.b), "c": str(curve.c)},
         "disc": str(curve.disc),
         "map": f.to_json(),
-        "critical_points": lattes_critical_points(curve),
-        "surjectivity": surj,
+        "critical_points": crit,
+        "surjectivity": lattes._surjectivity(curve, crit),
     }
     _emit_json(payload, args.out, argv)
     return 0

@@ -1,8 +1,18 @@
 """Weil and canonical heights for rational points under polynomial maps.
 
-Everything runs on exact big-rational orbits; floating iterates are useless
-at the depths where the height limit stabilizes.  math.log on Python ints is
-correctly rounded, which keeps h(f^n(x))/d^n accurate to the last few ulps.
+Everything runs on exact orbits; floating iterates are useless at the
+depths where the height limit stabilizes.  An orbit is stepped as a pair
+of Python integers (N, D) in lowest terms, D > 0.  With the coefficient
+denominators cleared once, g_i = L c_i, one step is
+
+    f(N/D) = (sum_i g_i N^i D^(d-i)) / (L D^d),
+
+the numerator by homogeneous Horner.  The fraction is reduced by a gcd
+against a small number only: gcd(N, D) = 1 gives sum_i g_i N^i D^(d-i) =
+g_d N^d (mod D), so for p^e || D and p^f || g_d the common factor has
+p-adic valuation at most v_p(L) + d min(e, f), and the gcd with
+L gcd(g_d, D)^d is the full one.  math.log on Python ints is correctly
+rounded, which keeps h(f^n(x))/d^n accurate to the last few ulps.
 """
 
 from __future__ import annotations
@@ -10,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import Polynomial
+from .poly import Polynomial, clear_denominators
 
 DEFAULT_BIT_CAP = 10 ** 6
 
@@ -19,30 +29,54 @@ class BitSizeCapError(ValueError):
     """Orbit value too large; retry with a smaller depth."""
 
 
+def _log_height(num, den) -> float:
+    """log max(|num|, den) of num/den in lowest terms with den > 0."""
+    return math.log(max(abs(num), den))
+
+
 def weil_height(x) -> float:
     """log max(|num|, |den|) of x in lowest terms; h(0) = 0."""
     x = Fraction(x)
-    return math.log(max(abs(x.numerator), x.denominator))
+    return _log_height(x.numerator, x.denominator)
 
 
 def _exact_orbit_point(p: Polynomial, x, n, bit_cap):
+    """f^n(x) as a lowest-terms integer pair (N, D) with D > 0."""
     q = p.to_exact()
     d = q.degree
-    v = Fraction(x)
+    L, g = clear_denominators(q.coeffs)
+    lead, rest = g[-1], g[-2::-1]
+    x = Fraction(x)
+    N, D = x.numerator, x.denominator
     for k in range(n):
         # the next value has about d times the bits; refuse before paying
         # for a multiplication that would blow the cap anyway
-        bits = v.numerator.bit_length() + v.denominator.bit_length()
+        bits = N.bit_length() + D.bit_length()
         if bits > bit_cap or d * bits > 4 * bit_cap:
             raise BitSizeCapError(
                 f"orbit value at step {k + 1} would exceed {bit_cap} bits; "
                 f"use a depth below {k + 1}")
-        v = Fraction(q(v))
-        if v.numerator.bit_length() + v.denominator.bit_length() > bit_cap:
+        acc, Dk = lead, 1
+        for c in rest:
+            Dk *= D
+            acc *= N
+            if c:
+                acc += c * Dk
+        den = L * Dk
+        # every common factor of acc and L D^d divides this small number
+        # (module docstring); when acc is 0, D divides g_d by the rational
+        # root theorem, so small = L D^d and zero comes out as 0/1
+        small = L * math.gcd(lead, D) ** d
+        if small != 1:
+            common = math.gcd(acc, small)
+            acc //= common
+            den //= common
+        N, D = acc, den
+        if N.bit_length() + D.bit_length() > bit_cap:
             raise BitSizeCapError(
                 f"orbit value at step {k + 1} exceeds {bit_cap} bits; "
                 f"use a depth below {k + 1}")
-    return v
+    return N, D
 
 
 def height_constant(p: Polynomial) -> float:
@@ -57,25 +91,37 @@ def height_constant(p: Polynomial) -> float:
     return math.log(1.0 + float(total)) + q.degree * math.log(2.0)
 
 
-def canonical_height(p: Polynomial, x, n) -> tuple[float, float]:
-    """(h(f^n(x)) / d^n, C_f / d^n) for exact rational x; degree >= 2."""
+def _terminal_height(p: Polynomial, x, n):
+    """(exact copy of p, h(f^n(x))); degree >= 2."""
     q = p.to_exact()
     if q.degree < 2:
         raise ValueError("degree >= 2 required")
-    v = _exact_orbit_point(q, x, n, DEFAULT_BIT_CAP)
+    return q, _log_height(*_exact_orbit_point(q, x, n, DEFAULT_BIT_CAP))
+
+
+def canonical_height(p: Polynomial, x, n) -> tuple[float, float]:
+    """(h(f^n(x)) / d^n, C_f / d^n) for exact rational x; degree >= 2."""
+    q, h = _terminal_height(p, x, n)
     dn = q.degree ** n
-    return weil_height(v) / dn, height_constant(q) / dn
+    return h / dn, height_constant(q) / dn
 
 
 def functional_equation_residual(p: Polynomial, x, n) -> float:
     """|h^(f(x), n-1) - d h^(x, n)| with aligned terminal orbit point.
 
-    Both estimates end at f^n(x), so the residual is pure log rounding.
+    Both estimates end at f^n(x), so one orbit serves both and the residual
+    is pure log rounding.
     """
+    return height_report(p, x, n)[2]
+
+
+def height_report(p: Polynomial, x, n) -> tuple[float, float, float]:
+    """(estimate, error bound, residual): canonical_height(p, x, n) and
+    functional_equation_residual(p, x, n) from one orbit."""
     if n < 1:
         raise ValueError("depth >= 1 required")
-    q = p.to_exact()
-    fx = Fraction(q(Fraction(x)))
-    left, _ = canonical_height(q, fx, n - 1)
-    right, _ = canonical_height(q, x, n)
-    return abs(left - q.degree * right)
+    q, h = _terminal_height(p, x, n)
+    d = q.degree
+    dn = d ** n
+    # h^(f(x), n-1) and h^(x, n) both end at f^n(x), whose height is h
+    return h / dn, height_constant(q) / dn, abs(h / d ** (n - 1) - d * (h / dn))

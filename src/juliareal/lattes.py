@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .classifier import classify_real_julia
 from .orbit import _PREFIX_KEEP, OrbitStatus, check_non_exceptional, orbit_status
-from .poly import Polynomial, poly_to_json, sylvester_resultant
+from .poly import Polynomial, clear_denominators, poly_to_json, sylvester_resultant
 from .roots import real_roots_ex
 from .tolerances import COVER_TOL, CRIT_MATCH_TOL, ON_CURVE_TOL, POLE_MATCH_TOL, POLE_PROBE
 
@@ -112,20 +112,21 @@ class RationalMap:
             return Fraction(n, d)
         return n / d
 
-    def derivative_numerator(self) -> Polynomial:
-        """Numerator of f'; its real roots are the affine critical points."""
-        return self.num.derivative() * self.den - self.num * self.den.derivative()
-
     def to_json(self):
         return {"num": poly_to_json(self.num), "den": poly_to_json(self.den)}
 
 
-def duplication_lattes(curve: WeierstrassCurve) -> RationalMap:
-    """x([2]P) as a rational function of x(P)."""
+def _duplication_polys(curve: WeierstrassCurve):
+    """Numerator and denominator of x([2]P) in x(P), with no coprimality check."""
     a, b, c = curve.a, curve.b, curve.c
     num = Polynomial([b * b - 4 * a * c, -8 * c, -2 * b, 0 * b, 1 if curve._exact else 1.0])
     den = Polynomial([4 * c, 4 * b, 4 * a, 4 if curve._exact else 4.0])
-    return RationalMap(num, den)
+    return num, den
+
+
+def duplication_lattes(curve: WeierstrassCurve) -> RationalMap:
+    """x([2]P) as a rational function of x(P)."""
+    return RationalMap(*_duplication_polys(curve))
 
 
 def double_point(curve: WeierstrassCurve, P: CurvePoint) -> CurvePoint:
@@ -172,14 +173,16 @@ def lattes_critical_points(curve: WeierstrassCurve):
     [2]Q a finite 2-torsion point).  The two sets must agree within
     CRIT_MATCH_TOL.
     """
-    f = duplication_lattes(curve)
+    num, den = _duplication_polys(curve)
     Fp = curve.F.to_float()
-    w = f.derivative_numerator().to_float()
+    # the numerator of f'
+    w = (num.derivative() * den - num * den.derivative()).to_float()
     route1 = sorted(x for x, _ in real_roots_ex(w)[0])
 
     route2 = []
+    num, den = num.to_float(), den.to_float()
     for rho, _ in real_roots_ex(Fp)[0]:
-        g = (f.num.to_float() - Polynomial([rho]) * f.den.to_float())
+        g = num - Polynomial([rho]) * den
         route2.extend(x for x, _ in real_roots_ex(g)[0])
     route2.sort()
 
@@ -191,8 +194,14 @@ def lattes_critical_points(curve: WeierstrassCurve):
     return route1
 
 
-def _piece_ranges(f: RationalMap, crit, poles):
-    """Monotone-piece ranges of f over the real line split at its real
+def _value(num: Polynomial, den: Polynomial, x):
+    """num(x) / den(x) at a float x, INFINITY at a pole."""
+    n, d = num(x), den(x)
+    return INFINITY if d == 0 else n / d
+
+
+def _piece_ranges(num: Polynomial, den: Polynomial, crit, poles):
+    """Monotone-piece ranges of num/den over the real line split at its real
     critical points and poles.
 
     Each piece has no interior critical point or pole, so its range is the
@@ -203,15 +212,15 @@ def _piece_ranges(f: RationalMap, crit, poles):
 
     def limit(x, side):
         if x == -math.inf:
-            return -math.inf if f.num.degree > f.den.degree else None
+            return -math.inf if num.degree > den.degree else None
         if x == math.inf:
-            return math.inf if f.num.degree > f.den.degree else None
+            return math.inf if num.degree > den.degree else None
         near = min(poles, default=None, key=lambda p: abs(p - x))
         if near is not None and abs(near - x) <= POLE_MATCH_TOL * (1.0 + abs(x)):
             h = POLE_PROBE * (1.0 + abs(x))
-            v = f(x + side * h)
+            v = _value(num, den, x + side * h)
             return math.copysign(math.inf, v)
-        return f(x)
+        return _value(num, den, x)
 
     ranges = []
     for lo, hi in zip(edges, edges[1:]):
@@ -229,25 +238,28 @@ def real_surjectivity(curve: WeierstrassCurve):
     piece ranges.  Positive disc: the piece ranges are unioned exactly and
     any uncovered gap interval is returned as the witness.
     """
-    f = duplication_lattes(curve)
-    ff = RationalMap(f.num.to_float(), f.den.to_float())
+    return _surjectivity(curve, lattes_critical_points(curve))
+
+
+def _surjectivity(curve: WeierstrassCurve, crit):
+    """real_surjectivity(curve) from the real critical points crit of its map."""
+    num, den = (p.to_float() for p in _duplication_polys(curve))
     disc = float(curve.disc)
-    crit = lattes_critical_points(curve)
-    poles = [x for x, _ in real_roots_ex(ff.den.to_float())[0]]
+    poles = [x for x, _ in real_roots_ex(den)[0]]
 
     if disc < 0:
         c1, c2 = crit
         alpha = poles[0]
         witness = {
             "c1": c1, "c2": c2, "alpha": alpha,
-            "f_c1": float(ff(c1)), "f_c2": float(ff(c2)),
+            "f_c1": float(_value(num, den, c1)), "f_c2": float(_value(num, den, c2)),
         }
         if not c1 < alpha < c2:
             raise InvariantError(
                 f"critical points {c1}, {c2} do not straddle the real root {alpha} of F")
         return {"surjective": True, "witness": witness}
 
-    ranges = _piece_ranges(ff, crit, poles)
+    ranges = _piece_ranges(num, den, crit, poles)
     ranges.sort()
     covered_hi = -math.inf
     gap = None
@@ -267,12 +279,6 @@ def real_surjectivity(curve: WeierstrassCurve):
 # ---------------------------------------------------------------------------
 # exact orbit status for integer-coefficient rational maps
 # ---------------------------------------------------------------------------
-
-def _integer_scaled(p: Polynomial):
-    fracs = [Fraction(c) for c in p.coeffs]
-    L = math.lcm(*(fr.denominator for fr in fracs))
-    return [int(fr * L) for fr in fracs]
-
 
 def _bezout_constant(n_coeffs, d_coeffs):
     """Integer (e, S): U N + V D = e with integer U, V and S = sum |coeffs|."""
@@ -317,8 +323,8 @@ class _HeightGrowth:
 
 def _height_growth_data(f: RationalMap) -> _HeightGrowth:
     d = f.degree
-    N = _integer_scaled(f.num)
-    D = _integer_scaled(f.den)
+    N = clear_denominators(f.num.coeffs)[1]
+    D = clear_denominators(f.den.coeffs)[1]
     Npad = N + [0] * (d + 1 - len(N))
     Dpad = D + [0] * (d + 1 - len(D))
     res = int(sylvester_resultant(Npad, Dpad))

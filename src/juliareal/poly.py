@@ -7,6 +7,7 @@ are stored in ascending power order, c0 .. cd, trailing zeros trimmed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -222,12 +223,25 @@ def conjugate(p: Polynomial, phi: AffineMap) -> Polynomial:
 
 # -- resultants -----------------------------------------------------------
 
+def clear_denominators(values):
+    """(L, [L v for v in values]) for ints and Fractions, with L the lcm of
+    their denominators, so that every L v is an int."""
+    L = math.lcm(*(v.denominator for v in values))
+    return L, [v.numerator * (L // v.denominator) for v in values]
+
+
 def _det_exact(rows):
-    """Fraction-free Bareiss determinant of a square matrix of Fractions."""
+    """Determinant of a square matrix of ints and Fractions, as a Fraction.
+
+    Each row is scaled by the lcm of its denominators, the integer matrix
+    goes through fraction-free Bareiss elimination, whose divisions are
+    exact, and the result is divided by the product of the row scales.
+    """
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
+    scaled = [clear_denominators(row) for row in rows]
+    m = [row for _, row in scaled]
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -239,9 +253,9 @@ def _det_exact(rows):
                 return Fraction(0)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return Fraction(sign * m[n - 1][n - 1], math.prod(scale for scale, _ in scaled))
 
 
 def sylvester_resultant(a, b):
@@ -262,7 +276,7 @@ def sylvester_resultant(a, b):
         rows.append([0] * i + ar + [0] * (size - m - 1 - i))
     for i in range(m):
         rows.append([0] * i + br + [0] * (size - n - 1 - i))
-    exact = all(isinstance(x, _EXACT_TYPES + (Fraction,)) for x in a + b)
+    exact = all(isinstance(x, _EXACT_TYPES) for x in a + b)
     if exact:
         return _det_exact(rows)
     return float(np.linalg.det(np.array(rows, dtype=float)))

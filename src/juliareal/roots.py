@@ -38,6 +38,8 @@ from .tolerances import (ABERTH_STEP_TOL, CLUSTER_TOL, DIVISION_GUARD, FLOOR_ULP
 
 _ABERTH_MAX_ITER = 120
 _POLISH_STEPS = 4
+# rows per block of the (rows, d, d) Aberth differences: 0.6 MB at d = 6
+_DIFF_BLOCK_ROWS = 1024
 
 
 def near_axis(z, tol):
@@ -236,9 +238,14 @@ def _aberth_batch(ev):
         if bad.any():
             dpv = np.where(bad, DIVISION_GUARD, dpv)
         N = p / dpv
-        diffs = za[:, :, None] - za[:, None, :]
-        np.einsum("bii->bi", diffs)[:] = np.inf
-        S = np.divide(1.0, diffs, out=diffs).sum(axis=2)
+        # S_i = sum_j 1 / (z_i - z_j) over j != i, a block of rows at a time,
+        # so that the (rows, d, d) differences stay the size of one block
+        S = np.empty_like(za)
+        for lo in range(0, len(za), _DIFF_BLOCK_ROWS):
+            block = za[lo:lo + _DIFF_BLOCK_ROWS]
+            diffs = block[:, :, None] - block[:, None, :]
+            np.einsum("bii->bi", diffs)[:] = np.inf
+            np.divide(1.0, diffs, out=diffs).sum(axis=2, out=S[lo:lo + _DIFF_BLOCK_ROWS])
         w = N / (1.0 - N * S)
         w = np.where(np.isfinite(w), w, N)
         za = za - w

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -240,6 +241,27 @@ class TestSurjectivity:
         assert len(calls) == 6
         assert not out["surjective"]
 
+    def test_lattes_command_computes_each_object_once(self, monkeypatch, capsys):
+        # one map, checked once; one set of critical points (route 1 and
+        # three torsion solves); one pole solve
+        counts = {"resultant": 0, "critical": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*a, **k):
+                counts[name] += 1
+                return fn(*a, **k)
+            return wrapper
+        monkeypatch.setattr(lattes, "sylvester_resultant",
+                            counted("resultant", lattes.sylvester_resultant))
+        monkeypatch.setattr(lattes, "lattes_critical_points",
+                            counted("critical", lattes.lattes_critical_points))
+        monkeypatch.setattr(lattes, "real_roots_ex", counted("solve", lattes.real_roots_ex))
+        assert main(["lattes", "--curve", "0,-1,0"]) == 0
+        assert counts == {"resultant": 1, "critical": 1, "solve": 6}
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["critical_points"] == lattes_critical_points(E_POS)
+        assert payload["surjectivity"] == json.loads(json.dumps(real_surjectivity(E_POS)))
+
 
 class TestRationalOrbit:
     def test_height_growth_certificate(self):
@@ -321,6 +343,18 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify_nonabelian(P(0, -1, 0, 1), Fraction(1, 2),
                                disabled={"bogus"})
+
+    def test_lattes_certificate_checks_coprimality_once(self, monkeypatch):
+        # the caller's duplication_lattes has checked the map; the
+        # certificate adds only the padded resultant of its height bound
+        f = duplication_lattes(E_POS)
+        calls = []
+        resultant = lattes.sylvester_resultant
+        monkeypatch.setattr(lattes, "sylvester_resultant",
+                            lambda a, b: calls.append((a, b)) or resultant(a, b))
+        cert = certify_nonabelian(f, Fraction(1, 3), curve=E_POS)
+        assert calls == [([1, 0, 2, 0, 1], [0, -4, 0, 4, 0])]
+        assert not cert.surjective["pass"]
 
     def test_json_shape(self):
         cert = certify_nonabelian(duplication_lattes(E_NEG), Fraction(1, 3),

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from juliareal.poly import (AffineMap, DegreeCapError, Polynomial, conjugate,
+from juliareal.poly import (AffineMap, DegreeCapError, Polynomial, _det_exact, conjugate,
                             poly_from_json, poly_to_json, sylvester_resultant)
 
 
@@ -132,6 +134,71 @@ class TestResultants:
         padded = sylvester_resultant([-1, 1, 0], [-2, 1, 0])
         assert plain != 0
         assert padded == 0
+
+
+def fraction_bareiss(rows):
+    """Bareiss determinant over Fraction, pivoting on the first nonzero entry."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    sign, prev = 1, Fraction(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+# mostly zeros, so that pivots vanish and rows or whole columns are zero
+ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-9, 9),
+                  st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 6))
+    return [draw(st.lists(ENTRY, min_size=n, max_size=n)) for _ in range(n)]
+
+
+class TestExactDeterminant:
+    @PROPERTY
+    @given(square_matrices())
+    # a zero pivot that forces a row swap
+    @example([[0, 1, 2], [3, 0, 1], [Fraction(1, 2), 4, 0]])
+    # singular: a zero column, and two proportional rows
+    @example([[0, 1], [0, Fraction(2, 3)]])
+    @example([[1, Fraction(1, 2), 3], [2, 1, 6], [5, 7, Fraction(-1, 9)]])
+    def test_equals_fraction_bareiss(self, rows):
+        det = _det_exact(rows)
+        assert isinstance(det, Fraction)
+        assert det == fraction_bareiss(rows)
+
+    def test_row_swap_sign(self):
+        assert _det_exact([[0, 1], [1, 0]]) == -1
+        assert _det_exact([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+
+    def test_singular(self):
+        assert _det_exact([[Fraction(1, 3), Fraction(2, 3)], [1, 2]]) == 0
+        assert _det_exact([[0, 5], [0, 7]]) == 0
+
+    @PROPERTY
+    @given(st.lists(ENTRY, min_size=1, max_size=6), st.lists(ENTRY, min_size=1, max_size=6))
+    def test_resultant_is_the_sylvester_determinant(self, a, b):
+        m, n = len(a) - 1, len(b) - 1
+        if m == n == 0:
+            assert sylvester_resultant(a, b) == 1
+            return
+        size = m + n
+        rows = ([[0] * i + a[::-1] + [0] * (size - m - 1 - i) for i in range(n)]
+                + [[0] * i + b[::-1] + [0] * (size - n - 1 - i) for i in range(m)])
+        assert sylvester_resultant(a, b) == fraction_bareiss(rows)
 
 
 class TestSerialization:

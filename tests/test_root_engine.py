@@ -109,6 +109,14 @@ class TestRootsShifted:
             for row, z in zip(C, batch):
                 assert np.array_equal(z, roots_shifted(Polynomial(list(row)), [0.0])[0])
 
+    def test_difference_blocks_change_no_root(self, monkeypatch):
+        # the Aberth differences are formed a block of rows at a time; blocks
+        # of 3 rows, one of them short, give the same roots bit for bit
+        C = np.random.default_rng(13).uniform(-2, 2, (8, 6))
+        whole = roots_batch(C)
+        monkeypatch.setattr(roots, "_DIFF_BLOCK_ROWS", 3)
+        assert np.array_equal(roots_batch(C), whole)
+
     def test_stops_at_rounding_floor_near_double_root(self, monkeypatch):
         # 2T_4(x/2) - t at the cross-check's pulled-in endpoint t = -2 + 1e-9
         # has two pairs of roots 4e-5 apart: their Aberth steps stay rounding
