@@ -167,14 +167,15 @@ def _parse_curve(text):
 def _cmd_lattes(args, argv):
     curve = args.curve
     f = duplication_lattes(curve)
-    # the critical points are computed once and shared with the surjectivity decision
-    crit = lattes.lattes_critical_points(curve)
+    # the critical points and poles are computed once and shared with the
+    # surjectivity decision
+    crit, poles = lattes._critical_points_and_poles(curve)
     payload = {
         "curve": {"a": str(curve.a), "b": str(curve.b), "c": str(curve.c)},
         "disc": str(curve.disc),
         "map": f.to_json(),
         "critical_points": crit,
-        "surjectivity": lattes._surjectivity(curve, crit),
+        "surjectivity": lattes._surjectivity(curve, crit, poles),
     }
     _emit_json(payload, args.out, argv)
     return 0

@@ -2,10 +2,12 @@
 
 A curve y^2 = F(x) = x^3 + a x^2 + b x + c induces the degree-4 rational map
 f with x([2]P) = f(x(P)).  This module builds f, cross-checks it against an
-independent chord-tangent group law, locates its critical points two ways,
-decides surjectivity on the real projective line, and assembles the
-non-abelian certificate (surjectivity + non-real Julia set + certified
-nonperiodic base point).
+independent chord-tangent group law, locates its critical points two ways
+(the real roots of the numerator of f', and the closed form rho +- sqrt F'(rho)
+over the real roots rho of F), decides surjectivity on the real projective
+line, and assembles the non-abelian certificate (surjectivity + non-real
+Julia set + certified nonperiodic base point).  Its critical points and
+poles take two float root solves, of the numerator of f' and of F.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from fractions import Fraction
 
 from .classifier import classify_real_julia
 from .orbit import _PREFIX_KEEP, OrbitStatus, check_non_exceptional, orbit_status
-from .poly import Polynomial, clear_denominators, poly_to_json, sylvester_resultant
+from .poly import (Polynomial, _bareiss, clear_denominators, poly_to_json,
+                   sylvester_resultant)
 from .roots import real_roots_ex
 from .tolerances import COVER_TOL, CRIT_MATCH_TOL, ON_CURVE_TOL, POLE_MATCH_TOL, POLE_PROBE
 
@@ -168,30 +171,48 @@ class InvariantError(RuntimeError):
 def lattes_critical_points(curve: WeierstrassCurve):
     """Real critical points of f, computed twice and reconciled.
 
-    Route 1: real roots of the numerator of f'.  Route 2: real solutions of
-    f(X) = rho over the real roots rho of F (x-coordinates of points Q with
-    [2]Q a finite 2-torsion point).  The two sets must agree within
-    CRIT_MATCH_TOL.
+    Route 1: real roots of the numerator of f'.  Route 2: the real solutions
+    of f(X) = rho over the real roots rho of F (x-coordinates of points Q with
+    [2]Q a finite 2-torsion point).  Since F(rho) = 0 makes
+    num - rho den = ((X - rho)^2 - F'(rho))^2, they are rho +- sqrt F'(rho)
+    for each rho with F'(rho) >= 0.  The two sets must agree within
+    CRIT_MATCH_TOL; route 1 is returned.
+    """
+    return _critical_points_and_poles(curve)[0]
+
+
+def _critical_points_and_poles(curve: WeierstrassCurve):
+    """(lattes_critical_points(curve), the real poles of f).
+
+    The real poles are the real roots of den = 4F, found by the one solve of
+    F that route 2 needs (scaling by 4 leaves the float roots unchanged).
     """
     num, den = _duplication_polys(curve)
-    Fp = curve.F.to_float()
     # the numerator of f'
     w = (num.derivative() * den - num * den.derivative()).to_float()
     route1 = sorted(x for x, _ in real_roots_ex(w)[0])
 
-    route2 = []
-    num, den = num.to_float(), den.to_float()
-    for rho, _ in real_roots_ex(Fp)[0]:
-        g = num - Polynomial([rho]) * den
-        route2.extend(x for x, _ in real_roots_ex(g)[0])
-    route2.sort()
+    F = curve.F.to_float()
+    poles = [x for x, _ in real_roots_ex(F)[0]]
+    route2 = _torsion_route(F, poles)
 
     scale = 1.0 + max((abs(x) for x in route1), default=0.0)
     if len(route1) != len(route2) or any(
             abs(u - v) > CRIT_MATCH_TOL * scale for u, v in zip(route1, route2)):
         raise CriticalPointMismatchError(
             f"derivative route {route1} vs torsion route {route2}")
-    return route1
+    return route1, poles
+
+
+def _torsion_route(F: Polynomial, roots):
+    """rho +- sqrt F'(rho) over the real roots rho of F with F'(rho) >= 0, sorted."""
+    dF = F.derivative()
+    out = []
+    for rho in roots:
+        slope = dF(rho)
+        if slope >= 0:
+            out += [rho - math.sqrt(slope), rho + math.sqrt(slope)]
+    return sorted(out)
 
 
 def _value(num: Polynomial, den: Polynomial, x):
@@ -238,14 +259,13 @@ def real_surjectivity(curve: WeierstrassCurve):
     piece ranges.  Positive disc: the piece ranges are unioned exactly and
     any uncovered gap interval is returned as the witness.
     """
-    return _surjectivity(curve, lattes_critical_points(curve))
+    return _surjectivity(curve, *_critical_points_and_poles(curve))
 
 
-def _surjectivity(curve: WeierstrassCurve, crit):
-    """real_surjectivity(curve) from the real critical points crit of its map."""
+def _surjectivity(curve: WeierstrassCurve, crit, poles):
+    """real_surjectivity(curve) from the real critical points and poles of its map."""
     num, den = (p.to_float() for p in _duplication_polys(curve))
     disc = float(curve.disc)
-    poles = [x for x, _ in real_roots_ex(den)[0]]
 
     if disc < 0:
         c1, c2 = crit
@@ -281,29 +301,43 @@ def _surjectivity(curve: WeierstrassCurve, crit):
 # ---------------------------------------------------------------------------
 
 def _bezout_constant(n_coeffs, d_coeffs):
-    """Integer (e, S): U N + V D = e with integer U, V and S = sum |coeffs|."""
-    a = Polynomial([Fraction(c) for c in n_coeffs])
-    b = Polynomial([Fraction(c) for c in d_coeffs])
-    # extended Euclid over Q[x]
-    r0, r1 = a, b
-    s0, s1 = Polynomial([Fraction(1)]), Polynomial([Fraction(0)])
-    t0, t1 = Polynomial([Fraction(0)]), Polynomial([Fraction(1)])
-    while not r1.is_zero:
-        q, rem = r0.divmod_exact(r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.degree != 0:
+    """Integer (L, S): U N + V D = L with integer U, V and S = sum |coeffs|.
+
+    u N + v D = 1 with deg u < deg D and deg v < deg N has exactly one
+    solution, the solution z of the Sylvester system M z = e_0.  [M | e_0]
+    goes through fraction-free Bareiss elimination and back-substitution on
+    integers, which gives y = p z with p = +-det M.  L = |p| / gcd(p, y) is
+    the least positive integer that clears the denominators of u and v.
+    """
+    a, b = Polynomial(n_coeffs), Polynomial(d_coeffs)
+    N, D, m, n = a.coeffs, b.coeffs, a.degree, b.degree
+    if m == n == 0:
+        # two constants: 0 N + (1/D) D = 1
+        return abs(D[0]), 1
+    size = m + n
+    # column j < n holds X^j N (for u_j), column n + j holds X^j D (for v_j)
+    rows = [[N[k - j] if 0 <= k - j <= m else 0 for j in range(n)]
+            + [D[k - j] if 0 <= k - j <= n else 0 for j in range(m)]
+            + [int(k == 0)] for k in range(size)]
+    if not _bareiss(rows):
         raise ValueError("inputs share a common factor")
-    g = r0.coeffs[0]
-    u = Polynomial([c / g for c in s0.coeffs])
-    v = Polynomial([c / g for c in t0.coeffs])
-    L = math.lcm(*(Fraction(c).denominator for c in (*u.coeffs, *v.coeffs)))
-    U = Polynomial([int(Fraction(c) * L) for c in u.coeffs])
-    V = Polynomial([int(Fraction(c) * L) for c in v.coeffs])
-    if U * a + V * b != Polynomial([Fraction(L)]):
-        raise InvariantError(f"Bezout identity U N + V D = {L} fails after integer scaling")
-    S = sum(abs(c) for c in U.coeffs) + sum(abs(c) for c in V.coeffs)
+    # y = p z with p = rows[-1][-2] = +-det M, an integer vector by Cramer's rule
+    p = rows[-1][-2]
+    y = [0] * size
+    for k in reversed(range(size)):
+        q, r = divmod(p * rows[k][size]
+                      - sum(rows[k][j] * y[j] for j in range(k + 1, size)), rows[k][k])
+        if r:
+            raise InvariantError(f"Bezout back-substitution: {rows[k][k]} does not divide")
+        y[k] = q
+    g = math.gcd(p, *y)
+    sign = 1 if p > 0 else -1
+    L = abs(p) // g
+    U = [sign * x // g for x in y[:n]]
+    V = [sign * x // g for x in y[n:]]
+    if Polynomial(U) * a + Polynomial(V) * b != Polynomial([L]):
+        raise InvariantError(f"Bezout identity U N + V D = {L} fails in integers")
+    S = sum(abs(c) for c in U) + sum(abs(c) for c in V)
     return L, S
 
 

@@ -230,19 +230,20 @@ def clear_denominators(values):
     return L, [v.numerator * (L // v.denominator) for v in values]
 
 
-def _det_exact(rows):
-    """Determinant of a square matrix of ints and Fractions, as a Fraction.
+def _bareiss(m):
+    """Fraction-free Bareiss elimination of an integer matrix, in place.
 
-    Each row is scaled by the lcm of its denominators, the integer matrix
-    goes through fraction-free Bareiss elimination, whose divisions are
-    exact, and the result is divided by the product of the row scales.
+    m has n rows and at least n columns; every division is exact.  Row k
+    ends as m[k][k] x_k + sum_{j>k} m[k][j] x_j = (its columns past n) of a
+    system with the solutions of the original; entries below the diagonal
+    are left unused.  Returns the sign of the row swaps, so that the
+    determinant of the first n columns is sign * m[n-1][n-1], or 0 when
+    those columns are singular.
     """
-    n = len(rows)
-    scaled = [clear_denominators(row) for row in rows]
-    m = [row for _, row in scaled]
+    n, width = len(m), len(m[0])
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
@@ -250,12 +251,25 @@ def _det_exact(rows):
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], math.prod(scale for scale, _ in scaled))
+    return sign
+
+
+def _det_exact(rows):
+    """Determinant of a square matrix of ints and Fractions, as a Fraction.
+
+    Each row is scaled by the lcm of its denominators, the integer matrix
+    goes through fraction-free Bareiss elimination, and the result is
+    divided by the product of the row scales.
+    """
+    scaled = [clear_denominators(row) for row in rows]
+    m = [row for _, row in scaled]
+    sign = _bareiss(m)
+    return Fraction(sign * m[-1][-1], math.prod(scale for scale, _ in scaled))
 
 
 def sylvester_resultant(a, b):

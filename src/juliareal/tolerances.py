@@ -31,7 +31,8 @@ REGROUP_TOL = 1e-4
 PAIR_TOL = 1e-13
 # preimages of alpha all this close to one another make alpha exceptional
 EXCEPTIONAL_TOL = 1e-6
-# the two routes to a Lattes map's real critical points agree this closely
+# a Lattes map's real critical points, the float roots of the numerator of
+# f', agree this closely with rho +- sqrt F'(rho) over the real roots rho of F
 CRIT_MATCH_TOL = 1e-8
 
 # -- residuals: a root z of p is accepted when |p(z)| is at most this times

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,13 @@ from juliareal.lattes import (INFINITY, CriticalPointMismatchError, CurvePoint,
                               real_surjectivity)
 from juliareal import lattes
 from juliareal.cli import main
-from juliareal.lattes import InvariantError, _bezout_constant
+from juliareal.lattes import InvariantError, _bezout_constant, _torsion_route
 from juliareal.orbit import ExceptionalPointError, check_non_exceptional
-from juliareal.poly import Polynomial
+from juliareal.poly import Polynomial, clear_denominators
+from juliareal.roots import real_roots_ex
+from juliareal.tolerances import CRIT_MATCH_TOL
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "lattes_golden.json"
 
 
 def P(*coeffs):
@@ -25,6 +30,63 @@ def P(*coeffs):
 
 E_NEG = WeierstrassCurve(0, 0, -2)        # y^2 = x^3 - 2, disc < 0
 E_POS = WeierstrassCurve(0, -1, 0)        # y^2 = x^3 - x,  disc > 0
+
+# curves on which the numeric torsion route met double roots
+DOUBLE_TORSION = [(-6, 2, 0), (-4, -4, 0), (2, -6, -3), (5, 0, 6)]
+# the curves of the box |a|, |b|, |c| <= 6 on which the two routes still
+# disagreed after the cluster refinement stopped jumping between roots
+NEAR_DOUBLE_TORSION = [
+    (-6, -4, 3), (-6, 2, -3), (-6, 2, -2), (-6, 2, 2), (-5, -2, 4), (-5, -1, 0),
+    (-4, 0, 5), (-4, 1, 0), (-3, -1, 6), (-3, 2, -6), (-3, 2, 6), (-2, -4, 3),
+    (-2, -2, 0), (-2, 2, -4), (-1, -2, 0), (0, -6, 4), (4, -2, 0), (4, -2, 1),
+    (5, 2, -1), (5, 5, 1), (6, -1, 4)]
+
+
+def box_curves(box):
+    """Every nonsingular integer curve with |a|, |b|, |c| <= box."""
+    out = []
+    for a in range(-box, box + 1):
+        for b in range(-box, box + 1):
+            for c in range(-box, box + 1):
+                try:
+                    out.append(WeierstrassCurve(a, b, c))
+                except SingularCurveError:
+                    continue
+    return out
+
+
+def numeric_torsion_route(curve):
+    """Oracle for route 2: solve num - rho den for each real root rho of F."""
+    num, den = (p.to_float() for p in lattes._duplication_polys(curve))
+    out = []
+    for rho, _ in real_roots_ex(curve.F.to_float())[0]:
+        out.extend(x for x, _ in real_roots_ex(num - Polynomial([rho]) * den)[0])
+    return sorted(out)
+
+
+def euclid_bezout_constant(n_coeffs, d_coeffs):
+    """Oracle for _bezout_constant: extended Euclid over Q[x], then the lcm
+    of the denominators of u, v in u N + v D = 1."""
+    a = Polynomial([Fraction(c) for c in n_coeffs])
+    b = Polynomial([Fraction(c) for c in d_coeffs])
+    r0, r1 = a, b
+    s0, s1 = Polynomial([Fraction(1)]), Polynomial([Fraction(0)])
+    t0, t1 = Polynomial([Fraction(0)]), Polynomial([Fraction(1)])
+    while not r1.is_zero:
+        q, rem = r0.divmod_exact(r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.degree != 0:
+        raise ValueError("inputs share a common factor")
+    g = r0.coeffs[0]
+    u = [Fraction(c) / g for c in s0.coeffs]
+    v = [Fraction(c) / g for c in t0.coeffs]
+    L = math.lcm(*(c.denominator for c in u + v))
+    U = Polynomial([int(c * L) for c in u])
+    V = Polynomial([int(c * L) for c in v])
+    assert U * a + V * b == Polynomial([L])
+    return L, sum(abs(c) for c in U.coeffs) + sum(abs(c) for c in V.coeffs)
 
 
 def random_curves(rng, count):
@@ -163,7 +225,7 @@ class TestCriticalPoints:
                5.197700172133576]
         assert np.allclose(crit, ref, rtol=0, atol=1e-8)
 
-    @pytest.mark.parametrize("abc", [(-6, 2, 0), (-4, -4, 0), (2, -6, -3), (5, 0, 6)])
+    @pytest.mark.parametrize("abc", DOUBLE_TORSION)
     def test_routes_agree_on_double_roots(self, abc):
         lattes_critical_points(WeierstrassCurve(*abc))       # mismatch raises
 
@@ -179,17 +241,34 @@ class TestCriticalPoints:
         crit = lattes_critical_points(WeierstrassCurve(-6, 2, -3))
         assert np.allclose(crit, [0.08377713420656234, 11.401622530196239], rtol=0, atol=1e-9)
 
-    # the curves of the box |a|, |b|, |c| <= 6 on which the two routes still
-    # disagreed after the cluster refinement stopped jumping between roots
-    @pytest.mark.parametrize("abc", [
-        (-6, -4, 3), (-6, 2, -3), (-6, 2, -2), (-6, 2, 2), (-5, -2, 4), (-5, -1, 0),
-        (-4, 0, 5), (-4, 1, 0), (-3, -1, 6), (-3, 2, -6), (-3, 2, 6), (-2, -4, 3),
-        (-2, -2, 0), (-2, 2, -4), (-1, -2, 0), (0, -6, 4), (4, -2, 0), (4, -2, 1),
-        (5, 2, -1), (5, 5, 1), (6, -1, 4)])
+    @pytest.mark.parametrize("abc", NEAR_DOUBLE_TORSION)
     def test_routes_agree_on_near_double_torsion_preimages(self, abc):
         curve = WeierstrassCurve(*abc)
         crit = lattes_critical_points(curve)      # mismatch raises
         assert len(crit) == (2 if curve.disc < 0 else 4)
+
+    @pytest.mark.parametrize("abc", [(1, -4, -3)] + DOUBLE_TORSION + NEAR_DOUBLE_TORSION)
+    def test_closed_form_matches_the_numeric_torsion_route(self, abc):
+        curve = WeierstrassCurve(*abc)
+        F = curve.F.to_float()
+        closed = _torsion_route(F, [x for x, _ in real_roots_ex(F)[0]])
+        numeric = numeric_torsion_route(curve)
+        scale = 1.0 + max(abs(x) for x in closed)
+        assert len(closed) == len(numeric)
+        assert all(abs(u - v) <= CRIT_MATCH_TOL * scale for u, v in zip(closed, numeric))
+
+    @pytest.mark.parametrize("roots", [
+        (-1, 0, 1), (-3, 1, 5), (0, 2, 7), (-6, -2, 4), (Fraction(-1, 2), Fraction(1, 3), 2)])
+    def test_torsion_fibre_is_a_square(self, roots):
+        # with F(rho) = 0, num - rho den = ((X - rho)^2 - F'(rho))^2 exactly
+        e1, e2, e3 = (Fraction(e) for e in roots)
+        curve = WeierstrassCurve(-(e1 + e2 + e3), e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3)
+        num, den = lattes._duplication_polys(curve)
+        dF = curve.F.derivative()
+        for rho in (e1, e2, e3):
+            assert curve.F(rho) == 0
+            square = P(rho * rho - dF(rho), -2 * rho, Fraction(1))
+            assert num - Polynomial([rho]) * den == square * square
 
 
 class TestRamification:
@@ -227,23 +306,22 @@ class TestSurjectivity:
         probe = (lo + hi) / 2
         f = duplication_lattes(E_POS)
         g = f.num.to_float() - Polynomial([probe]) * f.den.to_float()
-        from juliareal.roots import real_roots_ex
         assert real_roots_ex(g)[0] == []
 
     def test_poles_solved_once(self, monkeypatch):
-        # route 1, the roots of F, one solve per real root of F (three for
-        # x^3 - x), then the real poles: 6, with no second pole solve
+        # route 1 and the roots of F, which are also the real poles: 2, with
+        # no torsion-route solves and no second pole solve
         calls = []
         solve = lattes.real_roots_ex
         monkeypatch.setattr(lattes, "real_roots_ex",
                             lambda p, *a, **k: calls.append(1) or solve(p, *a, **k))
         out = real_surjectivity(E_POS)
-        assert len(calls) == 6
+        assert len(calls) == 2
         assert not out["surjective"]
 
     def test_lattes_command_computes_each_object_once(self, monkeypatch, capsys):
-        # one map, checked once; one set of critical points (route 1 and
-        # three torsion solves); one pole solve
+        # one map, checked once; one set of critical points and poles
+        # (route 1 and the roots of F)
         counts = {"resultant": 0, "critical": 0, "solve": 0}
 
         def counted(name, fn):
@@ -253,11 +331,11 @@ class TestSurjectivity:
             return wrapper
         monkeypatch.setattr(lattes, "sylvester_resultant",
                             counted("resultant", lattes.sylvester_resultant))
-        monkeypatch.setattr(lattes, "lattes_critical_points",
-                            counted("critical", lattes.lattes_critical_points))
+        monkeypatch.setattr(lattes, "_critical_points_and_poles",
+                            counted("critical", lattes._critical_points_and_poles))
         monkeypatch.setattr(lattes, "real_roots_ex", counted("solve", lattes.real_roots_ex))
         assert main(["lattes", "--curve", "0,-1,0"]) == 0
-        assert counts == {"resultant": 1, "critical": 1, "solve": 6}
+        assert counts == {"resultant": 1, "critical": 1, "solve": 2}
         payload = json.loads(capsys.readouterr().out)
         assert payload["critical_points"] == lattes_critical_points(E_POS)
         assert payload["surjectivity"] == json.loads(json.dumps(real_surjectivity(E_POS)))
@@ -356,6 +434,16 @@ class TestCertify:
         assert calls == [([1, 0, 2, 0, 1], [0, -4, 0, 4, 0])]
         assert not cert.surjective["pass"]
 
+    @pytest.mark.parametrize("curve", [E_NEG, E_POS, WeierstrassCurve(1, -4, -3)])
+    def test_lattes_certificate_makes_two_solves(self, monkeypatch, curve):
+        # the numerator of f' and F, whose roots are also the real poles
+        calls = []
+        solve = lattes.real_roots_ex
+        monkeypatch.setattr(lattes, "real_roots_ex",
+                            lambda p, *a, **k: calls.append(p.degree) or solve(p, *a, **k))
+        certify_nonabelian(duplication_lattes(curve), Fraction(1, 3), curve=curve)
+        assert calls == [6, 3]
+
     def test_json_shape(self):
         cert = certify_nonabelian(duplication_lattes(E_NEG), Fraction(1, 3),
                                   curve=E_NEG)
@@ -366,15 +454,67 @@ class TestCertify:
 
 class TestInvariantErrors:
     def test_critical_points_not_straddling_the_root(self, monkeypatch, capsys):
-        monkeypatch.setattr(lattes, "lattes_critical_points", lambda curve: [5.0, 6.0])
+        shared = lattes._critical_points_and_poles
+        monkeypatch.setattr(lattes, "_critical_points_and_poles",
+                            lambda curve: ([5.0, 6.0], shared(curve)[1]))
         with pytest.raises(InvariantError, match="do not straddle"):
             real_surjectivity(E_NEG)
         assert main(["lattes", "--curve", "0,0,-2"]) == 1
         assert "do not straddle" in capsys.readouterr().err
 
     def test_bezout_identity_fails(self, monkeypatch):
-        # X^2 + 1 and 2X: U, V have denominators, which an LCM of 1 truncates
-        assert _bezout_constant([1, 0, 1], [0, 2])[0] == 2
-        monkeypatch.setattr(lattes.math, "lcm", lambda *dens: 1)
+        # X^2 + 1 and 2X: u = 1, v = -X/2, so L = 2; a gcd three times too
+        # large truncates the integer solution, which then fails the identity
+        assert _bezout_constant([1, 0, 1], [0, 2]) == (2, 3)
+        gcd = math.gcd
+        monkeypatch.setattr(lattes.math, "gcd", lambda *v: 3 * gcd(*v))
         with pytest.raises(InvariantError, match="Bezout"):
             _bezout_constant([1, 0, 1], [0, 2])
+
+
+class TestBezoutConstant:
+    def test_matches_extended_euclid_on_the_box(self):
+        # both orientations of every map of the box, as _height_growth_data
+        # builds them: N, D and the reversed padded pair
+        for curve in box_curves(3):
+            f = duplication_lattes(curve)
+            N = clear_denominators(f.num.coeffs)[1]
+            D = clear_denominators(f.den.coeffs)[1]
+            Npad = N + [0] * (5 - len(N))
+            Dpad = D + [0] * (5 - len(D))
+            for pair in ((N, D), (Npad[::-1], Dpad[::-1])):
+                assert _bezout_constant(*pair) == euclid_bezout_constant(*pair), (curve, pair)
+
+    @pytest.mark.parametrize("pair", [
+        ([1, 0, 1], [0, 2]), ([3], [-3]), ([0, 0, 1], [1]), ([1, 0, 0], [0, 0, 1]),
+        ([5], [0, 1, 1]), ([2, -3, 0, 7], [-4, 0, 6])])
+    def test_matches_extended_euclid_on_small_pairs(self, pair):
+        assert _bezout_constant(*pair) == euclid_bezout_constant(*pair)
+
+    @pytest.mark.parametrize("pair", [
+        ([-1, 0, 1], [-1, 1]), ([2, 3, 1], [1, 1]), ([0, 1], [0, 0, 1]), ([1, 1], [2, 2])])
+    def test_common_factor_rejected(self, pair):
+        with pytest.raises(ValueError):
+            euclid_bezout_constant(*pair)
+        with pytest.raises(ValueError):
+            _bezout_constant(*pair)
+
+
+class TestGolden:
+    """Outputs recorded from the numeric torsion route and the Fraction
+    extended Euclid; the closed form and integer Bezout must reproduce them."""
+
+    golden = json.loads(GOLDEN.read_text())
+
+    @pytest.mark.parametrize("case", golden["certify"],
+                             ids=lambda c: f"{c['curve']}@{c['alpha']}")
+    def test_certificate(self, case):
+        curve = WeierstrassCurve(*(Fraction(v) for v in case["curve"].split(",")))
+        cert = certify_nonabelian(duplication_lattes(curve), Fraction(case["alpha"]),
+                                  curve=curve)
+        assert json.loads(json.dumps(cert.to_json())) == case["json"]
+
+    @pytest.mark.parametrize("case", golden["lattes"], ids=lambda c: c["curve"])
+    def test_lattes_payload(self, case, capsys):
+        assert main(["lattes", f"--curve={case['curve']}"]) == 0
+        assert json.loads(capsys.readouterr().out) == case["payload"]
