@@ -1,18 +1,9 @@
 """Weil and canonical heights for rational points under polynomial maps.
 
-Everything runs on exact orbits; floating iterates are useless at the
-depths where the height limit stabilizes.  An orbit is stepped as a pair
-of Python integers (N, D) in lowest terms, D > 0.  With the coefficient
-denominators cleared once, g_i = L c_i, one step is
-
-    f(N/D) = (sum_i g_i N^i D^(d-i)) / (L D^d),
-
-the numerator by homogeneous Horner.  The fraction is reduced by a gcd
-against a small number only: gcd(N, D) = 1 gives sum_i g_i N^i D^(d-i) =
-g_d N^d (mod D), so for p^e || D and p^f || g_d the common factor has
-p-adic valuation at most v_p(L) + d min(e, f), and the gcd with
-L gcd(g_d, D)^d is the full one.  math.log on Python ints is correctly
-rounded, which keeps h(f^n(x))/d^n accurate to the last few ulps.
+Everything runs on exact orbits, stepped as lowest-terms integer pairs by
+``poly._PairMap``; floating iterates are useless at the depths where the
+height limit stabilizes.  math.log on Python ints is correctly rounded,
+which keeps h(f^n(x))/d^n accurate to the last few ulps.
 """
 
 from __future__ import annotations
@@ -20,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import Polynomial, clear_denominators
+from .poly import Polynomial, _PairMap
 
 DEFAULT_BIT_CAP = 10 ** 6
 
@@ -44,8 +35,7 @@ def _exact_orbit_point(p: Polynomial, x, n, bit_cap):
     """f^n(x) as a lowest-terms integer pair (N, D) with D > 0."""
     q = p.to_exact()
     d = q.degree
-    L, g = clear_denominators(q.coeffs)
-    lead, rest = g[-1], g[-2::-1]
+    step = _PairMap(q, Polynomial([1]))
     x = Fraction(x)
     N, D = x.numerator, x.denominator
     for k in range(n):
@@ -56,22 +46,7 @@ def _exact_orbit_point(p: Polynomial, x, n, bit_cap):
             raise BitSizeCapError(
                 f"orbit value at step {k + 1} would exceed {bit_cap} bits; "
                 f"use a depth below {k + 1}")
-        acc, Dk = lead, 1
-        for c in rest:
-            Dk *= D
-            acc *= N
-            if c:
-                acc += c * Dk
-        den = L * Dk
-        # every common factor of acc and L D^d divides this small number
-        # (module docstring); when acc is 0, D divides g_d by the rational
-        # root theorem, so small = L D^d and zero comes out as 0/1
-        small = L * math.gcd(lead, D) ** d
-        if small != 1:
-            common = math.gcd(acc, small)
-            acc //= common
-            den //= common
-        N, D = acc, den
+        N, D = step(N, D)
         if N.bit_length() + D.bit_length() > bit_cap:
             raise BitSizeCapError(
                 f"orbit value at step {k + 1} exceeds {bit_cap} bits; "

@@ -6,8 +6,9 @@ independent chord-tangent group law, locates its critical points two ways
 (the real roots of the numerator of f', and the closed form rho +- sqrt F'(rho)
 over the real roots rho of F), decides surjectivity on the real projective
 line, and assembles the non-abelian certificate (surjectivity + non-real
-Julia set + certified nonperiodic base point).  Its critical points and
-poles take two float root solves, of the numerator of f' and of F.
+Julia set + a base point certified nonperiodic on integer pairs by
+``poly._PairMap``).  A certificate makes two float root solves, of the
+numerator of f' and of F.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classifier import classify_real_julia
-from .orbit import _PREFIX_KEEP, OrbitStatus, check_non_exceptional, orbit_status
-from .poly import (Polynomial, _bareiss, clear_denominators, poly_to_json,
-                   sylvester_resultant)
+from .orbit import OrbitStatus, _orbit_loop, check_non_exceptional, orbit_status
+from .poly import Polynomial, _bareiss, _PairMap, poly_to_json, sylvester_resultant
 from .roots import real_roots_ex
 from .tolerances import COVER_TOL, CRIT_MATCH_TOL, ON_CURVE_TOL, POLE_MATCH_TOL, POLE_PROBE
 
@@ -347,31 +347,23 @@ class _HeightGrowth:
 
     gamma_num: int        # min Bezout constant
     gamma_den: int        # max coefficient-sum
-    resultant: int
+    resultant: int        # |Res(G, H)|
     degree: int
 
     def threshold_exceeded(self, H):
         # growth is strict once gamma * H^(d-1) > |Res|
-        return self.gamma_num * H ** (self.degree - 1) > self.gamma_den * abs(self.resultant)
+        return self.gamma_num * H ** (self.degree - 1) > self.gamma_den * self.resultant
 
 
-def _height_growth_data(f: RationalMap) -> _HeightGrowth:
-    d = f.degree
-    N = clear_denominators(f.num.coeffs)[1]
-    D = clear_denominators(f.den.coeffs)[1]
-    Npad = N + [0] * (d + 1 - len(N))
-    Dpad = D + [0] * (d + 1 - len(D))
-    res = int(sylvester_resultant(Npad, Dpad))
-    if res == 0:
-        raise ValueError("degenerate map: homogeneous forms share a factor")
-    e1, s1 = _bezout_constant(N, D)
+def _height_growth_data(step: _PairMap) -> _HeightGrowth:
+    e1, s1 = _bezout_constant(step.G, step.H)
     # reversed coefficients swap the roles of numerator and denominator of x
-    e2, s2 = _bezout_constant(Npad[::-1], Dpad[::-1])
-    return _HeightGrowth(min(e1, e2), max(s1, s2), res, d)
+    e2, s2 = _bezout_constant(step.G[::-1], step.H[::-1])
+    return _HeightGrowth(min(e1, e2), max(s1, s2), step.R, len(step.G) - 1)
 
 
 def rational_orbit_status(f: RationalMap, alpha, max_steps=64) -> OrbitStatus:
-    """Exact orbit classification under a rational map over Q.
+    """Exact orbit classification under a rational map over Q that fixes infinity.
 
     Certified nonperiodic by height growth: once the current height exceeds
     both the resultant threshold and every earlier orbit height, all later
@@ -379,37 +371,24 @@ def rational_orbit_status(f: RationalMap, alpha, max_steps=64) -> OrbitStatus:
     """
     if not f.is_exact:
         raise ValueError("exact rational coefficients required")
-    growth = _height_growth_data(f)
-    x = Fraction(alpha)
-    seen = {x: 0}
-    prefix = [x]
-    heights = [max(abs(x.numerator), x.denominator)]
-    for k in range(1, max_steps + 1):
-        x = f(x)
-        if x is INFINITY:
-            return OrbitStatus("nonperiodic",
-                               reason=f"orbit hits the pole at step {k}; "
-                                      "infinity is a fixed point of the map",
-                               prefix=prefix)
-        if len(prefix) < _PREFIX_KEEP:
-            prefix.append(x)
-        if x in seen:
-            j = seen[x]
-            if j == 0:
-                return OrbitStatus("periodic", period=k, prefix=prefix)
-            return OrbitStatus("preperiodic", tail=j, period=k - j, prefix=prefix)
-        seen[x] = k
-        H = max(abs(x.numerator), x.denominator)
-        if growth.threshold_exceeded(H) and H > max(heights):
-            return OrbitStatus(
-                "nonperiodic",
-                reason=f"height-growth: H = {H} exceeds the resultant bound "
-                       f"(gamma = {growth.gamma_num}/{growth.gamma_den}, "
-                       f"|Res| = {abs(growth.resultant)}, degree {growth.degree}) "
-                       "and all earlier orbit heights; heights now strictly increase",
-                prefix=prefix)
-        heights.append(H)
-    return OrbitStatus("undecided", prefix=prefix)
+    if f.num.degree <= f.den.degree:
+        raise ValueError("the map must fix infinity: deg num > deg den required")
+    step = _PairMap(f.num, f.den)
+    growth = _height_growth_data(step)
+    alpha = Fraction(alpha)
+    highest = max(abs(alpha.numerator), alpha.denominator)
+
+    def height_growth(k, N, D):
+        nonlocal highest
+        H = max(abs(N), D)
+        if growth.threshold_exceeded(H) and H > highest:
+            return (f"height-growth: H = {H} exceeds the resultant bound "
+                    f"(gamma = {growth.gamma_num}/{growth.gamma_den}, "
+                    f"|Res| = {growth.resultant}, degree {growth.degree}) "
+                    "and all earlier orbit heights; heights now strictly increase")
+        highest = max(highest, H)
+
+    return _orbit_loop(step, alpha, max_steps, height_growth)
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +449,16 @@ def certify_nonabelian(target, alpha, curve: WeierstrassCurve | None = None,
         cert.map_json = target.to_json()
         if curve is None:
             raise ValueError("pass the Weierstrass curve with a Lattes map")
+        if (target.num, target.den) != _duplication_polys(curve):
+            raise ValueError("target is not the duplication map of the curve")
         surj = real_surjectivity(curve)
         cert.surjective = {"pass": surj["surjective"], "witness": surj["witness"]}
+        # no check_non_exceptional: a Lattes map has no exceptional point, as
+        # those lie in the Fatou set and its Julia set is all of P^1
         cert.julia_nonreal = {
             "pass": True,
             "reason": "Lattes map: Julia set is the whole complex projective line",
         }
-        check_non_exceptional(target, alpha)
         status = rational_orbit_status(target, alpha)
     else:
         raise TypeError("target must be a Polynomial or RationalMap")

@@ -2,7 +2,7 @@
 
 Escape-time renders, backward-orbit trees via the batched
 root solver, empirical preimage measures with a Kolmogorov-Smirnov distance,
-and exact (big-rational) orbit-status certification.
+and exact orbit status on lowest-terms integer pairs (``poly._PairMap``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .heights import DEFAULT_BIT_CAP
-from .poly import Polynomial
+from .poly import Polynomial, _PairMap
 from .roots import RootFindingError, roots_shifted
 from .tolerances import EXCEPTIONAL_TOL, NONREAL_TOL
 
@@ -58,7 +58,7 @@ def render_filled_julia(p: Polynomial, window, resolution, max_iter=100):
     if max_iter < 1:
         raise ValueError("max_iter >= 1 required")
     q = p.to_float()
-    radius = escape_radius(q)
+    radius = escape_radius(p)
     xs = np.linspace(re_min, re_max, width)
     ys = np.linspace(im_max, im_min, height)
     z = xs[None, :] + 1j * ys[:, None]
@@ -215,6 +215,36 @@ class OrbitStatus:
 _PREFIX_KEEP = 8
 
 
+def _orbit_loop(step: _PairMap, alpha: Fraction, max_steps, nonperiodic) -> OrbitStatus:
+    """Orbit status of alpha under `step`: (pre)periodic at the first repeat;
+    nonperiodic at the pole (each caller's map fixes infinity) or when
+    nonperiodic(k, N, D) gives a reason for f^k(alpha) = N/D; else undecided,
+    after max_steps steps or past DEFAULT_BIT_CAP bits."""
+    x = (alpha.numerator, alpha.denominator)
+    prefix, seen = [x], {x: 0}
+
+    def status(tag, **kw):
+        return OrbitStatus(tag, prefix=[Fraction(N, D) for N, D in prefix], **kw)
+
+    for k in range(1, max_steps + 1):
+        N, D = x = step(*x)
+        if D == 0:
+            return status("nonperiodic", reason=f"orbit hits the pole at step {k}; "
+                                                "infinity is a fixed point of the map")
+        if len(prefix) < _PREFIX_KEEP:
+            prefix.append(x)
+        if x in seen:
+            j = seen[x]
+            return (status("periodic", period=k) if j == 0
+                    else status("preperiodic", tail=j, period=k - j))
+        seen[x] = k
+        if reason := nonperiodic(k, N, D):
+            return status("nonperiodic", reason=reason)
+        if N.bit_length() + D.bit_length() > DEFAULT_BIT_CAP:
+            break
+    return status("undecided")
+
+
 def orbit_status(p: Polynomial, alpha, max_steps=64) -> OrbitStatus:
     """Exact orbit classification for rational alpha under an exact polynomial.
 
@@ -227,45 +257,23 @@ def orbit_status(p: Polynomial, alpha, max_steps=64) -> OrbitStatus:
     """
     if not p.is_exact:
         raise ValueError("exact rational coefficients required")
-    q = p.to_exact()
-    d = q.degree
     alpha = Fraction(alpha)
-    prefix = [alpha]
+    step = _PairMap(p, Polynomial([1]))
 
-    # integer coefficients with lead coprime to q: the orbit denominators
-    # are exactly q^(d^k), strictly increasing, so no value ever repeats
-    int_coeffs = all(Fraction(c).denominator == 1 for c in q.coeffs)
-    if (int_coeffs and alpha.denominator > 1
-            and math.gcd(int(q.lead), alpha.denominator) == 1):
-        x = alpha
-        for _ in range(min(3, max_steps)):
-            x = q(x)
-            prefix.append(x)
-        return OrbitStatus(
-            "nonperiodic",
-            reason=f"denominator-growth: denominators are q^(d^k) with "
-                   f"q={alpha.denominator}, d={d}, strictly increasing",
-            prefix=prefix[:_PREFIX_KEEP])
+    # integer coefficients (L = 1, so H = Z^d) and a lead prime to the
+    # denominator q of alpha: the orbit denominators are exactly q^(d^k),
+    # strictly increasing, so no value repeats; the status shows three steps
+    if step.H[0] == 1 < alpha.denominator and math.gcd(step.G[-1], alpha.denominator) == 1:
+        shown = min(3, max_steps)
+        reason = (f"denominator-growth: denominators are q^(d^k) with "
+                  f"q={alpha.denominator}, d={p.degree}, strictly increasing")
+        return _orbit_loop(step, alpha, shown, lambda k, N, D: reason if k == shown else None)
 
-    radius = escape_radius(q)
-    seen = {alpha: 0}
-    x = alpha
-    for k in range(1, max_steps + 1):
-        x = q(x)
-        if len(prefix) < _PREFIX_KEEP:
-            prefix.append(x)
-        if x in seen:
-            j = seen[x]
-            if j == 0 and x == alpha:
-                return OrbitStatus("periodic", period=k, prefix=prefix)
-            return OrbitStatus("preperiodic", tail=j, period=k - j, prefix=prefix)
-        seen[x] = k
-        if abs(x) > radius:
-            return OrbitStatus(
-                "nonperiodic",
-                reason=f"escape: |f^{k}(alpha)| = {float(abs(x)):.6g} exceeds "
-                       f"escape radius {float(radius):.6g}",
-                prefix=prefix)
-        if x.numerator.bit_length() + x.denominator.bit_length() > DEFAULT_BIT_CAP:
-            break
-    return OrbitStatus("undecided", prefix=prefix)
+    radius = escape_radius(p)
+
+    def escape(k, N, D):
+        if abs(N) * radius.denominator > radius.numerator * D:
+            return (f"escape: |f^{k}(alpha)| = {abs(N) / D:.6g} exceeds "
+                    f"escape radius {float(radius):.6g}")
+
+    return _orbit_loop(step, alpha, max_steps, escape)

@@ -296,6 +296,40 @@ def sylvester_resultant(a, b):
     return float(np.linalg.det(np.array(rows, dtype=float)))
 
 
+class _PairMap:
+    """num/den (exact) as a step of lowest-terms integer pairs (N, D), D >= 0.
+
+    G = L num and H = L den, L the common denominator of all coefficients,
+    are padded to forms G(X, Z) = sum g_i X^i Z^(d-i) of the larger degree d;
+    R = |Res(G, H)|.  A polynomial p is the map (p, 1), so H = L Z^d.  D = 0
+    is the pole, the pair (1, 0).
+    """
+
+    __slots__ = ("G", "H", "R")
+
+    def __init__(self, num: Polynomial, den: Polynomial):
+        d = max(num.degree, den.degree)
+        k = len(num.coeffs)
+        ints = clear_denominators(num.coeffs + den.coeffs)[1]
+        self.G = ints[:k] + [0] * (d + 1 - k)
+        self.H = ints[k:] + [0] * (d + 1 - len(den.coeffs))
+        self.R = abs(int(sylvester_resultant(self.G, self.H)))
+
+    def __call__(self, N, D):
+        """(G(N, D), H(N, D)) by homogeneous Horner, in lowest terms: gcd(N, D) = 1
+        makes their gcd divide R (Silverman, The Arithmetic of Dynamical
+        Systems, 2007), so it is taken against R first, and not when R = 1."""
+        A, B, Dk = self.G[-1], self.H[-1], 1
+        for g, h in zip(self.G[-2::-1], self.H[-2::-1]):
+            Dk *= D
+            A = A * N + g * Dk if g else A * N
+            B = B * N + h * Dk if h else B * N
+        common = math.gcd(math.gcd(A, self.R), B) if self.R != 1 else 1
+        if common != 1:
+            A, B = A // common, B // common
+        return (-A, -B) if B < 0 or (B == 0 and A < 0) else (A, B)
+
+
 # -- serialization ---------------------------------------------------------
 
 def coeff_to_json(c):

@@ -13,11 +13,11 @@ from juliareal.lattes import (INFINITY, CriticalPointMismatchError, CurvePoint,
                               double_point, duplication_lattes,
                               lattes_critical_points, rational_orbit_status,
                               real_surjectivity)
-from juliareal import lattes
+from juliareal import lattes, orbit, poly, roots
 from juliareal.cli import main
 from juliareal.lattes import InvariantError, _bezout_constant, _torsion_route
 from juliareal.orbit import ExceptionalPointError, check_non_exceptional
-from juliareal.poly import Polynomial, clear_denominators
+from juliareal.poly import Polynomial, _PairMap
 from juliareal.roots import real_roots_ex
 from juliareal.tolerances import CRIT_MATCH_TOL
 
@@ -365,6 +365,25 @@ class TestRationalOrbit:
         with pytest.raises(ValueError):
             rational_orbit_status(ff, Fraction(1, 3))
 
+    def test_rejects_reciprocal(self):
+        # 0 -> infinity -> 0 is periodic, so a pole hit proves nothing
+        with pytest.raises(ValueError, match="fix infinity"):
+            rational_orbit_status(RationalMap(P(1), P(0, 1)), Fraction(0))
+
+    def test_rejects_equal_degrees(self):
+        # (x^2 + 1) / (x^2 + x) sends infinity to 1
+        with pytest.raises(ValueError, match="fix infinity"):
+            rational_orbit_status(RationalMap(P(1, 0, 1), P(0, 1, 1)), Fraction(-1))
+
+    def test_height_bound_forms_describe_the_map(self):
+        # num and den have different denominators (2 and 1); one common L
+        # keeps G / H = num / den, where clearing each alone gives 2f
+        f = duplication_lattes(WeierstrassCurve(Fraction(1, 2), -3, Fraction(1, 4)))
+        step = _PairMap(f.num, f.den)
+        assert P(*step.G) * f.den == P(*step.H) * f.num
+        growth = lattes._height_growth_data(step)
+        assert (growth.gamma_num, growth.gamma_den, growth.resultant) == (3254, 21208, 677665024)
+
 
 class TestCertify:
     def test_odd_cubic_certified(self):
@@ -427,8 +446,8 @@ class TestCertify:
         # certificate adds only the padded resultant of its height bound
         f = duplication_lattes(E_POS)
         calls = []
-        resultant = lattes.sylvester_resultant
-        monkeypatch.setattr(lattes, "sylvester_resultant",
+        resultant = poly.sylvester_resultant
+        monkeypatch.setattr(poly, "sylvester_resultant",
                             lambda a, b: calls.append((a, b)) or resultant(a, b))
         cert = certify_nonabelian(f, Fraction(1, 3), curve=E_POS)
         assert calls == [([1, 0, 2, 0, 1], [0, -4, 0, 4, 0])]
@@ -443,6 +462,22 @@ class TestCertify:
                             lambda p, *a, **k: calls.append(p.degree) or solve(p, *a, **k))
         certify_nonabelian(duplication_lattes(curve), Fraction(1, 3), curve=curve)
         assert calls == [6, 3]
+
+    @pytest.mark.parametrize("curve", [E_NEG, E_POS, WeierstrassCurve(1, -4, -3)])
+    def test_lattes_certificate_makes_two_root_solves(self, monkeypatch, curve):
+        # the two real_roots_ex solves; no check_non_exceptional solve
+        calls = []
+        solve = roots.roots_shifted
+        counted = lambda p, t: calls.append(p.degree) or solve(p, t)
+        monkeypatch.setattr(roots, "roots_shifted", counted)
+        monkeypatch.setattr(orbit, "roots_shifted", counted)
+        certify_nonabelian(duplication_lattes(curve), Fraction(1, 3), curve=curve)
+        assert calls == [6, 3]
+
+    def test_lattes_map_of_another_curve_rejected(self):
+        with pytest.raises(ValueError, match="not the duplication map"):
+            certify_nonabelian(duplication_lattes(E_NEG), Fraction(1, 3),
+                               curve=WeierstrassCurve(1, -4, -3))
 
     def test_json_shape(self):
         cert = certify_nonabelian(duplication_lattes(E_NEG), Fraction(1, 3),
@@ -475,14 +510,11 @@ class TestInvariantErrors:
 class TestBezoutConstant:
     def test_matches_extended_euclid_on_the_box(self):
         # both orientations of every map of the box, as _height_growth_data
-        # builds them: N, D and the reversed padded pair
+        # takes them from the padded forms G, H of the map's integer step
         for curve in box_curves(3):
             f = duplication_lattes(curve)
-            N = clear_denominators(f.num.coeffs)[1]
-            D = clear_denominators(f.den.coeffs)[1]
-            Npad = N + [0] * (5 - len(N))
-            Dpad = D + [0] * (5 - len(D))
-            for pair in ((N, D), (Npad[::-1], Dpad[::-1])):
+            step = _PairMap(f.num, f.den)
+            for pair in ((step.G, step.H), (step.G[::-1], step.H[::-1])):
                 assert _bezout_constant(*pair) == euclid_bezout_constant(*pair), (curve, pair)
 
     @pytest.mark.parametrize("pair", [

@@ -233,6 +233,12 @@ class TestOrbitStatus:
         with pytest.raises(ValueError):
             orbit_status(P(0.5, 0.25, 1.0), Fraction(1))
 
+    def test_repeat_found_before_denominator_growth(self):
+        # x -> -x at 1/2 has integer coefficients and a constant denominator;
+        # the shared loop sees the 2-cycle before the denominator rule fires
+        st = orbit_status(P(0, -1), Fraction(1, 2))
+        assert st.tag == "periodic" and st.period == 2
+
     def test_undecided_possible(self):
         # non-monic map with a bounded, apparently aperiodic rational orbit
         st = orbit_status(Polynomial([Fraction(-7, 8), 0, 1]), Fraction(0),
