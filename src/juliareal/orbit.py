@@ -58,7 +58,7 @@ def render_filled_julia(p: Polynomial, window, resolution, max_iter=100):
     if max_iter < 1:
         raise ValueError("max_iter >= 1 required")
     q = p.to_float()
-    radius = escape_radius(p)
+    radius = escape_radius(q)
     xs = np.linspace(re_min, re_max, width)
     ys = np.linspace(im_max, im_min, height)
     z = xs[None, :] + 1j * ys[:, None]
@@ -202,12 +202,9 @@ class OrbitStatus:
 
     def to_json(self):
         out = {"tag": self.tag}
-        if self.period is not None:
-            out["period"] = self.period
-        if self.tail is not None:
-            out["tail"] = self.tail
-        if self.reason is not None:
-            out["reason"] = self.reason
+        for key in ("period", "tail", "reason"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         out["prefix"] = [f"{v.numerator}/{v.denominator}" for v in self.prefix]
         return out
 
@@ -251,23 +248,29 @@ def orbit_status(p: Polynomial, alpha, max_steps=64) -> OrbitStatus:
     periodic(k): alpha revisits itself after exactly k steps.
     preperiodic(tail, k): some later value repeats.
     nonperiodic: certified by monotone escape past the escape radius, or --
-    for monic integer polynomials -- by exact q^(d^k) denominator growth.
-    Anything else within the step budget, or with an orbit value past
-    DEFAULT_BIT_CAP bits, is 'undecided'.
+    for integer coefficients with the lead prime to the denominator q of
+    alpha -- by exact q^(d^k) denominator growth.  Anything else within the
+    step budget, or past DEFAULT_BIT_CAP bits, is 'undecided'.  Degree >= 2.
     """
     if not p.is_exact:
         raise ValueError("exact rational coefficients required")
+    if p.degree < 2:
+        raise ValueError("degree >= 2 required")
     alpha = Fraction(alpha)
     step = _PairMap(p, Polynomial([1]))
 
     # integer coefficients (L = 1, so H = Z^d) and a lead prime to the
-    # denominator q of alpha: the orbit denominators are exactly q^(d^k),
-    # strictly increasing, so no value repeats; the status shows three steps
+    # denominator q of alpha: the orbit denominators are exactly q^(d^k), so
+    # no value repeats as d >= 2; this needs no orbit, three steps are shown
     if step.H[0] == 1 < alpha.denominator and math.gcd(step.G[-1], alpha.denominator) == 1:
-        shown = min(3, max_steps)
-        reason = (f"denominator-growth: denominators are q^(d^k) with "
-                  f"q={alpha.denominator}, d={p.degree}, strictly increasing")
-        return _orbit_loop(step, alpha, shown, lambda k, N, D: reason if k == shown else None)
+        prefix, x = [alpha], (alpha.numerator, alpha.denominator)
+        for _ in range(min(3, max_steps)):
+            x = step(*x)
+            prefix.append(Fraction(*x))
+        return OrbitStatus(
+            "nonperiodic", prefix=prefix,
+            reason=f"denominator-growth: denominators are q^(d^k) with "
+                   f"q={alpha.denominator}, d={p.degree}, strictly increasing")
 
     radius = escape_radius(p)
 

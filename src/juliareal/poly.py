@@ -278,20 +278,17 @@ def sylvester_resultant(a, b):
     Degrees are taken from the sequence lengths, so padded sequences give the
     resultant of the corresponding homogeneous forms.
     """
-    m = len(a) - 1
-    n = len(b) - 1
+    m, n = len(a) - 1, len(b) - 1
     if m == 0 and n == 0:
         return 1
-    ar = list(reversed(a))
-    br = list(reversed(b))
+    ar, br = list(reversed(a)), list(reversed(b))
     size = m + n
     rows = []
     for i in range(n):
         rows.append([0] * i + ar + [0] * (size - m - 1 - i))
     for i in range(m):
         rows.append([0] * i + br + [0] * (size - n - 1 - i))
-    exact = all(isinstance(x, _EXACT_TYPES) for x in a + b)
-    if exact:
+    if all(isinstance(x, _EXACT_TYPES) for x in a + b):
         return _det_exact(rows)
     return float(np.linalg.det(np.array(rows, dtype=float)))
 
@@ -301,8 +298,8 @@ class _PairMap:
 
     G = L num and H = L den, L the common denominator of all coefficients,
     are padded to forms G(X, Z) = sum g_i X^i Z^(d-i) of the larger degree d;
-    R = |Res(G, H)|.  A polynomial p is the map (p, 1), so H = L Z^d.  D = 0
-    is the pole, the pair (1, 0).
+    R = |Res(G, H)|, or |h g_d|^d when H = h Z^d, as for a polynomial p, the
+    map (p, 1).  D = 0 is the pole, the pair (1, 0).
     """
 
     __slots__ = ("G", "H", "R")
@@ -313,7 +310,8 @@ class _PairMap:
         ints = clear_denominators(num.coeffs + den.coeffs)[1]
         self.G = ints[:k] + [0] * (d + 1 - k)
         self.H = ints[k:] + [0] * (d + 1 - len(den.coeffs))
-        self.R = abs(int(sylvester_resultant(self.G, self.H)))
+        self.R = (abs(self.H[0] * self.G[-1]) ** d if len(den.coeffs) == 1
+                  else abs(int(sylvester_resultant(self.G, self.H))))
 
     def __call__(self, N, D):
         """(G(N, D), H(N, D)) by homogeneous Horner, in lowest terms: gcd(N, D) = 1

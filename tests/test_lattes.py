@@ -443,12 +443,15 @@ class TestCertify:
 
     def test_lattes_certificate_checks_coprimality_once(self, monkeypatch):
         # the caller's duplication_lattes has checked the map; the
-        # certificate adds only the padded resultant of its height bound
+        # certificate adds only the padded resultant of its height bound.
+        # Both bindings are counted: RationalMap's coprimality check calls
+        # lattes.sylvester_resultant, the pair map poly.sylvester_resultant
         f = duplication_lattes(E_POS)
         calls = []
         resultant = poly.sylvester_resultant
-        monkeypatch.setattr(poly, "sylvester_resultant",
-                            lambda a, b: calls.append((a, b)) or resultant(a, b))
+        counted = lambda a, b: calls.append((a, b)) or resultant(a, b)
+        monkeypatch.setattr(poly, "sylvester_resultant", counted)
+        monkeypatch.setattr(lattes, "sylvester_resultant", counted)
         cert = certify_nonabelian(f, Fraction(1, 3), curve=E_POS)
         assert calls == [([1, 0, 2, 0, 1], [0, -4, 0, 4, 0])]
         assert not cert.surjective["pass"]

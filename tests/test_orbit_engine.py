@@ -14,7 +14,7 @@ from juliareal.heights import height_report
 from juliareal.lattes import (SingularCurveError, WeierstrassCurve, _duplication_polys,
                               duplication_lattes, rational_orbit_status)
 from juliareal.orbit import orbit_status
-from juliareal.poly import Polynomial, _PairMap, poly_from_json
+from juliareal.poly import Polynomial, _PairMap, poly_from_json, sylvester_resultant
 
 GOLDEN = json.loads((Path(__file__).resolve().parent / "data" / "orbit_golden.json").read_text())
 
@@ -65,6 +65,14 @@ def test_duplication_step_equals_fractions(r, s, t, x, at_root, steps):
         assume(False)
     num, den = _duplication_polys(curve)
     assert_steps_agree(num, den, r if at_root else x, steps)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(COEFF, min_size=2, max_size=4), NONZERO, NONZERO)
+def test_polynomial_resultant_in_closed_form(low, lead, den):
+    # Res(G, h Z^d) = +-(h g_d)^d, taken without a determinant
+    step = _PairMap(Polynomial(low + [lead]), Polynomial([den]))
+    assert step.R == abs(sylvester_resultant(step.G, step.H))
 
 
 @pytest.mark.parametrize("case", GOLDEN["orbit_status"], ids=lambda c: c["what"])

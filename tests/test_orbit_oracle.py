@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from juliareal import orbit
 from juliareal.orbit import (BackwardOrbit, EmpiricalMeasure, ExceptionalPointError,
                              OrbitCapError, backward_orbit, check_non_exceptional,
                              empirical_cdf_distance, escape_radius,
@@ -84,6 +85,12 @@ class TestRender:
         a = render_filled_julia(BASILICA, (-2, 2, -1, 1), (64, 33))
         b = render_filled_julia(BASILICA, (-2, 2, -1, 1), (64, 33))
         assert (a == b).all()
+
+    def test_exact_coefficients_render_as_floats(self):
+        # the radius is the float one: exact coefficients change no pixel
+        for p in (P(-1, 0, 1), Polynomial([Fraction(-3, 4), 0, 1])):
+            grid = render_filled_julia(p, (-2, 2, -1, 1), (64, 33))
+            assert (grid == render_filled_julia(p.to_float(), (-2, 2, -1, 1), (64, 33))).all()
 
 
 class TestBackwardOrbit:
@@ -233,11 +240,22 @@ class TestOrbitStatus:
         with pytest.raises(ValueError):
             orbit_status(P(0.5, 0.25, 1.0), Fraction(1))
 
-    def test_repeat_found_before_denominator_growth(self):
-        # x -> -x at 1/2 has integer coefficients and a constant denominator;
-        # the shared loop sees the 2-cycle before the denominator rule fires
-        st = orbit_status(P(0, -1), Fraction(1, 2))
-        assert st.tag == "periodic" and st.period == 2
+    def test_rejects_degree_below_two(self):
+        # x -> -x and x -> x + 1 keep the denominator 2 of 1/2: the
+        # denominator-growth rule holds only for d >= 2
+        for p in (P(0, -1), P(1, 1)):
+            with pytest.raises(ValueError, match="degree >= 2"):
+                orbit_status(p, Fraction(1, 2))
+
+    def test_denominator_growth_needs_no_orbit(self, monkeypatch):
+        # the rule is a proof: it holds with no step taken and past the bit cap
+        st = orbit_status(P(-2, 0, 1), Fraction(1, 3), max_steps=0)
+        assert st.tag == "nonperiodic" and st.prefix == [Fraction(1, 3)]
+        monkeypatch.setattr(orbit, "DEFAULT_BIT_CAP", 8)
+        st = orbit_status(P(-2, 0, 1), Fraction(1, 3))
+        assert st.tag == "nonperiodic" and "denominator-growth" in st.reason
+        assert st.prefix == [Fraction(1, 3), Fraction(-17, 9), Fraction(127, 81),
+                             Fraction(3007, 6561)]
 
     def test_undecided_possible(self):
         # non-monic map with a bounded, apparently aperiodic rational orbit
