@@ -433,9 +433,13 @@ def certify_nonabelian(target, alpha, curve: WeierstrassCurve | None = None,
         if not p.is_exact:
             raise ValueError("rational coefficients required")
         cert.map_json = {"poly": poly_to_json(p)}
-        odd = p.degree % 2 == 1
-        cert.surjective = {"pass": odd, "witness": "odd degree polynomial is onto the reals" if odd
-                           else "even degree polynomial has bounded range on one side"}
+        d = p.degree
+        if d % 2 == 1:
+            cert.surjective = {"pass": True,
+                               "witness": "odd degree polynomial is onto the reals"}
+        else:
+            cert.surjective = {"pass": False,
+                               "witness": "even degree polynomial has bounded range on one side"}
         report = classify_real_julia(p.to_float())
         cert.julia_nonreal = {"pass": not report.julia_real,
                               "reason": report.reason}

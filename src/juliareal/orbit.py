@@ -254,8 +254,7 @@ def orbit_status(p: Polynomial, alpha, max_steps=64) -> OrbitStatus:
     """
     if not p.is_exact:
         raise ValueError("exact rational coefficients required")
-    if p.degree < 2:
-        raise ValueError("degree >= 2 required")
+    radius = escape_radius(p)   # and the degree >= 2 check
     alpha = Fraction(alpha)
     step = _PairMap(p, Polynomial([1]))
 
@@ -271,8 +270,6 @@ def orbit_status(p: Polynomial, alpha, max_steps=64) -> OrbitStatus:
             "nonperiodic", prefix=prefix,
             reason=f"denominator-growth: denominators are q^(d^k) with "
                    f"q={alpha.denominator}, d={p.degree}, strictly increasing")
-
-    radius = escape_radius(p)
 
     def escape(k, N, D):
         if abs(N) * radius.denominator > radius.numerator * D:
