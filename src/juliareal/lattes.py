@@ -19,9 +19,10 @@ from fractions import Fraction
 
 from .classifier import classify_real_julia
 from .orbit import OrbitStatus, _orbit_loop, check_non_exceptional, orbit_status
-from .poly import Polynomial, _bareiss, _PairMap, poly_to_json, sylvester_resultant
+from .poly import (Polynomial, _bareiss, _number_text, _PairMap, poly_to_json,
+                   sylvester_resultant)
 from .roots import real_roots_ex
-from .tolerances import COVER_TOL, CRIT_MATCH_TOL, ON_CURVE_TOL, POLE_MATCH_TOL, POLE_PROBE
+from .tolerances import COVER_TOL, CRIT_MATCH_TOL, ON_CURVE_TOL
 
 _EXACT = (int, Fraction)
 
@@ -215,38 +216,20 @@ def _torsion_route(F: Polynomial, roots):
     return sorted(out)
 
 
-def _value(num: Polynomial, den: Polynomial, x):
-    """num(x) / den(x) at a float x, INFINITY at a pole."""
-    n, d = num(x), den(x)
-    return INFINITY if d == 0 else n / d
+def _piece_ranges(num: Polynomial, den: Polynomial, edges):
+    """Monotone-piece ranges of f = num/den over the real line, split at its
+    real critical points and poles, from closed forms of the limits.
 
-
-def _piece_ranges(num: Polynomial, den: Polynomial, crit, poles):
-    """Monotone-piece ranges of num/den over the real line split at its real
-    critical points and poles.
-
-    Each piece has no interior critical point or pole, so its range is the
-    interval between its endpoint limits; pole limits are resolved by sign
-    probes just inside the piece.
+    `edges` are sorted pairs (x, s): s = 0 at a critical point x, whose limit
+    is f(x); s = sign F'(x) at a pole x, a root of F, where num(x) = F'(x)^2 > 0
+    and den = 4F changes sign as F' does, so f tends to s inf just right of x
+    and to -s inf just left of it; s = -1 at the ends -inf and +inf, the pole
+    at infinity, as f ~ X/4 there.  A piece's range lies between its limits.
     """
-    edges = [-math.inf] + sorted(crit + poles) + [math.inf]
-
-    def limit(x, side):
-        if x == -math.inf:
-            return -math.inf if num.degree > den.degree else None
-        if x == math.inf:
-            return math.inf if num.degree > den.degree else None
-        near = min(poles, default=None, key=lambda p: abs(p - x))
-        if near is not None and abs(near - x) <= POLE_MATCH_TOL * (1.0 + abs(x)):
-            h = POLE_PROBE * (1.0 + abs(x))
-            v = _value(num, den, x + side * h)
-            return math.copysign(math.inf, v)
-        return _value(num, den, x)
-
     ranges = []
-    for lo, hi in zip(edges, edges[1:]):
-        a = limit(lo, +1.0)
-        b = limit(hi, -1.0)
+    for (lo, s), (hi, t) in zip(edges, edges[1:]):
+        a = math.copysign(math.inf, s) if s else num(lo) / den(lo)
+        b = math.copysign(math.inf, -t) if t else num(hi) / den(hi)
         ranges.append((min(a, b), max(a, b)))
     return ranges
 
@@ -255,9 +238,9 @@ def real_surjectivity(curve: WeierstrassCurve):
     """Is the duplication Lattes map onto the real projective line?
 
     Negative disc(F): yes, witnessed by the two real critical points c1 < c2
-    straddling the single real root of F with f(c1) = f(c2) and the covering
-    piece ranges.  Positive disc: the piece ranges are unioned exactly and
-    any uncovered gap interval is returned as the witness.
+    straddling the single real root of F with f(c1) = f(c2).  Positive disc:
+    the float piece ranges are unioned, a gap narrower than COVER_TOL counting
+    as covered, and the first uncovered gap is returned as the witness.
     """
     return _surjectivity(curve, *_critical_points_and_poles(curve))
 
@@ -272,28 +255,23 @@ def _surjectivity(curve: WeierstrassCurve, crit, poles):
         alpha = poles[0]
         witness = {
             "c1": c1, "c2": c2, "alpha": alpha,
-            "f_c1": float(_value(num, den, c1)), "f_c2": float(_value(num, den, c2)),
+            "f_c1": float(num(c1) / den(c1)), "f_c2": float(num(c2) / den(c2)),
         }
         if not c1 < alpha < c2:
             raise InvariantError(
                 f"critical points {c1}, {c2} do not straddle the real root {alpha} of F")
         return {"surjective": True, "witness": witness}
 
-    ranges = _piece_ranges(num, den, crit, poles)
-    ranges.sort()
-    covered_hi = -math.inf
-    gap = None
-    for lo, hi in ranges:
-        pad = COVER_TOL * (1.0 + abs(lo))
-        if lo > covered_hi + pad and covered_hi > -math.inf:
-            gap = (covered_hi, lo)
-            break
+    dF = curve.F.to_float().derivative()
+    edges = sorted([(x, 0) for x in crit] + [(x, 1 if dF(x) > 0 else -1) for x in poles])
+    ranges = sorted(_piece_ranges(num, den, [(-math.inf, -1)] + edges + [(math.inf, -1)]))
+    # the first range holds f(-inf) = -inf and some range holds f(+inf) = +inf
+    covered_hi = ranges[0][1]
+    for lo, hi in ranges[1:]:
+        if lo > covered_hi + COVER_TOL * (1.0 + abs(lo)):
+            return {"surjective": False, "witness": {"gap": (covered_hi, lo), "ranges": ranges}}
         covered_hi = max(covered_hi, hi)
-    if gap is None and covered_hi < math.inf:
-        gap = (covered_hi, math.inf)
-    if gap is None:
-        return {"surjective": True, "witness": {"ranges": ranges}}
-    return {"surjective": False, "witness": {"gap": gap, "ranges": ranges}}
+    return {"surjective": True, "witness": {"ranges": ranges}}
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +360,10 @@ def rational_orbit_status(f: RationalMap, alpha, max_steps=64) -> OrbitStatus:
         nonlocal highest
         H = max(abs(N), D)
         if growth.threshold_exceeded(H) and H > highest:
-            return (f"height-growth: H = {H} exceeds the resultant bound "
-                    f"(gamma = {growth.gamma_num}/{growth.gamma_den}, "
-                    f"|Res| = {growth.resultant}, degree {growth.degree}) "
+            t = _number_text
+            return (f"height-growth: H = {t(H)} exceeds the resultant bound "
+                    f"(gamma = {t(growth.gamma_num)}/{t(growth.gamma_den)}, "
+                    f"|Res| = {t(growth.resultant)}, degree {growth.degree}) "
                     "and all earlier orbit heights; heights now strictly increase")
         highest = max(highest, H)
 
@@ -407,7 +386,7 @@ class NonAbelianCertificate:
     def to_json(self):
         return {
             "map": self.map_json,
-            "alpha": f"{self.alpha.numerator}/{self.alpha.denominator}",
+            "alpha": _number_text(self.alpha),
             "checks": {
                 "surjective": self.surjective,
                 "julia_nonreal": self.julia_nonreal,
@@ -443,7 +422,7 @@ def certify_nonabelian(target, alpha, curve: WeierstrassCurve | None = None,
         report = classify_real_julia(p.to_float())
         cert.julia_nonreal = {"pass": not report.julia_real,
                               "reason": report.reason}
-        check_non_exceptional(p, float(alpha))
+        check_non_exceptional(p, alpha)
         status = orbit_status(p, alpha)
     elif isinstance(target, RationalMap):
         cert.map_json = target.to_json()

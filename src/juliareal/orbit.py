@@ -14,9 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from .heights import DEFAULT_BIT_CAP
-from .poly import Polynomial, _PairMap
+from .poly import Polynomial, _number_text, _PairMap
 from .roots import RootFindingError, roots_shifted
-from .tolerances import EXCEPTIONAL_TOL, NONREAL_TOL
+from .tolerances import NONREAL_TOL
 
 DEFAULT_ORBIT_CAP = 3 ** 10
 
@@ -128,21 +128,26 @@ def max_imag_stat(orbit: BackwardOrbit) -> float:
 def check_non_exceptional(f, alpha):
     """Refuse measure work when f^-1(alpha) is a single point (as a set).
 
-    f is a Polynomial or a rational map num/den; then f^-1(alpha) solves
-    num - alpha den = 0.
+    f (a Polynomial or a rational map num/den) and alpha are taken exactly, a
+    float as the Fraction it is.  f^-1(alpha) is the roots of
+    g = num - alpha den, and infinity when deg g < deg f: one point when
+    deg g = 0 (infinity alone), or when deg g = deg f = d >= 2 and
+    g = g_d (X - beta)^d, beta = -g_{d-1} / (d g_d), checked coefficient by
+    coefficient.  No root is solved.
     """
-    if isinstance(f, Polynomial):
-        g, target = f.to_float(), complex(alpha)
-    else:
-        g, target = f.num.to_float() - Polynomial([float(alpha)]) * f.den.to_float(), 0.0
-    if g.degree < 1:
-        raise ExceptionalPointError(f"degenerate preimage equation at {alpha}")
-    roots = roots_shifted(g, [target])[0]
-    scale = 1.0 + float(np.abs(roots).max())
-    if f.degree >= 2 and (np.abs(roots - roots[0]) <= EXCEPTIONAL_TOL * scale).all():
+    alpha = Fraction(alpha)
+    num, den = (f, Polynomial([1])) if isinstance(f, Polynomial) else (f.num, f.den)
+    g = num.to_exact() - Polynomial([alpha]) * den.to_exact()
+    d, c = g.degree, g.coeffs
+    if d < 1:
         raise ExceptionalPointError(
-            f"f^-1({alpha}) is the single point {roots[0]}; "
-            "equidistribution does not apply")
+            f"degenerate preimage equation at {_number_text(alpha)}")
+    if d == f.degree >= 2:
+        beta = Fraction(-c[d - 1], d * c[d])
+        if all(c[k] == c[d] * math.comb(d, k) * (-beta) ** (d - k) for k in range(d)):
+            raise ExceptionalPointError(
+                f"f^-1({_number_text(alpha)}) is the single point {_number_text(beta)}; "
+                "equidistribution does not apply")
 
 
 @dataclass
@@ -205,7 +210,7 @@ class OrbitStatus:
         for key in ("period", "tail", "reason"):
             if getattr(self, key) is not None:
                 out[key] = getattr(self, key)
-        out["prefix"] = [f"{v.numerator}/{v.denominator}" for v in self.prefix]
+        out["prefix"] = [_number_text(v) for v in self.prefix]
         return out
 
 
@@ -269,11 +274,11 @@ def orbit_status(p: Polynomial, alpha, max_steps=64) -> OrbitStatus:
         return OrbitStatus(
             "nonperiodic", prefix=prefix,
             reason=f"denominator-growth: denominators are q^(d^k) with "
-                   f"q={alpha.denominator}, d={p.degree}, strictly increasing")
+                   f"q={_number_text(alpha.denominator)}, d={p.degree}, strictly increasing")
 
     def escape(k, N, D):
         if abs(N) * radius.denominator > radius.numerator * D:
-            return (f"escape: |f^{k}(alpha)| = {abs(N) / D:.6g} exceeds "
-                    f"escape radius {float(radius):.6g}")
+            return (f"escape: |f^{k}(alpha)| = {_number_text(Fraction(abs(N), D), True)} "
+                    f"exceeds escape radius {_number_text(radius, True)}")
 
     return _orbit_loop(step, alpha, max_steps, escape)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +330,25 @@ class _PairMap:
 
 
 # -- serialization ---------------------------------------------------------
+
+def _number_text(x, approx=False):
+    """An int or Fraction x as text, never raising: "n" or "p/q", each integer
+    in decimal, or in hexadecimal ("0x...") past str()'s digit limit
+    (sys.get_int_max_str_digits()); approx: f"{float(x):.6g}", or past the
+    float range the same six digits from the exact quotient."""
+    if approx:
+        try:
+            return f"{float(x):.6g}"
+        except OverflowError:
+            q = Context(prec=6).divide(Decimal(x.numerator), Decimal(x.denominator))
+            return f"{q.normalize():g}"
+    if isinstance(x, Fraction):
+        return f"{_number_text(x.numerator)}/{_number_text(x.denominator)}"
+    try:
+        return str(x)
+    except ValueError:
+        return hex(x)
+
 
 def coeff_to_json(c):
     if isinstance(c, Fraction):

@@ -29,8 +29,6 @@ CLUSTER_TOL = 1e-6
 REGROUP_TOL = 1e-4
 # a root this close to the axis is left alone by conjugate pairing
 PAIR_TOL = 1e-13
-# preimages of alpha all this close to one another make alpha exceptional
-EXCEPTIONAL_TOL = 1e-6
 # a Lattes map's real critical points, the float roots of the numerator of
 # f', agree this closely with rho +- sqrt F'(rho) over the real roots rho of F
 CRIT_MATCH_TOL = 1e-8
@@ -62,10 +60,6 @@ ENDPOINT_PULL = 1e-9
 # a narrower gap between the ranges of a map's monotone pieces is no gap
 # (times 1 + |the lower end of the range above it|)
 COVER_TOL = 1e-9
-# a map's value at a pole is probed this far beside it
-POLE_PROBE = 1e-7
-# a breakpoint this close to a real pole is that pole
-POLE_MATCH_TOL = 1e-12
 # (x, y) is on y^2 = F(x) when |y^2 - F(x)| is at most this times
 # 1 + |y^2| + |F(x)|
 ON_CURVE_TOL = 1e-9

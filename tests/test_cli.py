@@ -157,6 +157,25 @@ class TestCertify:
         assert code == 0
         assert json.loads(printed)["verdict"] == "certified"
 
+    def test_exceptional_alpha_refused(self, capsys):
+        # f + 4 = (X + 1)^3 / 3 has the single preimage -1
+        code = main(["certify", "--poly", '["-11/3",1,1,"1/3"]', "--alpha", "-4"])
+        assert code == 1
+        assert "is the single point -1/1" in capsys.readouterr().err
+
+    def test_alpha_past_the_float_range(self, capsys):
+        code, printed = run(capsys, "certify", "--poly", '[0,"-1/2",0,1]',
+                            "--alpha", str(10**400))
+        assert code == 0
+        reason = json.loads(printed)["checks"]["nonperiodic"]["reason"]
+        assert reason == "escape: |f^1(alpha)| = 1e+1200 exceeds escape radius 2.5"
+
+    def test_height_past_the_str_limit(self, capsys):
+        code, printed = run(capsys, "certify", "--curve", "0,0,-2",
+                            "--alpha", f"1/{10**1100}")
+        assert code == 0
+        assert json.loads(printed)["verdict"] == "certified"
+
     def test_missing_target(self, capsys):
         code, _ = run(capsys, "certify", "--alpha", "1/2")
         assert code == 2

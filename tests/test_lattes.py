@@ -13,7 +13,7 @@ from juliareal.lattes import (INFINITY, CriticalPointMismatchError, CurvePoint,
                               double_point, duplication_lattes,
                               lattes_critical_points, rational_orbit_status,
                               real_surjectivity)
-from juliareal import lattes, orbit, poly, roots
+from juliareal import classifier, lattes, orbit, poly, roots
 from juliareal.cli import main
 from juliareal.lattes import InvariantError, _bezout_constant, _torsion_route
 from juliareal.orbit import ExceptionalPointError, check_non_exceptional
@@ -62,6 +62,33 @@ def numeric_torsion_route(curve):
     for rho, _ in real_roots_ex(curve.F.to_float())[0]:
         out.extend(x for x, _ in real_roots_ex(num - Polynomial([rho]) * den)[0])
     return sorted(out)
+
+
+def probing_piece_ranges(num, den, crit, poles):
+    """Oracle: the piece ranges as found before the closed forms, with a
+    breakpoint within 1e-12 (relative) of a pole taken as that pole and the
+    side of the pole read from the value 1e-7 (relative) beside it."""
+    edges = [-math.inf] + sorted(crit + poles) + [math.inf]
+
+    def value(x):
+        n, d = num(x), den(x)
+        return INFINITY if d == 0 else n / d
+
+    def limit(x, side):
+        if x == -math.inf:
+            return -math.inf if num.degree > den.degree else None
+        if x == math.inf:
+            return math.inf if num.degree > den.degree else None
+        near = min(poles, default=None, key=lambda p: abs(p - x))
+        if near is not None and abs(near - x) <= 1e-12 * (1.0 + abs(x)):
+            return math.copysign(math.inf, value(x + side * 1e-7 * (1.0 + abs(x))))
+        return value(x)
+
+    ranges = []
+    for lo, hi in zip(edges, edges[1:]):
+        a, b = limit(lo, +1.0), limit(hi, -1.0)
+        ranges.append((min(a, b), max(a, b)))
+    return ranges
 
 
 def euclid_bezout_constant(n_coeffs, d_coeffs):
@@ -308,6 +335,20 @@ class TestSurjectivity:
         g = f.num.to_float() - Polynomial([probe]) * f.den.to_float()
         assert real_roots_ex(g)[0] == []
 
+    def test_piece_ranges_equal_the_probing_oracle(self):
+        # pole sides from sign F'(rho), the ends as the pole at infinity
+        for curve in box_curves(3):
+            crit, poles = lattes._critical_points_and_poles(curve)
+            num, den = (p.to_float() for p in lattes._duplication_polys(curve))
+            expected = probing_piece_ranges(num, den, crit, poles)
+            dF = curve.F.derivative()
+            edges = sorted([(x, 0) for x in crit]
+                           + [(x, 1 if dF(x) > 0 else -1) for x in poles])
+            edges = [(-math.inf, -1)] + edges + [(math.inf, -1)]
+            assert lattes._piece_ranges(num, den, edges) == expected, curve
+            if curve.disc > 0:
+                assert real_surjectivity(curve)["witness"]["ranges"] == sorted(expected)
+
     def test_poles_solved_once(self, monkeypatch):
         # route 1 and the roots of F, which are also the real poles: 2, with
         # no torsion-route solves and no second pole solve
@@ -476,6 +517,28 @@ class TestCertify:
         monkeypatch.setattr(orbit, "roots_shifted", counted)
         certify_nonabelian(duplication_lattes(curve), Fraction(1, 3), curve=curve)
         assert calls == [6, 3]
+
+    @pytest.mark.parametrize("coeffs", [[0, -1, 0, 1], [5, -7, 0, 1], [1, 3, 0, 1]])
+    def test_polynomial_certificate_makes_two_root_solves(self, monkeypatch, coeffs):
+        # the classifier's solves of p' and p; check_non_exceptional solves nothing
+        calls = []
+        solve = roots.roots_shifted
+        counted = lambda p, t: calls.append(p.degree) or solve(p, t)
+        for module in (roots, orbit, classifier):
+            monkeypatch.setattr(module, "roots_shifted", counted)
+        certify_nonabelian(P(*coeffs), Fraction(1, 2))
+        assert calls == [2, 3]
+
+    def test_huge_alpha_written_past_the_str_limit(self):
+        # height-growth reason and certificate JSON stay printable when H and
+        # alpha have more digits than str() allows
+        q = 10 ** 1100
+        cert = certify_nonabelian(duplication_lattes(E_NEG), Fraction(1, q), curve=E_NEG)
+        assert cert.certified
+        assert "H = 0x" in cert.nonperiodic["reason"]
+        assert cert.to_json()["alpha"] == f"1/{q}"
+        cert = certify_nonabelian(duplication_lattes(E_NEG), Fraction(1, 10**5000), curve=E_NEG)
+        assert cert.to_json()["alpha"] == f"1/{10**5000:#x}"
 
     def test_lattes_map_of_another_curve_rejected(self):
         with pytest.raises(ValueError, match="not the duplication map"):

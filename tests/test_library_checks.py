@@ -31,3 +31,16 @@ def test_no_tolerance_literals(path):
              if isinstance(node, ast.Constant) and isinstance(node.value, float)
              and 0 < abs(node.value) < 1e-3]
     assert found == [], f"{path.name}: tolerance literal(s) (line, value) {found}"
+
+
+def test_every_tolerance_is_imported():
+    # a tolerance whose last use goes must leave the table too
+    table = next(p for p in SOURCES if p.name == "tolerances.py")
+    defined = {target.id for node in ast.parse(table.read_text()).body
+               if isinstance(node, ast.Assign) for target in node.targets}
+    imported = {alias.name for path in SOURCES if path != table
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "tolerances"
+                for alias in node.names}
+    assert defined, "no constants found in tolerances.py"
+    assert sorted(defined - imported) == []

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from juliareal import orbit
 from juliareal.orbit import (BackwardOrbit, EmpiricalMeasure, ExceptionalPointError,
@@ -10,7 +12,8 @@ from juliareal.orbit import (BackwardOrbit, EmpiricalMeasure, ExceptionalPointEr
                              empirical_cdf_distance, escape_radius,
                              max_imag_stat, orbit_status,
                              render_filled_julia)
-from juliareal.poly import Polynomial
+from juliareal.lattes import RationalMap
+from juliareal.poly import Polynomial, _number_text
 
 
 def P(*coeffs):
@@ -199,6 +202,54 @@ class TestExceptionalGuard:
     def test_ordinary_point_passes(self):
         check_non_exceptional(CHEB, 0.0)
 
+    def test_totally_ramified_cubic_refused(self):
+        # f + 4 = (X + 1)^3 / 3: the float roots of a triple root scatter by
+        # about eps^(1/3), far past any fixed tolerance
+        f = P(Fraction(-11, 3), 1, 1, Fraction(1, 3))
+        with pytest.raises(ExceptionalPointError, match="single point -1/1"):
+            check_non_exceptional(f, -4)
+        check_non_exceptional(f, Fraction(-4) + Fraction(1, 10**30))
+
+    def test_totally_ramified_quartic_refused(self):
+        # (X + 1)^4 at 0
+        with pytest.raises(ExceptionalPointError, match="single point -1/1"):
+            check_non_exceptional(P(1, 4, 6, 4, 1), 0)
+
+    def test_float_input_taken_exactly(self):
+        # (X - 1/2)^2 in floats is exact, so 0.0 is refused; 2^-60 is not
+        with pytest.raises(ExceptionalPointError):
+            check_non_exceptional(P(0.25, -1.0, 1.0), 0.0)
+        check_non_exceptional(P(0.25, -1.0, 1.0), 2.0**-60)
+
+    def test_infinity_as_a_second_preimage(self):
+        # (X^2 + 2X + 2) / (X^2 + 1) = 1 at X = -1/2 and at infinity
+        check_non_exceptional(RationalMap(P(2, 2, 1), P(1, 0, 1)), 1)
+
+    def test_infinity_as_the_only_preimage(self):
+        # 1 / X^2 takes the value 0 at infinity only
+        with pytest.raises(ExceptionalPointError, match="degenerate"):
+            check_non_exceptional(RationalMap(P(1), P(0, 0, 1)), 0)
+
+    def test_no_root_solve(self, monkeypatch):
+        monkeypatch.setattr(orbit, "roots_shifted", None)
+        check_non_exceptional(P(-5, -7, 0, 1), 0)
+
+
+NONZERO_Q = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 50))
+RATIONAL = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(NONZERO_Q, RATIONAL, RATIONAL, st.integers(2, 6), NONZERO_Q)
+def test_power_map_exceptional_exactly_at_its_critical_value(c, beta, alpha, d, delta):
+    # c (X - beta)^d + alpha has the one preimage beta over alpha, and d
+    # distinct preimages over every other value
+    f = P(*(c * math.comb(d, k) * (-beta) ** (d - k) + (alpha if k == 0 else 0)
+            for k in range(d + 1)))
+    with pytest.raises(ExceptionalPointError):
+        check_non_exceptional(f, alpha)
+    check_non_exceptional(f, alpha + delta)
+
 
 class TestInputChecks:
     def test_negative_depth(self):
@@ -256,6 +307,26 @@ class TestOrbitStatus:
         assert st.tag == "nonperiodic" and "denominator-growth" in st.reason
         assert st.prefix == [Fraction(1, 3), Fraction(-17, 9), Fraction(127, 81),
                              Fraction(3007, 6561)]
+
+    def test_denominator_past_the_str_limit(self):
+        # str() refuses integers of more than 4,300 digits; the reason and
+        # the prefix write such an integer in hexadecimal
+        q = 3 ** 70000
+        st = orbit_status(P(-2, 0, 1), Fraction(1, q))
+        assert st.tag == "nonperiodic"
+        assert f"q={q:#x}, d=2" in st.reason
+        assert st.to_json()["prefix"][0] == f"1/{q:#x}"
+
+    def test_escape_past_the_float_range(self):
+        st = orbit_status(P(0, Fraction(-1, 2), 0, 1), Fraction(10**400))
+        assert st.reason == "escape: |f^1(alpha)| = 1e+1200 exceeds escape radius 2.5"
+
+    @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(-17, 9), Fraction(10**300, 7),
+                                   Fraction(7, 10**300), Fraction(123456789, 1000)])
+    def test_number_text_as_before_where_it_fits(self, x):
+        assert _number_text(x) == f"{x.numerator}/{x.denominator}"
+        assert _number_text(x.numerator) == str(x.numerator)
+        assert _number_text(x, True) == f"{x.numerator / x.denominator:.6g}"
 
     def test_undecided_possible(self):
         # non-monic map with a bounded, apparently aperiodic rational orbit
