@@ -221,7 +221,8 @@ def _piece_ranges(num: Polynomial, den: Polynomial, edges):
     real critical points and poles, from closed forms of the limits.
 
     `edges` are sorted pairs (x, s): s = 0 at a critical point x, whose limit
-    is f(x); s = sign F'(x) at a pole x, a root of F, where num(x) = F'(x)^2 > 0
+    is f(x) (no critical point rho +- sqrt F'(rho) is a pole, which would make
+    a root of F repeated); s = sign F'(x) at a pole x, where num(x) = F'(x)^2 > 0
     and den = 4F changes sign as F' does, so f tends to s inf just right of x
     and to -s inf just left of it; s = -1 at the ends -inf and +inf, the pole
     at infinity, as f ~ X/4 there.  A piece's range lies between its limits.

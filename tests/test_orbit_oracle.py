@@ -230,10 +230,6 @@ class TestExceptionalGuard:
         with pytest.raises(ExceptionalPointError, match="degenerate"):
             check_non_exceptional(RationalMap(P(1), P(0, 0, 1)), 0)
 
-    def test_no_root_solve(self, monkeypatch):
-        monkeypatch.setattr(orbit, "roots_shifted", None)
-        check_non_exceptional(P(-5, -7, 0, 1), 0)
-
 
 NONZERO_Q = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 50))
 RATIONAL = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
@@ -312,14 +308,14 @@ class TestOrbitStatus:
         # str() refuses integers of more than 4,300 digits; the reason and
         # the prefix write such an integer in hexadecimal
         q = 3 ** 70000
-        st = orbit_status(P(-2, 0, 1), Fraction(1, q))
-        assert st.tag == "nonperiodic"
-        assert f"q={q:#x}, d=2" in st.reason
-        assert st.to_json()["prefix"][0] == f"1/{q:#x}"
+        status = orbit_status(P(-2, 0, 1), Fraction(1, q))
+        assert status.tag == "nonperiodic"
+        assert f"q={q:#x}, d=2" in status.reason
+        assert status.to_json()["prefix"][0] == f"1/{q:#x}"
 
     def test_escape_past_the_float_range(self):
-        st = orbit_status(P(0, Fraction(-1, 2), 0, 1), Fraction(10**400))
-        assert st.reason == "escape: |f^1(alpha)| = 1e+1200 exceeds escape radius 2.5"
+        status = orbit_status(P(0, Fraction(-1, 2), 0, 1), Fraction(10**400))
+        assert status.reason == "escape: |f^1(alpha)| = 1e+1200 exceeds escape radius 2.5"
 
     @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(-17, 9), Fraction(10**300, 7),
                                    Fraction(7, 10**300), Fraction(123456789, 1000)])
