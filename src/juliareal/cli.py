@@ -18,8 +18,8 @@ from .classifier import classify_real_julia
 from .cubic_region import region_scan
 from .heights import height_report
 from .lattes import WeierstrassCurve, certify_nonabelian, duplication_lattes
-from .orbit import (EmpiricalMeasure, backward_orbit, empirical_cdf_distance,
-                    max_imag_stat, render_filled_julia)
+from .orbit import (EmpiricalMeasure, backward_orbit, check_non_exceptional,
+                    empirical_cdf_distance, max_imag_stat, render_filled_julia)
 from .poly import poly_from_json
 
 
@@ -121,6 +121,7 @@ def _cmd_julia(args, argv):
 
 
 def _cmd_equidist(args, argv):
+    check_non_exceptional(args.poly, args.alpha)
     orbit = backward_orbit(args.poly, float(args.alpha), args.depth)
     payload = {
         "alpha": str(args.alpha),

@@ -2,13 +2,13 @@
 
 A curve y^2 = F(x) = x^3 + a x^2 + b x + c induces the degree-4 rational map
 f with x([2]P) = f(x(P)).  This module builds f, cross-checks it against an
-independent chord-tangent group law, locates its critical points two ways
-(the real roots of the numerator of f', and the closed form rho +- sqrt F'(rho)
-over the real roots rho of F), decides surjectivity on the real projective
-line, and assembles the non-abelian certificate (surjectivity + non-real
-Julia set + a base point certified nonperiodic on integer pairs by
-``poly._PairMap``).  A certificate makes two float root solves, of the
-numerator of f' and of F.
+independent chord-tangent group law, finds its real critical points from the
+closed form rho +- sqrt F'(rho) over the real roots rho of F and certifies
+them on integers by sign changes of the numerator of f', decides
+surjectivity on the real projective line, and assembles the non-abelian
+certificate (surjectivity + non-real Julia set + a base point certified
+nonperiodic on integer pairs by ``poly._PairMap``).  A certificate makes one
+float root solve, of F.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .classifier import classify_real_julia
 from .orbit import OrbitStatus, _orbit_loop, check_non_exceptional, orbit_status
 from .poly import (Polynomial, _bareiss, _number_text, _PairMap, poly_to_json,
                    sylvester_resultant)
-from .roots import real_roots_ex
-from .tolerances import COVER_TOL, CRIT_MATCH_TOL, ON_CURVE_TOL
+from .roots import _sign, real_roots_ex
+from .tolerances import BRACKET_TOL, COVER_TOL, ON_CURVE_TOL
 
 _EXACT = (int, Fraction)
 
@@ -161,23 +161,25 @@ def check_commutation(curve: WeierstrassCurve, x0: float) -> float:
     return abs(fx - float(twoP.x))
 
 
-class CriticalPointMismatchError(RuntimeError):
-    """Derivative route and torsion route disagree; indicates a bug."""
-
-
 class InvariantError(RuntimeError):
     """A fact the certificate relies on failed in computation; indicates a bug."""
 
 
-def lattes_critical_points(curve: WeierstrassCurve):
-    """Real critical points of f, computed twice and reconciled.
+# Newton steps that polish each closed-form critical point on the numerator of f'
+_POLISH_STEPS = 3
 
-    Route 1: real roots of the numerator of f'.  Route 2: the real solutions
-    of f(X) = rho over the real roots rho of F (x-coordinates of points Q with
-    [2]Q a finite 2-torsion point).  Since F(rho) = 0 makes
-    num - rho den = ((X - rho)^2 - F'(rho))^2, they are rho +- sqrt F'(rho)
-    for each rho with F'(rho) >= 0.  The two sets must agree within
-    CRIT_MATCH_TOL; route 1 is returned.
+
+def lattes_critical_points(curve: WeierstrassCurve):
+    """Real critical points of f, from a closed form, certified on integers.
+
+    F(rho) = 0 makes num - rho den = ((X - rho)^2 - F'(rho))^2, so the
+    numerator of f' is w = 4 prod ((X - rho)^2 - F'(rho)) over the roots rho
+    of F, and the critical points are rho +- sqrt F'(rho).  A nonreal rho
+    gives no real one (f(x) = rho has no real solution), and F' is positive
+    at the outer real roots of F and negative at the middle one: w has 4 real
+    roots when disc(F) > 0 and 2 when disc(F) < 0.  The float points, each
+    polished by Newton on w, are certified by sign changes of w on integers
+    (_certify_critical_points); a failure raises InvariantError.
     """
     return _critical_points_and_poles(curve)[0]
 
@@ -185,35 +187,80 @@ def lattes_critical_points(curve: WeierstrassCurve):
 def _critical_points_and_poles(curve: WeierstrassCurve):
     """(lattes_critical_points(curve), the real poles of f).
 
-    The real poles are the real roots of den = 4F, found by the one solve of
-    F that route 2 needs (scaling by 4 leaves the float roots unchanged).
+    The one float solve is of F: its real roots are the rho of the closed
+    form and the real poles, the roots of den = 4F (scaling by 4 leaves the
+    float roots unchanged).  A float curve is certified as the rational curve
+    its floats are.
     """
-    num, den = _duplication_polys(curve)
-    # the numerator of f'
-    w = (num.derivative() * den - num * den.derivative()).to_float()
-    route1 = sorted(x for x, _ in real_roots_ex(w)[0])
-
+    exact = curve if curve._exact else WeierstrassCurve(
+        *(Fraction(v) for v in (curve.a, curve.b, curve.c)))
+    num, den = _duplication_polys(exact)
+    w = num.derivative() * den - num * den.derivative()
     F = curve.F.to_float()
     poles = [x for x, _ in real_roots_ex(F)[0]]
-    route2 = _torsion_route(F, poles)
-
-    scale = 1.0 + max((abs(x) for x in route1), default=0.0)
-    if len(route1) != len(route2) or any(
-            abs(u - v) > CRIT_MATCH_TOL * scale for u, v in zip(route1, route2)):
-        raise CriticalPointMismatchError(
-            f"derivative route {route1} vs torsion route {route2}")
-    return route1, poles
+    crit = _torsion_route(F, poles, w.to_float())
+    _certify_critical_points(w, crit, 4 if exact.disc > 0 else 2)
+    return crit, poles
 
 
-def _torsion_route(F: Polynomial, roots):
-    """rho +- sqrt F'(rho) over the real roots rho of F with F'(rho) >= 0, sorted."""
-    dF = F.derivative()
+def _torsion_route(F: Polynomial, roots, w: Polynomial):
+    """rho +- sqrt F'(rho) over the real roots rho of F with F'(rho) >= 0,
+    each polished by at most _POLISH_STEPS Newton steps on the float
+    numerator w of f', a step kept only while it lowers |w|; sorted."""
+    dF, dw = F.derivative(), w.derivative()
     out = []
     for rho in roots:
         slope = dF(rho)
-        if slope >= 0:
-            out += [rho - math.sqrt(slope), rho + math.sqrt(slope)]
+        if slope < 0:
+            continue
+        for x in (rho - math.sqrt(slope), rho + math.sqrt(slope)):
+            value = w(x)
+            for _ in range(_POLISH_STEPS):
+                slope_w = dw(x)
+                if value == 0 or slope_w == 0:
+                    break
+                y = x - value / slope_w
+                wy = w(y)
+                if not abs(wy) < abs(value):
+                    break
+                x, value = y, wy
+            out.append(x)
     return sorted(out)
+
+
+def _certify_critical_points(w: Polynomial, points, count):
+    """Raise InvariantError unless the sorted float points are the count real
+    roots of the exact numerator w of f', each within BRACKET_TOL (1 + |x|).
+
+    Each point x gets the bracket [x - h, x + h], h = BRACKET_TOL (1 + |x|),
+    whose ends are dyadic rationals n / d.  The integer form of w changes
+    sign across it, both ends nonzero, so it holds an odd number of roots;
+    disjoint brackets, as many as w has real roots, then hold exactly one
+    root each.
+    """
+    if len(points) != count:
+        raise InvariantError(
+            f"critical points {points}: the numerator of f' has {count} real roots")
+    # form(n, d) is (G(n, d), L d^6), G = L w, by homogeneous Horner on
+    # integers, over a positive common factor: G(n, d) has the sign of w(n/d)
+    form = _PairMap(w, Polynomial([1]))
+
+    def sign(x):
+        return _sign(form(*x.as_integer_ratio())[0])
+
+    below = -math.inf
+    for x in points:
+        h = BRACKET_TOL * (1.0 + abs(x))
+        lo, hi = x - h, x + h
+        if not (math.isfinite(hi) and lo > below):
+            raise InvariantError(
+                f"critical point {x!r}: its bracket [{lo!r}, {hi!r}] is not "
+                "finite or meets the one below")
+        if not sign(lo) * sign(hi) < 0:
+            raise InvariantError(
+                f"critical point {x!r}: the numerator of f' does not change sign "
+                f"across [{lo!r}, {hi!r}]")
+        below = hi
 
 
 def _piece_ranges(num: Polynomial, den: Polynomial, edges):

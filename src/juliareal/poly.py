@@ -352,7 +352,7 @@ def _number_text(x, approx=False):
 
 def coeff_to_json(c):
     if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
+        return _number_text(c)
     return c
 
 

@@ -29,9 +29,6 @@ CLUSTER_TOL = 1e-6
 REGROUP_TOL = 1e-4
 # a root this close to the axis is left alone by conjugate pairing
 PAIR_TOL = 1e-13
-# a Lattes map's real critical points, the float roots of the numerator of
-# f', agree this closely with rho +- sqrt F'(rho) over the real roots rho of F
-CRIT_MATCH_TOL = 1e-8
 
 # -- residuals: a root z of p is accepted when |p(z)| is at most this times
 # max |c_i| max(1, |z|)^d (Horner), or this over FLOOR_ULPS * eps times the
@@ -60,6 +57,9 @@ ENDPOINT_PULL = 1e-9
 # a narrower gap between the ranges of a map's monotone pieces is no gap
 # (times 1 + |the lower end of the range above it|)
 COVER_TOL = 1e-9
+# the half-width of the rational bracket that certifies a float root x of an
+# exact polynomial, times 1 + |x|
+BRACKET_TOL = 1e-10
 # (x, y) is on y^2 = F(x) when |y^2 - F(x)| is at most this times
 # 1 + |y^2| + |F(x)|
 ON_CURVE_TOL = 1e-9

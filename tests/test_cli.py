@@ -112,6 +112,15 @@ class TestEquidist:
         assert lines[1] == "re,im,weight"
         assert len(lines) == 2 + 32
 
+    def test_exceptional_alpha_refused(self, capsys):
+        # X^2 has the single preimage 0 over 0; certify refuses it alike
+        argv = ["--poly", "[0,0,1]", "--alpha", "0"]
+        assert main(["equidist", *argv, "--depth", "4"]) == 1
+        err = capsys.readouterr().err
+        assert "is the single point 0/1" in err
+        assert main(["certify", *argv]) == 1
+        assert capsys.readouterr().err == err
+
     def test_compare_depth_zero(self, capsys):
         # level 0 is the single point alpha
         code, printed = run(capsys, "equidist", "--poly", "[-2,0,1]",

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from juliareal.lattes import (INFINITY, CriticalPointMismatchError, CurvePoint,
+from juliareal.lattes import (INFINITY, CurvePoint,
                               NonAbelianCertificate, RationalMap,
                               SingularCurveError, WeierstrassCurve,
                               certify_nonabelian, check_commutation,
@@ -15,11 +17,10 @@ from juliareal.lattes import (INFINITY, CriticalPointMismatchError, CurvePoint,
                               real_surjectivity)
 from juliareal import classifier, lattes, orbit, poly, roots
 from juliareal.cli import main
-from juliareal.lattes import InvariantError, _bezout_constant, _torsion_route
+from juliareal.lattes import InvariantError, _bezout_constant
 from juliareal.orbit import ExceptionalPointError, check_non_exceptional
 from juliareal.poly import Polynomial, _PairMap
-from juliareal.roots import real_roots_ex
-from juliareal.tolerances import CRIT_MATCH_TOL
+from juliareal.roots import real_roots_ex, real_root_count
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "lattes_golden.json"
 
@@ -40,6 +41,11 @@ NEAR_DOUBLE_TORSION = [
     (-4, 0, 5), (-4, 1, 0), (-3, -1, 6), (-3, 2, -6), (-3, 2, 6), (-2, -4, 3),
     (-2, -2, 0), (-2, 2, -4), (-1, -2, 0), (0, -6, 4), (4, -2, 0), (4, -2, 1),
     (5, 2, -1), (5, 5, 1), (6, -1, 4)]
+# rational curves, both signs of disc
+RATIONAL_CURVES = [
+    (Fraction(1, 2), -3, Fraction(1, 4)), (Fraction(-7, 3), Fraction(1, 5), Fraction(2, 7)),
+    (0, Fraction(-1, 4), 0), (Fraction(3, 2), Fraction(-1, 2), Fraction(-5, 9)),
+    (Fraction(1, 3), 0, Fraction(-2, 5))]
 
 
 def box_curves(box):
@@ -53,6 +59,26 @@ def box_curves(box):
                 except SingularCurveError:
                     continue
     return out
+
+
+def derivative_numerator(curve):
+    """w = num' den - num den', the exact numerator of f'."""
+    num, den = lattes._duplication_polys(curve)
+    return num.derivative() * den - num * den.derivative()
+
+
+def derivative_route(curve):
+    """Oracle for the critical points: the float real roots of w."""
+    return sorted(x for x, _ in real_roots_ex(derivative_numerator(curve).to_float())[0])
+
+
+def assert_matches_derivative_route(curve, tol=1e-12):
+    crit = lattes_critical_points(curve)
+    oracle = derivative_route(curve)
+    scale = 1.0 + max(abs(x) for x in oracle)
+    assert len(crit) == len(oracle), curve
+    assert all(abs(u - v) <= tol * scale for u, v in zip(crit, oracle)), (curve, crit, oracle)
+    return crit
 
 
 def numeric_torsion_route(curve):
@@ -242,7 +268,32 @@ class TestCriticalPoints:
     def test_routes_agree_random(self):
         rng = np.random.default_rng(54)
         for curve in random_curves(rng, 10):
-            lattes_critical_points(curve)       # mismatch raises
+            assert_matches_derivative_route(curve)
+
+    def test_routes_agree_on_the_box(self):
+        for curve in box_curves(3) + [WeierstrassCurve(*abc) for abc in RATIONAL_CURVES]:
+            assert_matches_derivative_route(curve)
+
+    def test_float_curve_certified_as_its_rational_values(self):
+        floats = WeierstrassCurve(1.0, -4.0, -3.0)
+        assert lattes_critical_points(floats) == lattes_critical_points(WeierstrassCurve(1, -4, -3))
+
+    def test_disc_rule_counts_the_real_roots_of_w(self):
+        # the exact Sturm count of w against 4 real roots for disc > 0, 2 for disc < 0
+        for curve in box_curves(3) + [WeierstrassCurve(*abc) for abc in RATIONAL_CURVES]:
+            assert real_root_count(derivative_numerator(curve)) == (4 if curve.disc > 0 else 2)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda xs: xs[:1] + [xs[1] + 1e-6] + xs[2:], "does not change sign"),
+        (lambda xs: xs[1:], "has 4 real roots"),
+        (lambda xs: xs[:1] + xs[:1] + xs[2:], "meets the one below")])
+    def test_moved_critical_point_raises(self, monkeypatch, capsys, mutate, message):
+        closed_form = lattes._torsion_route
+        monkeypatch.setattr(lattes, "_torsion_route", lambda *a: mutate(closed_form(*a)))
+        with pytest.raises(InvariantError, match=message):
+            lattes_critical_points(E_POS)
+        assert main(["lattes", "--curve", "0,-1,0"]) == 1
+        assert message in capsys.readouterr().err
 
     def test_double_torsion_preimages_kept(self):
         # route 2 meets two double roots here; refining one of them used to
@@ -254,7 +305,7 @@ class TestCriticalPoints:
 
     @pytest.mark.parametrize("abc", DOUBLE_TORSION)
     def test_routes_agree_on_double_roots(self, abc):
-        lattes_critical_points(WeierstrassCurve(*abc))       # mismatch raises
+        assert_matches_derivative_route(WeierstrassCurve(*abc))
 
     def test_double_roots_not_merged_with_a_neighbour(self):
         # route 2 used to return -1.0, the mean of the double roots -1 +- sqrt 11
@@ -271,18 +322,18 @@ class TestCriticalPoints:
     @pytest.mark.parametrize("abc", NEAR_DOUBLE_TORSION)
     def test_routes_agree_on_near_double_torsion_preimages(self, abc):
         curve = WeierstrassCurve(*abc)
-        crit = lattes_critical_points(curve)      # mismatch raises
+        crit = assert_matches_derivative_route(curve)
         assert len(crit) == (2 if curve.disc < 0 else 4)
 
     @pytest.mark.parametrize("abc", [(1, -4, -3)] + DOUBLE_TORSION + NEAR_DOUBLE_TORSION)
     def test_closed_form_matches_the_numeric_torsion_route(self, abc):
+        # the numeric route solves for double roots, good to about sqrt(eps)
         curve = WeierstrassCurve(*abc)
-        F = curve.F.to_float()
-        closed = _torsion_route(F, [x for x, _ in real_roots_ex(F)[0]])
+        closed = lattes_critical_points(curve)
         numeric = numeric_torsion_route(curve)
         scale = 1.0 + max(abs(x) for x in closed)
         assert len(closed) == len(numeric)
-        assert all(abs(u - v) <= CRIT_MATCH_TOL * scale for u, v in zip(closed, numeric))
+        assert all(abs(u - v) <= 1e-8 * scale for u, v in zip(closed, numeric))
 
     @pytest.mark.parametrize("roots", [
         (-1, 0, 1), (-3, 1, 5), (0, 2, 7), (-6, -2, 4), (Fraction(-1, 2), Fraction(1, 3), 2)])
@@ -350,19 +401,19 @@ class TestSurjectivity:
                 assert real_surjectivity(curve)["witness"]["ranges"] == sorted(expected)
 
     def test_poles_solved_once(self, monkeypatch):
-        # route 1 and the roots of F, which are also the real poles: 2, with
-        # no torsion-route solves and no second pole solve
+        # one solve, of F: its roots are the real poles and the rho of the
+        # closed form; no solve of f' and no second pole solve
         calls = []
         solve = lattes.real_roots_ex
         monkeypatch.setattr(lattes, "real_roots_ex",
                             lambda p, *a, **k: calls.append(1) or solve(p, *a, **k))
         out = real_surjectivity(E_POS)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert not out["surjective"]
 
     def test_lattes_command_computes_each_object_once(self, monkeypatch, capsys):
-        # one map, checked once; one set of critical points and poles
-        # (route 1 and the roots of F)
+        # one map, checked once; one set of critical points and poles, from
+        # the one solve of F
         counts = {"resultant": 0, "critical": 0, "solve": 0}
 
         def counted(name, fn):
@@ -376,7 +427,7 @@ class TestSurjectivity:
                             counted("critical", lattes._critical_points_and_poles))
         monkeypatch.setattr(lattes, "real_roots_ex", counted("solve", lattes.real_roots_ex))
         assert main(["lattes", "--curve", "0,-1,0"]) == 0
-        assert counts == {"resultant": 1, "critical": 1, "solve": 2}
+        assert counts == {"resultant": 1, "critical": 1, "solve": 1}
         payload = json.loads(capsys.readouterr().out)
         assert payload["critical_points"] == lattes_critical_points(E_POS)
         assert payload["surjectivity"] == json.loads(json.dumps(real_surjectivity(E_POS)))
@@ -498,25 +549,25 @@ class TestCertify:
         assert not cert.surjective["pass"]
 
     @pytest.mark.parametrize("curve", [E_NEG, E_POS, WeierstrassCurve(1, -4, -3)])
-    def test_lattes_certificate_makes_two_solves(self, monkeypatch, curve):
-        # the numerator of f' and F, whose roots are also the real poles
+    def test_lattes_certificate_makes_one_solve(self, monkeypatch, curve):
+        # F, whose roots are the rho of the closed form and the real poles
         calls = []
         solve = lattes.real_roots_ex
         monkeypatch.setattr(lattes, "real_roots_ex",
                             lambda p, *a, **k: calls.append(p.degree) or solve(p, *a, **k))
         certify_nonabelian(duplication_lattes(curve), Fraction(1, 3), curve=curve)
-        assert calls == [6, 3]
+        assert calls == [3]
 
     @pytest.mark.parametrize("curve", [E_NEG, E_POS, WeierstrassCurve(1, -4, -3)])
-    def test_lattes_certificate_makes_two_root_solves(self, monkeypatch, curve):
-        # the two real_roots_ex solves; no check_non_exceptional solve
+    def test_lattes_certificate_makes_one_root_solve(self, monkeypatch, curve):
+        # the one real_roots_ex solve; no check_non_exceptional solve
         calls = []
         solve = roots.roots_shifted
         counted = lambda p, t: calls.append(p.degree) or solve(p, t)
         monkeypatch.setattr(roots, "roots_shifted", counted)
         monkeypatch.setattr(orbit, "roots_shifted", counted)
         certify_nonabelian(duplication_lattes(curve), Fraction(1, 3), curve=curve)
-        assert calls == [6, 3]
+        assert calls == [3]
 
     @pytest.mark.parametrize("coeffs", [[0, -1, 0, 1], [5, -7, 0, 1], [1, 3, 0, 1]])
     def test_polynomial_certificate_makes_two_root_solves(self, monkeypatch, coeffs):
@@ -539,6 +590,19 @@ class TestCertify:
         assert cert.to_json()["alpha"] == f"1/{q}"
         cert = certify_nonabelian(duplication_lattes(E_NEG), Fraction(1, 10**5000), curve=E_NEG)
         assert cert.to_json()["alpha"] == f"1/{10**5000:#x}"
+
+    def test_coefficient_past_the_str_limit(self):
+        # the map's JSON writes a coefficient of more digits than str() allows
+        # in hexadecimal, as _number_text does
+        q = 10 ** 5000
+        cert = certify_nonabelian(P(Fraction(1, q), -1, 0, 1), Fraction(3))
+        assert cert.certified
+        assert cert.to_json()["map"]["poly"] == [f"1/{q:#x}", -1, 0, 1]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.fractions())
+    def test_coefficient_text_unchanged_where_it_fits(self, c):
+        assert poly.coeff_to_json(c) == f"{c.numerator}/{c.denominator}"
 
     def test_lattes_map_of_another_curve_rejected(self):
         with pytest.raises(ValueError, match="not the duplication map"):
