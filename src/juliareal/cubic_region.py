@@ -67,18 +67,39 @@ def fixed_point_trajectory(a, b_grid):
     return rows
 
 
-# samples of the boundary curve's A <= -3 branch, B >= 0, for boundary_distance
+# samples of the arc A in [-9, -3], B >= 0 of the boundary curve's A <= -3
+# branch, for boundary_distance; the rest of that branch, (-3a^2, 2a(a^2 - 1))
+# for a > sqrt 3, lies in the quadrant A <= -9, B >= 4 sqrt 3 = _CURVE_B[0]
 _CURVE_A = np.linspace(-9.0, -3.0, 2001)
 _CURVE_B = np.sqrt(np.maximum(region_bound(_CURVE_A), 0.0))
+
+
+def _beyond_arc_distance(A, B):
+    """Distance from each (A[i], B[i]), B >= 0, to the curve points
+    (-3t^2, 2t(t^2 - 1)) with t >= sqrt 3.
+
+    The nearest is t = sqrt 3 or a real root of the derivative of the squared
+    distance over 4, 12t^5 + 2t^3 - 6Bt^2 + (6A + 4)t + 2B.  The real part of
+    every root, raised to at least sqrt 3, is a curve point, so the least
+    distance to those points is the distance sought.
+    """
+    C = np.zeros((A.size, 6))
+    C[:, 0], C[:, 1], C[:, 2], C[:, 3], C[:, 5] = 2.0 * B, 6.0 * A + 4.0, -6.0 * B, 2.0, 12.0
+    t = np.maximum(roots_batch(C).real, math.sqrt(3.0))
+    d2 = np.square(-3.0 * t * t - A[:, None]) + np.square(2.0 * t * (t * t - 1.0) - B[:, None])
+    return np.sqrt(d2.min(axis=1))
 
 
 def boundary_distance(A, B):
     """Euclidean distance in the (A, B) plane to the curve B^2 = -4A(A+3)^2/27.
 
-    The curve (A <= -3 branch, both signs of B) is sampled densely and the
-    minimum point distance returned; accurate to the sampling resolution,
-    which is all the scan band test needs.  A and B may be arrays of one
-    shape; the result then has that shape.
+    The curve (A <= -3 branch, both signs of B) is sampled densely on the arc
+    A in [-9, -3] and the minimum point distance taken; accurate to the
+    sampling resolution, which is all the scan band test needs.  Past the arc
+    the curve lies in the quadrant A <= -9, |B| >= 4 sqrt 3, so a point
+    nearer that quadrant than to the arc also gets its exact distance to the
+    curve there (_beyond_arc_distance).  A and B may be arrays of one shape;
+    the result then has that shape.
     """
     A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
     a, b = A.ravel(), np.abs(B.ravel())
@@ -90,6 +111,11 @@ def boundary_distance(A, B):
         d2 = np.square(_CURVE_A - a[i:i + step, None])
         d2 += np.square(_CURVE_B - b[i:i + step, None])
         out[i:i + step] = np.sqrt(d2.min(axis=1))
+    # an infinite arc distance is an overflow of huge A or B: kept as it is
+    beyond = np.isfinite(out) & (
+        np.hypot(np.maximum(a - _CURVE_A[0], 0.0), np.maximum(_CURVE_B[0] - b, 0.0)) < out)
+    if beyond.any():
+        out[beyond] = np.minimum(out[beyond], _beyond_arc_distance(a[beyond], b[beyond]))
     out = out.reshape(A.shape)
     return float(out) if out.ndim == 0 else out
 

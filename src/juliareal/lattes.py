@@ -19,12 +19,10 @@ from fractions import Fraction
 
 from .classifier import classify_real_julia
 from .orbit import OrbitStatus, _orbit_loop, check_non_exceptional, orbit_status
-from .poly import (Polynomial, _bareiss, _number_text, _PairMap, poly_to_json,
-                   sylvester_resultant)
+from .poly import (_EXACT_TYPES, Polynomial, _bareiss, _number_text, _PairMap,
+                   poly_to_json, sylvester_resultant)
 from .roots import _sign, real_roots_ex
 from .tolerances import BRACKET_TOL, COVER_TOL, ON_CURVE_TOL
-
-_EXACT = (int, Fraction)
 
 
 class SingularCurveError(ValueError):
@@ -33,23 +31,27 @@ class SingularCurveError(ValueError):
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    """y^2 = x^3 + a x^2 + b x + c, nonsingular."""
+    """y^2 = x^3 + a x^2 + b x + c, nonsingular.
+
+    Coefficients are exact: ints and Fractions are kept, and a float is
+    taken at its exact value, the Fraction it is.
+    """
 
     a: object
     b: object
     c: object
 
     def __post_init__(self):
+        for name in ("a", "b", "c"):
+            v = getattr(self, name)
+            if not isinstance(v, _EXACT_TYPES):
+                object.__setattr__(self, name, Fraction(v))
         if self.disc == 0:
             raise SingularCurveError(f"disc(F) = 0 for (a,b,c)=({self.a},{self.b},{self.c})")
 
     @property
     def F(self) -> Polynomial:
-        return Polynomial([self.c, self.b, self.a, 1 if self._exact else 1.0])
-
-    @property
-    def _exact(self):
-        return all(isinstance(v, _EXACT) for v in (self.a, self.b, self.c))
+        return Polynomial([self.c, self.b, self.a, 1])
 
     @property
     def disc(self):
@@ -112,7 +114,7 @@ class RationalMap:
         n, d = self.num(x), self.den(x)
         if d == 0:
             return INFINITY
-        if isinstance(n, _EXACT) and isinstance(d, _EXACT):
+        if isinstance(n, _EXACT_TYPES) and isinstance(d, _EXACT_TYPES):
             return Fraction(n, d)
         return n / d
 
@@ -123,8 +125,8 @@ class RationalMap:
 def _duplication_polys(curve: WeierstrassCurve):
     """Numerator and denominator of x([2]P) in x(P), with no coprimality check."""
     a, b, c = curve.a, curve.b, curve.c
-    num = Polynomial([b * b - 4 * a * c, -8 * c, -2 * b, 0 * b, 1 if curve._exact else 1.0])
-    den = Polynomial([4 * c, 4 * b, 4 * a, 4 if curve._exact else 4.0])
+    num = Polynomial([b * b - 4 * a * c, -8 * c, -2 * b, 0 * b, 1])
+    den = Polynomial([4 * c, 4 * b, 4 * a, 4])
     return num, den
 
 
@@ -189,17 +191,14 @@ def _critical_points_and_poles(curve: WeierstrassCurve):
 
     The one float solve is of F: its real roots are the rho of the closed
     form and the real poles, the roots of den = 4F (scaling by 4 leaves the
-    float roots unchanged).  A float curve is certified as the rational curve
-    its floats are.
+    float roots unchanged).
     """
-    exact = curve if curve._exact else WeierstrassCurve(
-        *(Fraction(v) for v in (curve.a, curve.b, curve.c)))
-    num, den = _duplication_polys(exact)
+    num, den = _duplication_polys(curve)
     w = num.derivative() * den - num * den.derivative()
     F = curve.F.to_float()
     poles = [x for x, _ in real_roots_ex(F)[0]]
     crit = _torsion_route(F, poles, w.to_float())
-    _certify_critical_points(w, crit, 4 if exact.disc > 0 else 2)
+    _certify_critical_points(w, crit, 4 if curve.disc > 0 else 2)
     return crit, poles
 
 
@@ -296,9 +295,8 @@ def real_surjectivity(curve: WeierstrassCurve):
 def _surjectivity(curve: WeierstrassCurve, crit, poles):
     """real_surjectivity(curve) from the real critical points and poles of its map."""
     num, den = (p.to_float() for p in _duplication_polys(curve))
-    disc = float(curve.disc)
 
-    if disc < 0:
+    if curve.disc < 0:
         c1, c2 = crit
         alpha = poles[0]
         witness = {

@@ -67,7 +67,7 @@ def render_filled_julia(p: Polynomial, window, resolution, max_iter=100):
     steps[~active] = 0
     v = z.copy()
     for k in range(max_iter):
-        v[active] = q.eval_many(v[active])
+        v[active] = q(v[active])
         escaped = active & (np.abs(v) > radius)
         steps[escaped] = k + 1
         active &= ~escaped
@@ -92,7 +92,7 @@ class BackwardOrbit:
         q = self.poly.to_float()
         v = self.points.copy()
         for _ in range(self.depth):
-            v = q.eval_many(v)
+            v = q(v)
         return np.abs(v - self.base)
 
 
@@ -198,7 +198,14 @@ class OrbitStatus:
     period: int | None = None
     tail: int | None = None
     reason: str | None = None      # escape / denominator-growth / height-growth
-    prefix: list = field(default_factory=list)
+    # the first orbit values f^k(alpha) = N/D as pairs (N, D) in lowest terms,
+    # D > 0, so that no Fraction is built (and no gcd run) unless one is read
+    pairs: list = field(default_factory=list)
+
+    @property
+    def prefix(self):
+        """The first orbit values as Fractions."""
+        return [Fraction(N, D) for N, D in self.pairs]
 
     @property
     def counts_as_nonperiodic(self):
@@ -210,7 +217,7 @@ class OrbitStatus:
         for key in ("period", "tail", "reason"):
             if getattr(self, key) is not None:
                 out[key] = getattr(self, key)
-        out["prefix"] = [_number_text(v) for v in self.prefix]
+        out["prefix"] = [f"{_number_text(N)}/{_number_text(D)}" for N, D in self.pairs]
         return out
 
 
@@ -226,7 +233,7 @@ def _orbit_loop(step: _PairMap, alpha: Fraction, max_steps, nonperiodic) -> Orbi
     prefix, seen = [x], {x: 0}
 
     def status(tag, **kw):
-        return OrbitStatus(tag, prefix=[Fraction(N, D) for N, D in prefix], **kw)
+        return OrbitStatus(tag, pairs=prefix, **kw)
 
     for k in range(1, max_steps + 1):
         N, D = x = step(*x)
@@ -267,12 +274,11 @@ def orbit_status(p: Polynomial, alpha, max_steps=64) -> OrbitStatus:
     # denominator q of alpha: the orbit denominators are exactly q^(d^k), so
     # no value repeats as d >= 2; this needs no orbit, three steps are shown
     if step.H[0] == 1 < alpha.denominator and math.gcd(step.G[-1], alpha.denominator) == 1:
-        prefix, x = [alpha], (alpha.numerator, alpha.denominator)
+        pairs = [(alpha.numerator, alpha.denominator)]
         for _ in range(min(3, max_steps)):
-            x = step(*x)
-            prefix.append(Fraction(*x))
+            pairs.append(step(*pairs[-1]))
         return OrbitStatus(
-            "nonperiodic", prefix=prefix,
+            "nonperiodic", pairs=pairs,
             reason=f"denominator-growth: denominators are q^(d^k) with "
                    f"q={_number_text(alpha.denominator)}, d={p.degree}, strictly increasing")
 

@@ -80,18 +80,10 @@ class Polynomial:
 
     # -- evaluation --------------------------------------------------------
     def __call__(self, z):
+        """Horner's rule at z, a number or a numpy array (elementwise)."""
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * z + c
-        return acc
-
-    def eval_many(self, z):
-        """Vectorized Horner on a numpy array (float coefficients)."""
-        z = np.asarray(z)
-        acc = np.full(z.shape, complex(self.coeffs[-1]) if np.iscomplexobj(z)
-                      else float(self.coeffs[-1]), dtype=z.dtype)
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + (complex(c) if np.iscomplexobj(z) else float(c))
         return acc
 
     # -- arithmetic --------------------------------------------------------
@@ -116,9 +108,6 @@ class Polynomial:
     def __mul__(self, other):
         other = self._coerce(other)
         a, b = self.coeffs, other.coeffs
-        if (len(a) + len(b) > 128 and not self.is_exact and not other.is_exact):
-            return Polynomial(list(np.convolve(np.asarray(a, dtype=float),
-                                               np.asarray(b, dtype=float))))
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x == 0:

@@ -21,7 +21,7 @@ real_roots_ex merges root clusters into multiple roots and refines an
 m-fold cluster by Newton's method on p^(m-1), where it is a simple root; it
 takes a Polynomial or a TwoCycles, f(f(X)) - X.
 
-Exact side: Sturm chains and Yun square-free decomposition over Fractions.
+Exact side: Sturm chains of square-free parts over Fractions.
 """
 
 from __future__ import annotations
@@ -527,9 +527,15 @@ def real_roots_ex(p, realness_tol=REALNESS_TOL):
 
 
 def all_roots_real(p: Polynomial, tol=REALNESS_TOL):
-    """True iff every root is real within tol (exact Sturm path for exact input)."""
+    """True iff every root is real within tol.
+
+    Exact input is decided exactly: p splits over the reals iff its
+    square-free part does, that is iff the part's Sturm count of distinct
+    real roots equals its degree.
+    """
     if p.is_exact:
-        return real_count_with_multiplicity(p) == p.degree
+        sf = square_free_part(p)
+        return real_root_count(sf) == sf.degree
     roots = complex_roots(p)
     return bool(near_axis(roots, tol).all())
 
@@ -601,7 +607,7 @@ def real_roots_batch(C, realness_tol=REALNESS_TOL):
 
 
 # ---------------------------------------------------------------------------
-# exact real-root counting (Sturm + Yun)
+# exact real-root counting (Sturm)
 # ---------------------------------------------------------------------------
 
 def _sign(x):
@@ -664,35 +670,3 @@ def real_root_count(p: Polynomial, lo=None, hi=None):
     if sf(lo) == 0:
         count += 1
     return count
-
-
-def square_free_decomposition(p: Polynomial):
-    """Yun's algorithm: returns [(q_i, i)] with p = lead * prod q_i^i, q_i monic."""
-    p = p.to_exact()
-    if p.degree == 0:
-        return []
-    lead = p.lead
-    p = Polynomial([c / lead for c in p.coeffs])
-    dp = p.derivative()
-    g = p.gcd_exact(dp)
-    out = []
-    if g.degree == 0:
-        return [(p, 1)]
-    b = p.divmod_exact(g)[0]
-    c = dp.divmod_exact(g)[0]
-    d = c - b.derivative()
-    i = 1
-    while b.degree > 0:
-        a = b.gcd_exact(d)
-        if a.degree > 0:
-            out.append((a, i))
-        b = b.divmod_exact(a)[0]
-        c = d.divmod_exact(a)[0]
-        d = c - b.derivative()
-        i += 1
-    return out
-
-
-def real_count_with_multiplicity(p: Polynomial):
-    """Number of real roots counted with multiplicity (exact)."""
-    return sum(m * real_root_count(q) for q, m in square_free_decomposition(p))

@@ -52,6 +52,27 @@ def reference_distance(A, B):
     return float(math.sqrt(d2.min()))
 
 
+def brute_force_distance(A, B):
+    """Distance to the whole A <= -3 branch (-3a^2, +-2a(a^2 - 1)), a >= 1,
+    sampled densely out to where A alone is farther than the arc's distance."""
+    a_max = math.sqrt((reference_distance(A, B) - A) / 3.0 + 3.0)
+    a = np.linspace(1.0, a_max, 200_001)
+    d2 = np.square(-3.0 * a * a - A) + np.square(2.0 * a * (a * a - 1.0) - abs(B))
+    return float(math.sqrt(d2.min()))
+
+
+def assert_distance(A, B, dist):
+    """dist is the arc's sampled distance bit for bit when (A, B) is no nearer
+    the quadrant A <= -9, |B| >= 4 sqrt 3 that holds the rest of the branch;
+    otherwise the brute-force distance, within the arc's sampling resolution."""
+    arc = reference_distance(A, B)
+    if math.hypot(max(A + 9.0, 0.0), max(math.sqrt(48.0) - abs(B), 0.0)) >= arc:
+        assert dist == arc
+    else:
+        assert dist <= arc
+        assert abs(dist - brute_force_distance(A, B)) <= 2e-3
+
+
 class TestMembership:
     def test_boundary_cases(self):
         assert in_region(-3, 0)
@@ -197,7 +218,7 @@ class TestBatchEquivalence:
             expected = scalar_verdict(A, B)
             assert (analytic, verdict, agree) == (in_region(A, B), expected,
                                                   in_region(A, B) == expected)
-            assert dist == reference_distance(A, B)
+            assert_distance(A, B, dist)
         assert [r[:2] for r in s.rows] == sorted(r[:2] for r in s.rows)
 
     def test_fallback_cells(self, scalar_calls):
@@ -248,6 +269,23 @@ class TestBoundaryDistance:
         B = rng.uniform(-8, 8, (10, 30))
         d = boundary_distance(A, B)
         assert d.shape == A.shape
-        assert d.ravel().tolist() == [reference_distance(a, b)
-                                      for a, b in zip(A.ravel(), B.ravel())]
+        for a, b, dist in zip(A.ravel(), B.ravel(), d.ravel()):
+            assert_distance(a, b, dist)
+            assert dist == boundary_distance(a, b)
         assert type(boundary_distance(-4.0, 1.0)) is float
+
+    @pytest.mark.parametrize("A, B, expected", [(-100.0, 0.0, 85.14), (-6.0, 100.0, 35.42),
+                                                (-6.0, -100.0, 35.42)])
+    def test_beyond_the_sampled_arc(self, A, B, expected):
+        # the nearest curve points lie past A = -9, e.g. near (-20.89, 31.48)
+        # for (-100, 0)
+        dist = boundary_distance(A, B)
+        assert abs(dist - expected) < 5e-3
+        assert abs(dist - brute_force_distance(A, B)) < 1e-6 * dist
+
+    def test_matches_brute_force_far_out(self):
+        rng = np.random.default_rng(9)
+        A = rng.uniform(-60, 2, 150)
+        B = rng.uniform(-60, 60, 150)
+        for a, b, dist in zip(A, B, boundary_distance(A, B)):
+            assert_distance(a, b, dist)

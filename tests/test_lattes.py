@@ -275,8 +275,39 @@ class TestCriticalPoints:
             assert_matches_derivative_route(curve)
 
     def test_float_curve_certified_as_its_rational_values(self):
-        floats = WeierstrassCurve(1.0, -4.0, -3.0)
-        assert lattes_critical_points(floats) == lattes_critical_points(WeierstrassCurve(1, -4, -3))
+        # a float coefficient is taken at its exact value, so a float curve
+        # is its rational curve: same points, cover and certificate verdict
+        for floats in [(1.0, -4.0, -3.0), (0.0, 0.0, -2.0), (0.0, -1.0, 0.0), (-0.1, 0.3, 0.7)]:
+            curve = WeierstrassCurve(*floats)
+            rational = WeierstrassCurve(*(Fraction(v) for v in floats))
+            assert all(isinstance(v, (int, Fraction)) for v in (curve.a, curve.b, curve.c))
+            assert curve.disc == rational.disc
+            assert lattes_critical_points(curve) == lattes_critical_points(rational)
+            assert real_surjectivity(curve) == real_surjectivity(rational)
+            certs = [certify_nonabelian(duplication_lattes(e), Fraction(1, 3), curve=e)
+                     for e in (curve, rational)]
+            assert certs[0].to_json() == certs[1].to_json()
+        integers = WeierstrassCurve(0, 0, -2)
+        curve = WeierstrassCurve(0.0, 0.0, -2.0)
+        assert lattes_critical_points(curve) == lattes_critical_points(integers)
+        assert real_surjectivity(curve) == real_surjectivity(integers)
+        certs = [certify_nonabelian(duplication_lattes(e), Fraction(1, 3), curve=e).to_json()
+                 for e in (curve, integers)]
+        assert certs[0].pop("map") != certs[1].pop("map")
+        assert certs[0] == certs[1] and certs[0]["verdict"] == "certified"
+        assert duplication_lattes(curve).to_json() == {
+            "num": ["0/1", "16/1", "0/1", "0/1", 1], "den": ["-8/1", "0/1", "0/1", 4]}
+
+    def test_near_singular_float_curve_takes_the_exact_disc_branch(self):
+        floats = (-8.105115402196073, 21.638157073607804, -18.968416961161065)
+        a, b, c = floats
+        # in floats disc(F) comes out positive; its exact value is negative
+        assert 18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c > 0
+        curve = WeierstrassCurve(*floats)
+        assert curve.disc < 0
+        assert len(lattes_critical_points(curve)) == 2
+        out = real_surjectivity(curve)
+        assert out["surjective"] and set(out["witness"]) == {"c1", "c2", "alpha", "f_c1", "f_c2"}
 
     def test_disc_rule_counts_the_real_roots_of_w(self):
         # the exact Sturm count of w against 4 real roots for disc > 0, 2 for disc < 0

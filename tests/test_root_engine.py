@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from juliareal import roots
 from juliareal.orbit import backward_orbit
@@ -10,8 +12,7 @@ from juliareal.poly import Polynomial
 from juliareal.roots import (RootFindingError, all_real_batch, all_real_shifted,
                              all_roots_real, complex_roots, real_root_count,
                              real_roots_batch, real_roots_ex, roots_batch,
-                             roots_shifted, square_free_decomposition,
-                             square_free_part)
+                             roots_shifted, square_free_part)
 
 
 def P(*coeffs):
@@ -273,6 +274,24 @@ class TestAllReal:
         # multiple roots still count with multiplicity
         assert all_roots_real(P(1, -2, 1))          # (x-1)^2
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.fractions(-5, 5, max_denominator=12).filter(bool),
+           st.lists(st.tuples(st.fractions(-5, 5, max_denominator=12), st.integers(1, 3)),
+                    max_size=3),
+           st.lists(st.tuples(st.fractions(Fraction(1, 12), 5, max_denominator=12),
+                              st.integers(1, 2)), max_size=2))
+    def test_exact_predicate_on_constructed_products(self, lead, linear, quadratic):
+        # lead prod (X - r)^m prod (X^2 + s)^k, s > 0: it splits over the
+        # reals exactly when there is no quadratic factor
+        p = Polynomial([lead])
+        for r, m in linear:
+            for _ in range(m):
+                p = p * Polynomial([-r, 1])
+        for s, k in quadratic:
+            for _ in range(k):
+                p = p * Polynomial([s, 0, 1])
+        assert all_roots_real(p) == (not quadratic)
+
     def test_all_real_shifted_matches_pointwise(self):
         p = P(0.0, -3.0, 0.0, 1.0)      # x^3 - 3x, critical values +-2
         ts = np.array([-2.5, -2.0, 0.0, 1.9, 2.0, 2.1])
@@ -318,14 +337,6 @@ class TestSturm:
         p = P(1, -2, 1)                  # (x-1)^2
         sf = square_free_part(p)
         assert sf.degree == 1
-
-    def test_square_free_decomposition(self):
-        # (x-1)^2 (x+2) exactly
-        p = P(Fraction(1), -2, 1) * P(Fraction(2), 1)
-        dec = square_free_decomposition(p)
-        by_mult = {m: f for f, m in dec if f.degree > 0}
-        assert by_mult[1].coeffs == (2, 1)
-        assert by_mult[2].coeffs == (-1, 1)
 
 
 class TestPolishGuard:
