@@ -21,7 +21,9 @@ from .tolerances import TRAJECTORY_REALNESS_TOL
 # cells per classify_batch call in region_scan: bounds each (cells, 66)
 # cross-check array to about 0.5 MB
 _SCAN_BLOCK = 1024
-# float64 elements per boundary_distance temporary: about 1 MB
+# float64 elements per boundary_distance temporary, about 1 MB: the coarse
+# distances of a chunk of cells and the samples of a chunk of their windows
+# each stay within it
 _DISTANCE_CHUNK = 1 << 17
 
 
@@ -73,6 +75,25 @@ def fixed_point_trajectory(a, b_grid):
 _CURVE_A = np.linspace(-9.0, -3.0, 2001)
 _CURVE_B = np.sqrt(np.maximum(region_bound(_CURVE_A), 0.0))
 
+# boundary_distance's coarse pass takes every _COARSE_STRIDE-th sample and
+# the last.  Window w holds the samples strictly between coarse samples w and
+# w + 1 (the last window's row padded with its end sample), and its polyline,
+# from one coarse sample to the next, has length _WINDOW_LENGTH[w]
+_COARSE_STRIDE = 32
+_coarse = np.append(np.arange(0, _CURVE_A.size - 1, _COARSE_STRIDE), _CURVE_A.size - 1)
+_window = np.minimum(_coarse[:-1, None] + np.arange(1, _COARSE_STRIDE), _coarse[1:, None])
+_segments = np.hypot(np.diff(_CURVE_A), np.diff(_CURVE_B))
+_COARSE_A, _COARSE_B = _CURVE_A[_coarse], _CURVE_B[_coarse]
+_WINDOW_A, _WINDOW_B = _CURVE_A[_window], _CURVE_B[_window]
+_WINDOW_LENGTH = np.add.reduceat(_segments, _coarse[:-1])
+# the widening of each window's lower bound: the largest sample spacing,
+# about 5.5e-3, far above the rounding of the distances near the arc, plus
+# the relative rounding of a distance d and of the bound, under 4 eps d
+# (1.5 eps d in each distance, 2.5 eps d in the bound), taken twice
+_SPACING = _segments.max()
+_ROUNDING = 8 * np.finfo(float).eps
+del _coarse, _window, _segments
+
 
 def _beyond_arc_distance(A, B):
     """Distance from each (A[i], B[i]), B >= 0, to the curve points
@@ -90,13 +111,50 @@ def _beyond_arc_distance(A, B):
     return np.sqrt(d2.min(axis=1))
 
 
+def _coarse_pass(a, b):
+    """For each (a[i], b[i]), b >= 0: the least squared distance to a coarse
+    sample, and which windows may hold a nearer sample."""
+    d2 = np.square(_COARSE_A - a[:, None])
+    d2 += np.square(_COARSE_B - b[:, None])
+    least = d2.min(axis=1)
+    d = np.sqrt(d2, out=d2)
+    best = np.sqrt(least)
+    bound = d[:, :-1] + d[:, 1:]
+    bound -= _WINDOW_LENGTH
+    bound /= 2
+    # NaN fails the comparison, so a NaN cell keeps its NaN coarse minimum
+    return least, bound <= (best + _SPACING + _ROUNDING * best)[:, None]
+
+
+def _arc_distance(a, b):
+    """Distance from each (a[i], b[i]), b >= 0, to the nearest arc sample:
+    the square root of the least (_CURVE_A[j] - a)^2 + (_CURVE_B[j] - b)^2."""
+    least, keep = _coarse_pass(a, b)
+    cells, windows = np.nonzero(keep)
+    step = _DISTANCE_CHUNK // _WINDOW_A.shape[1]
+    for i in range(0, cells.size, step):
+        c, w = cells[i:i + step], windows[i:i + step]
+        d2 = np.square(_WINDOW_A[w] - a[c, None])
+        d2 += np.square(_WINDOW_B[w] - b[c, None])
+        np.minimum.at(least, c, d2.min(axis=1))
+    return np.sqrt(least)
+
+
 def boundary_distance(A, B):
     """Euclidean distance in the (A, B) plane to the curve B^2 = -4A(A+3)^2/27.
 
     The curve (A <= -3 branch, both signs of B) is sampled densely on the arc
-    A in [-9, -3] and the minimum point distance taken; accurate to the
-    sampling resolution, which is all the scan band test needs.  Past the arc
-    the curve lies in the quadrant A <= -9, |B| >= 4 sqrt 3, so a point
+    A in [-9, -3] and the least distance to a sample taken; accurate to the
+    sampling resolution, which is all the scan band test needs.  A coarse
+    pass measures every _COARSE_STRIDE-th sample, and `best` is the least of
+    those.  Between coarse samples at distances d0 and d1, joined by a
+    polyline of length L, every sample is at least (d0 + d1 - L) / 2 away
+    (triangle inequality).  A window whose bound, widened by the largest
+    sample spacing and by the distances' relative rounding, exceeds `best`
+    cannot hold a sample nearer than `best` and is skipped.  The samples of
+    the other windows are measured with the same operations, so the minimum,
+    and the distance, are those of all 2,001 samples bit for bit.  Past the
+    arc the curve lies in the quadrant A <= -9, |B| >= 4 sqrt 3, so a point
     nearer that quadrant than to the arc also gets its exact distance to the
     curve there (_beyond_arc_distance).  A and B may be arrays of one shape;
     the result then has that shape.
@@ -106,11 +164,9 @@ def boundary_distance(A, B):
     out = np.empty(a.size)
     # the nearer branch is the one on B's side: (Bs - |B|)^2 is the smaller
     # of (Bs - B)^2 and (Bs + B)^2, bit for bit
-    step = max(1, _DISTANCE_CHUNK // _CURVE_A.size)
+    step = _DISTANCE_CHUNK // _COARSE_A.size
     for i in range(0, a.size, step):
-        d2 = np.square(_CURVE_A - a[i:i + step, None])
-        d2 += np.square(_CURVE_B - b[i:i + step, None])
-        out[i:i + step] = np.sqrt(d2.min(axis=1))
+        out[i:i + step] = _arc_distance(a[i:i + step], b[i:i + step])
     # an infinite arc distance is an overflow of huge A or B: kept as it is
     beyond = np.isfinite(out) & (
         np.hypot(np.maximum(a - _CURVE_A[0], 0.0), np.maximum(_CURVE_B[0] - b, 0.0)) < out)

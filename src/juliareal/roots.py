@@ -40,6 +40,8 @@ _ABERTH_MAX_ITER = 120
 _POLISH_STEPS = 4
 # rows per block of the (rows, d, d) Aberth differences: 0.6 MB at d = 6
 _DIFF_BLOCK_ROWS = 1024
+# the rounding floor's factor FLOOR_ULPS * eps, built once
+_FLOOR_UNIT = FLOOR_ULPS * np.finfo(float).eps
 
 
 def near_axis(z, tol):
@@ -158,7 +160,7 @@ class Horner:
         if not floor:
             return p, dp, None
         bound = _magnitude(self.C, z)
-        bound *= FLOOR_ULPS * np.finfo(float).eps
+        bound *= _FLOOR_UNIT
         return p, dp, bound
 
     def residual_tol(self, z, rel=RESIDUAL_TOL):
@@ -203,13 +205,13 @@ class NestedHorner:
         bound = np.abs(du) * _magnitude(self.C, z)
         bound += _magnitude(self.C, w)
         bound += np.abs(z)
-        bound *= FLOOR_ULPS * np.finfo(float).eps
+        bound *= _FLOOR_UNIT
         return p, dp, bound
 
     def residual_tol(self, z):
         """The largest |f(f(z)) - z| accepted at each point of z: RESIDUAL_TOL
         times the magnitude sum whose FLOOR_ULPS * eps multiple is the floor."""
-        return RESIDUAL_TOL / (FLOOR_ULPS * np.finfo(float).eps) * self(z, floor=True)[2]
+        return RESIDUAL_TOL / _FLOOR_UNIT * self(z, floor=True)[2]
 
 
 def _aberth_batch(ev):

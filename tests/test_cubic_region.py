@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from juliareal import classifier
 from juliareal.classifier import classify_batch, classify_real_julia
-from juliareal.cubic_region import (b_zero, boundary_distance,
+from juliareal.cubic_region import (_arc_distance, b_zero, boundary_distance,
                                     fixed_point_trajectory, in_region,
                                     in_three_fixed_set, region_bound,
                                     region_scan)
@@ -71,6 +71,31 @@ def assert_distance(A, B, dist):
     else:
         assert dist <= arc
         assert abs(dist - brute_force_distance(A, B)) <= 2e-3
+
+
+def reference_distances(A, B, chunk=256):
+    """reference_distance at each (A[i], B[i]) by the same arithmetic, a
+    chunk of points at a time."""
+    As = np.linspace(-9.0, -3.0, 2001)
+    Bs = np.sqrt(np.maximum(region_bound(As), 0.0))
+    out = np.empty(A.size)
+    for i in range(0, A.size, chunk):
+        a, b = A[i:i + chunk, None], B[i:i + chunk, None]
+        d2 = np.minimum((As - a) ** 2 + (Bs - b) ** 2, (As - a) ** 2 + (-Bs - b) ** 2)
+        out[i:i + chunk] = np.sqrt(d2.min(axis=1))
+    return out
+
+
+def assert_arc_distances(A, B):
+    """assert_distance's exact case over arrays: boundary_distance is
+    reference_distance bit for bit where the point is no nearer the quadrant
+    A <= -9, |B| >= 4 sqrt 3, and at most that elsewhere."""
+    A, B = np.ravel(A), np.ravel(B)
+    dist, arc = boundary_distance(A, B), reference_distances(A, B)
+    exact = np.hypot(np.maximum(A + 9.0, 0.0), np.maximum(math.sqrt(48.0) - np.abs(B), 0.0)) >= arc
+    assert np.array_equal(dist[exact], arc[exact]), np.flatnonzero(dist[exact] != arc[exact])
+    assert (dist[~exact] <= arc[~exact]).all()
+    return exact
 
 
 class TestMembership:
@@ -289,3 +314,60 @@ class TestBoundaryDistance:
         B = rng.uniform(-60, 60, 150)
         for a, b, dist in zip(A, B, boundary_distance(A, B)):
             assert_distance(a, b, dist)
+
+    def test_reference_distances_is_reference_distance(self):
+        rng = np.random.default_rng(10)
+        A, B = rng.uniform(-12, 1, 40), rng.uniform(-10, 10, 40)
+        assert reference_distances(A, B).tolist() == [reference_distance(a, b)
+                                                      for a, b in zip(A, B)]
+
+    def test_pruned_search_on_a_dense_grid(self):
+        # the grid holds the concave side above the upper branch, where the
+        # distance along the arc has two local minima, and points past A = -9
+        A, B = np.meshgrid(np.linspace(-12.0, 1.0, 131), np.linspace(-10.0, 10.0, 201),
+                           indexing="ij")
+        exact = assert_arc_distances(A, B)
+        assert exact.sum() > 0.7 * exact.size
+
+    def test_cusp(self):
+        assert boundary_distance(-3.0, 0.0) == reference_distance(-3.0, 0.0) == 0.0
+        assert_arc_distances(np.array([-3.0, -3.0, -2.5, -3.5, -3.0]),
+                             np.array([0.25, -1.0, 0.0, 0.0, 1e-9]))
+
+    def test_on_samples_and_window_ends(self):
+        As = np.linspace(-9.0, -3.0, 2001)
+        Bs = np.sqrt(np.maximum(region_bound(As), 0.0))
+        ends = np.r_[np.arange(0, 2000, 32), 2000]
+        k = np.unique(np.r_[ends, ends[1:] - 1, ends[:-1] + 1, 16, 1000, 1999])
+        assert boundary_distance(As[k], Bs[k]).tolist() == [0.0] * k.size
+        assert boundary_distance(As[k], -Bs[k]).tolist() == [0.0] * k.size
+        for dA, dB in [(0.0, 0.5), (0.0, -0.5), (0.25, 0.0), (-0.25, 0.0), (0.1, 2.0)]:
+            assert_arc_distances(As[k] + dA, Bs[k] + dB)
+        assert_arc_distances(As[k], np.zeros(k.size))
+
+    def test_huge_coordinates(self):
+        # the rounding of the pruning bound grows with the distance, past the
+        # sample spacing from about 1e15 on; the arc search alone, since the
+        # exact distance past the arc hides it in boundary_distance there
+        rng = np.random.default_rng(11)
+        for scale in (1e12, 1e15, 1e16, 1e18):
+            A, B = rng.uniform(-scale, scale, 2000), rng.uniform(-scale, scale, 2000)
+            assert np.array_equal(_arc_distance(A, np.abs(B)), reference_distances(A, B))
+
+    @pytest.mark.parametrize("A, B", [(math.nan, 0.0), (-5.0, math.nan), (math.nan, math.inf)])
+    def test_nan_gives_nan(self, A, B):
+        assert math.isnan(boundary_distance(A, B))
+        assert np.isnan(boundary_distance(np.array([A, -5.0]), np.array([B, 1.0]))).tolist() == [
+            True, False]
+
+    @pytest.mark.parametrize("A, B", [(math.inf, 0.0), (-math.inf, 0.0), (-5.0, math.inf),
+                                      (-5.0, -math.inf), (1e200, 0.0), (-1e200, 0.0),
+                                      (-5.0, 1e200)])
+    def test_infinite_or_overflowing_gives_inf(self, A, B):
+        with np.errstate(over="ignore"):
+            assert boundary_distance(A, B) == math.inf
+
+    def test_empty_and_zero_dimensional(self):
+        empty = boundary_distance(np.zeros((0, 3)), np.zeros((0, 3)))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0, 3)
+        assert type(boundary_distance(np.float64(-4.0), np.array(1.0))) is float
