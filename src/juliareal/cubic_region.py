@@ -113,7 +113,9 @@ def _beyond_arc_distance(A, B):
 
 def _coarse_pass(a, b):
     """For each (a[i], b[i]), b >= 0: the least squared distance to a coarse
-    sample, and which windows may hold a nearer sample."""
+    sample, and which windows may hold a nearer sample.  A function of its
+    own, so that its (cells, coarse samples) arrays are freed before the
+    windows are measured."""
     d2 = np.square(_COARSE_A - a[:, None])
     d2 += np.square(_COARSE_B - b[:, None])
     least = d2.min(axis=1)

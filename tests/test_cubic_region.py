@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from juliareal import classifier
 from juliareal.classifier import classify_batch, classify_real_julia
-from juliareal.cubic_region import (_arc_distance, b_zero, boundary_distance,
+from juliareal.cubic_region import (_COARSE_STRIDE, _arc_distance, b_zero, boundary_distance,
                                     fixed_point_trajectory, in_region,
                                     in_three_fixed_set, region_bound,
                                     region_scan)
@@ -337,7 +337,7 @@ class TestBoundaryDistance:
     def test_on_samples_and_window_ends(self):
         As = np.linspace(-9.0, -3.0, 2001)
         Bs = np.sqrt(np.maximum(region_bound(As), 0.0))
-        ends = np.r_[np.arange(0, 2000, 32), 2000]
+        ends = np.r_[np.arange(0, 2000, _COARSE_STRIDE), 2000]
         k = np.unique(np.r_[ends, ends[1:] - 1, ends[:-1] + 1, 16, 1000, 1999])
         assert boundary_distance(As[k], Bs[k]).tolist() == [0.0] * k.size
         assert boundary_distance(As[k], -Bs[k]).tolist() == [0.0] * k.size
