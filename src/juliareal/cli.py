@@ -17,7 +17,8 @@ from . import __version__, lattes
 from .classifier import classify_real_julia
 from .cubic_region import region_scan
 from .heights import height_report
-from .lattes import WeierstrassCurve, certify_nonabelian, duplication_lattes
+from .lattes import (SingularCurveError, WeierstrassCurve, certify_nonabelian,
+                     duplication_lattes)
 from .orbit import (EmpiricalMeasure, backward_orbit, check_non_exceptional,
                     empirical_cdf_distance, max_imag_stat, render_filled_julia)
 from .poly import poly_from_json
@@ -162,7 +163,10 @@ def _parse_curve(text):
         a, b, c = (Fraction(v) for v in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"curve must be a,b,c  got {text!r}")
-    return WeierstrassCurve(a, b, c)
+    try:
+        return WeierstrassCurve(a, b, c)
+    except SingularCurveError as err:
+        raise argparse.ArgumentTypeError(f"singular curve: {err}")
 
 
 def _cmd_lattes(args, argv):

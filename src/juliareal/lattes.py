@@ -3,12 +3,13 @@
 A curve y^2 = F(x) = x^3 + a x^2 + b x + c induces the degree-4 rational map
 f with x([2]P) = f(x(P)).  This module builds f, cross-checks it against an
 independent chord-tangent group law, finds its real critical points from the
-closed form rho +- sqrt F'(rho) over the real roots rho of F and certifies
-them on integers by sign changes of the numerator of f', decides
-surjectivity on the real projective line, and assembles the non-abelian
-certificate (surjectivity + non-real Julia set + a base point certified
-nonperiodic on integer pairs by ``poly._PairMap``).  A certificate makes one
-float root solve, of F.
+closed form rho +- sqrt F'(rho) over the real roots rho of F, certifies
+those roots and points on integers by sign changes of F and of the numerator
+of f', decides surjectivity on the real projective line by the sign of
+disc(F), and assembles the non-abelian certificate (surjectivity + non-real
+Julia set + a base point certified nonperiodic on integer pairs by
+``poly._PairMap``).  A certificate makes one float root solve, the complex
+roots of F.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .classifier import classify_real_julia
 from .orbit import OrbitStatus, _orbit_loop, check_non_exceptional, orbit_status
 from .poly import (_EXACT_TYPES, Polynomial, _bareiss, _number_text, _PairMap,
                    poly_to_json, sylvester_resultant)
-from .roots import _sign, real_roots_ex
-from .tolerances import BRACKET_TOL, COVER_TOL, ON_CURVE_TOL
+from .roots import _sign, complex_roots
+from .tolerances import BRACKET_TOL, ON_CURVE_TOL
 
 
 class SingularCurveError(ValueError):
@@ -181,24 +182,29 @@ def lattes_critical_points(curve: WeierstrassCurve):
     at the outer real roots of F and negative at the middle one: w has 4 real
     roots when disc(F) > 0 and 2 when disc(F) < 0.  The float points, each
     polished by Newton on w, are certified by sign changes of w on integers
-    (_certify_critical_points); a failure raises InvariantError.
+    (_certify_real_roots); a failure raises InvariantError.
     """
     return _critical_points_and_poles(curve)[0]
 
 
 def _critical_points_and_poles(curve: WeierstrassCurve):
-    """(lattes_critical_points(curve), the real poles of f).
+    """(lattes_critical_points(curve), the real poles of f), both certified.
 
     The one float solve is of F: its real roots are the rho of the closed
-    form and the real poles, the roots of den = 4F (scaling by 4 leaves the
-    float roots unchanged).
+    form and the real poles, the roots of den = 4F.  F has 3 real roots when
+    disc(F) > 0 and 1 when disc(F) < 0; that many of its complex roots, the
+    nearest the real axis, give them by their real parts, and sign changes
+    of F on integers certify them (_certify_real_roots).
     """
     num, den = _duplication_polys(curve)
     w = num.derivative() * den - num * den.derivative()
     F = curve.F.to_float()
-    poles = [x for x, _ in real_roots_ex(F)[0]]
+    n_poles, n_crit = (3, 4) if curve.disc > 0 else (1, 2)
+    nearest = sorted(complex_roots(F), key=lambda z: abs(z.imag))[:n_poles]
+    poles = sorted(float(z.real) for z in nearest)
+    _certify_real_roots(curve.F, poles, n_poles, "F")
     crit = _torsion_route(F, poles, w.to_float())
-    _certify_critical_points(w, crit, 4 if curve.disc > 0 else 2)
+    _certify_real_roots(w, crit, n_crit, "the numerator of f'")
     return crit, poles
 
 
@@ -227,22 +233,22 @@ def _torsion_route(F: Polynomial, roots, w: Polynomial):
     return sorted(out)
 
 
-def _certify_critical_points(w: Polynomial, points, count):
+def _certify_real_roots(p: Polynomial, points, count, name):
     """Raise InvariantError unless the sorted float points are the count real
-    roots of the exact numerator w of f', each within BRACKET_TOL (1 + |x|).
+    roots of the exact polynomial p (called name), each within
+    BRACKET_TOL (1 + |x|).
 
     Each point x gets the bracket [x - h, x + h], h = BRACKET_TOL (1 + |x|),
-    whose ends are dyadic rationals n / d.  The integer form of w changes
+    whose ends are dyadic rationals n / d.  The integer form of p changes
     sign across it, both ends nonzero, so it holds an odd number of roots;
-    disjoint brackets, as many as w has real roots, then hold exactly one
+    disjoint brackets, as many as p has real roots, then hold exactly one
     root each.
     """
     if len(points) != count:
-        raise InvariantError(
-            f"critical points {points}: the numerator of f' has {count} real roots")
-    # form(n, d) is (G(n, d), L d^6), G = L w, by homogeneous Horner on
-    # integers, over a positive common factor: G(n, d) has the sign of w(n/d)
-    form = _PairMap(w, Polynomial([1]))
+        raise InvariantError(f"real roots {points}: {name} has {count} real roots")
+    # form(n, d) is (G(n, d), L d^k), G = L p, by homogeneous Horner on
+    # integers, over a positive common factor: G(n, d) has the sign of p(n/d)
+    form = _PairMap(p, Polynomial([1]))
 
     def sign(x):
         return _sign(form(*x.as_integer_ratio())[0])
@@ -253,71 +259,55 @@ def _certify_critical_points(w: Polynomial, points, count):
         lo, hi = x - h, x + h
         if not (math.isfinite(hi) and lo > below):
             raise InvariantError(
-                f"critical point {x!r}: its bracket [{lo!r}, {hi!r}] is not "
+                f"real root {x!r} of {name}: its bracket [{lo!r}, {hi!r}] is not "
                 "finite or meets the one below")
         if not sign(lo) * sign(hi) < 0:
             raise InvariantError(
-                f"critical point {x!r}: the numerator of f' does not change sign "
+                f"real root {x!r} of {name}: {name} does not change sign "
                 f"across [{lo!r}, {hi!r}]")
         below = hi
-
-
-def _piece_ranges(num: Polynomial, den: Polynomial, edges):
-    """Monotone-piece ranges of f = num/den over the real line, split at its
-    real critical points and poles, from closed forms of the limits.
-
-    `edges` are sorted pairs (x, s): s = 0 at a critical point x, whose limit
-    is f(x) (no critical point rho +- sqrt F'(rho) is a pole, which would make
-    a root of F repeated); s = sign F'(x) at a pole x, where num(x) = F'(x)^2 > 0
-    and den = 4F changes sign as F' does, so f tends to s inf just right of x
-    and to -s inf just left of it; s = -1 at the ends -inf and +inf, the pole
-    at infinity, as f ~ X/4 there.  A piece's range lies between its limits.
-    """
-    ranges = []
-    for (lo, s), (hi, t) in zip(edges, edges[1:]):
-        a = math.copysign(math.inf, s) if s else num(lo) / den(lo)
-        b = math.copysign(math.inf, -t) if t else num(hi) / den(hi)
-        ranges.append((min(a, b), max(a, b)))
-    return ranges
 
 
 def real_surjectivity(curve: WeierstrassCurve):
     """Is the duplication Lattes map onto the real projective line?
 
-    Negative disc(F): yes, witnessed by the two real critical points c1 < c2
-    straddling the single real root of F with f(c1) = f(c2).  Positive disc:
-    the float piece ranges are unioned, a gap narrower than COVER_TOL counting
-    as covered, and the first uncovered gap is returned as the witness.
+    Exactly when disc(F) < 0.  A real x is x(P) for a real point P of E:
+    y^2 = F(x) when F(x) >= 0, and of its twist by -1, -y^2 = F(x), when
+    F(x) <= 0; f(x) = x([2]P) on that curve, and doubling maps the real
+    points of each curve onto their identity component (Silverman, The
+    Arithmetic of Elliptic Curves, V.2).  With disc(F) < 0, F has one real
+    root alpha and both curves' real points are connected, x >= alpha on E
+    and x <= alpha on the twist, so f is onto; the witness is the certified
+    critical points c1 < c2 straddling alpha, with f(c1) = f(c2) = alpha
+    (f_c1, f_c2: f at the float points, in exact arithmetic).  With
+    disc(F) > 0 and real roots e1 < e2 < e3 the identity components are
+    x >= e3 and x <= e1, so f misses (e1, e3): the witness "gap" is the
+    outer certified poles.
     """
     return _surjectivity(curve, *_critical_points_and_poles(curve))
 
 
 def _surjectivity(curve: WeierstrassCurve, crit, poles):
-    """real_surjectivity(curve) from the real critical points and poles of its map."""
-    num, den = (p.to_float() for p in _duplication_polys(curve))
+    """real_surjectivity(curve) from the certified real critical points and poles of its map."""
+    if curve.disc > 0:
+        return {"surjective": False, "witness": {"gap": (poles[0], poles[-1])}}
+    num, den = _duplication_polys(curve)
 
-    if curve.disc < 0:
-        c1, c2 = crit
-        alpha = poles[0]
-        witness = {
-            "c1": c1, "c2": c2, "alpha": alpha,
-            "f_c1": float(num(c1) / den(c1)), "f_c2": float(num(c2) / den(c2)),
-        }
-        if not c1 < alpha < c2:
-            raise InvariantError(
-                f"critical points {c1}, {c2} do not straddle the real root {alpha} of F")
-        return {"surjective": True, "witness": witness}
+    def value(x):
+        # f(x) in exact arithmetic at the float x = n / d, rounded once: in
+        # floats num and den cancel near a close pair of complex roots of F
+        n, d = x.as_integer_ratio()
+        num_x, den_x = (sum(c * n**i * d**(4 - i) for i, c in enumerate(p.coeffs))
+                        for p in (num, den))
+        return float(Fraction(num_x) / den_x)
 
-    dF = curve.F.to_float().derivative()
-    edges = sorted([(x, 0) for x in crit] + [(x, 1 if dF(x) > 0 else -1) for x in poles])
-    ranges = sorted(_piece_ranges(num, den, [(-math.inf, -1)] + edges + [(math.inf, -1)]))
-    # the first range holds f(-inf) = -inf and some range holds f(+inf) = +inf
-    covered_hi = ranges[0][1]
-    for lo, hi in ranges[1:]:
-        if lo > covered_hi + COVER_TOL * (1.0 + abs(lo)):
-            return {"surjective": False, "witness": {"gap": (covered_hi, lo), "ranges": ranges}}
-        covered_hi = max(covered_hi, hi)
-    return {"surjective": True, "witness": {"ranges": ranges}}
+    c1, c2 = crit
+    alpha = poles[0]
+    witness = {"c1": c1, "c2": c2, "alpha": alpha, "f_c1": value(c1), "f_c2": value(c2)}
+    if not c1 < alpha < c2:
+        raise InvariantError(
+            f"critical points {c1}, {c2} do not straddle the real root {alpha} of F")
+    return {"surjective": True, "witness": witness}
 
 
 # ---------------------------------------------------------------------------

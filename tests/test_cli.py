@@ -151,6 +151,13 @@ class TestLattes:
         with pytest.raises(SystemExit) as exc:
             main(["lattes", "--curve", "0,0,0"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "singular curve: disc(F) = 0" in err
+        assert "invalid" not in err
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--curve", "0,-3,2", "--alpha", "1/2"])
+        assert exc.value.code == 2
+        assert "disc(F) = 0" in capsys.readouterr().err
 
 
 class TestCertify:

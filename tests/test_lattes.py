@@ -20,7 +20,7 @@ from juliareal.cli import main
 from juliareal.lattes import InvariantError, _bezout_constant
 from juliareal.orbit import ExceptionalPointError, check_non_exceptional
 from juliareal.poly import Polynomial, _PairMap
-from juliareal.roots import real_roots_ex, real_root_count
+from juliareal.roots import complex_roots, real_roots_ex, real_root_count
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "lattes_golden.json"
 
@@ -115,6 +115,19 @@ def probing_piece_ranges(num, den, crit, poles):
         a, b = limit(lo, +1.0), limit(hi, -1.0)
         ranges.append((min(a, b), max(a, b)))
     return ranges
+
+
+def uncovered(ranges, rel=1e-9):
+    """The gaps that the union of the ranges leaves in [-inf, +inf], a gap
+    narrower than rel (1 + |its lower end|) counting as covered."""
+    ranges = sorted(ranges)
+    gaps = [] if ranges[0][0] == -math.inf else [(-math.inf, ranges[0][0])]
+    covered_hi = ranges[0][1]
+    for lo, hi in ranges[1:]:
+        if lo > covered_hi + rel * (1.0 + abs(covered_hi)):
+            gaps.append((covered_hi, lo))
+        covered_hi = max(covered_hi, hi)
+    return gaps if covered_hi == math.inf else gaps + [(covered_hi, math.inf)]
 
 
 def euclid_bezout_constant(n_coeffs, d_coeffs):
@@ -309,6 +322,44 @@ class TestCriticalPoints:
         out = real_surjectivity(curve)
         assert out["surjective"] and set(out["witness"]) == {"c1", "c2", "alpha", "f_c1", "f_c2"}
 
+    def test_near_singular_float_curve_gets_its_one_pole(self):
+        # the float solve of F used to return the close complex pair near
+        # 2.9958 as a second real root, and f(c2) was read in floats, where
+        # num and den cancel beside that pair: f_c2 came out 2.1538
+        curve = WeierstrassCurve(-8.105115402196073, 21.638157073607804, -18.968416961161065)
+        crit, poles = lattes._critical_points_and_poles(curve)
+        assert len(crit) == 2 and len(poles) == 1
+        w = real_surjectivity(curve)["witness"]
+        assert w["alpha"] == poles[0]
+        assert math.isclose(w["f_c1"], w["alpha"], rel_tol=1e-9)
+        assert math.isclose(w["f_c2"], w["alpha"], rel_tol=1e-9)
+
+    def test_large_root_cubic_gets_its_one_pole(self):
+        # real_roots_ex merged the complex pair 0.4163 +- 0.3809i of F into a
+        # real double root, beside the root near -864813.83, and raised
+        curve = WeierstrassCurve(864813, -720079, 275355)
+        assert curve.disc < 0
+        crit = lattes_critical_points(curve)
+        assert len(crit) == 2
+        poles = lattes._critical_points_and_poles(curve)[1]
+        assert len(poles) == 1 and abs(poles[0] + 864813.83) < 0.01
+        assert crit[0] < poles[0] < crit[1]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.tuples(*[st.integers(-10**6, 10**6)] * 3))
+    def test_large_integer_curves_certified(self, abc):
+        try:
+            curve = WeierstrassCurve(*abc)
+        except SingularCurveError:
+            return
+        crit, poles = lattes._critical_points_and_poles(curve)
+        assert len(poles) == real_root_count(curve.F)
+        w = real_surjectivity(curve)["witness"]
+        if curve.disc < 0:
+            assert w["c1"] < w["alpha"] < w["c2"]
+        else:
+            assert w["gap"] == (poles[0], poles[-1])
+
     def test_disc_rule_counts_the_real_roots_of_w(self):
         # the exact Sturm count of w against 4 real roots for disc > 0, 2 for disc < 0
         for curve in box_curves(3) + [WeierstrassCurve(*abc) for abc in RATIONAL_CURVES]:
@@ -323,6 +374,16 @@ class TestCriticalPoints:
         monkeypatch.setattr(lattes, "_torsion_route", lambda *a: mutate(closed_form(*a)))
         with pytest.raises(InvariantError, match=message):
             lattes_critical_points(E_POS)
+        assert main(["lattes", "--curve", "0,-1,0"]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda zs: zs + np.array([1e-6, 0, 0]), "F does not change sign"),
+        (lambda zs: zs[1:], "F has 3 real roots")])
+    def test_moved_pole_raises(self, monkeypatch, capsys, mutate, message):
+        monkeypatch.setattr(lattes, "complex_roots", lambda p: mutate(complex_roots(p)))
+        with pytest.raises(InvariantError, match=message):
+            real_surjectivity(E_POS)
         assert main(["lattes", "--curve", "0,-1,0"]) == 1
         assert message in capsys.readouterr().err
 
@@ -417,27 +478,28 @@ class TestSurjectivity:
         g = f.num.to_float() - Polynomial([probe]) * f.den.to_float()
         assert real_roots_ex(g)[0] == []
 
-    def test_piece_ranges_equal_the_probing_oracle(self):
-        # pole sides from sign F'(rho), the ends as the pole at infinity
+    def test_probed_ranges_leave_exactly_the_gap(self):
+        # the union of the monotone-piece ranges, found by probing beside
+        # the poles, misses (e1, e3) when disc > 0 and nothing when disc < 0
         for curve in box_curves(3):
             crit, poles = lattes._critical_points_and_poles(curve)
             num, den = (p.to_float() for p in lattes._duplication_polys(curve))
-            expected = probing_piece_ranges(num, den, crit, poles)
-            dF = curve.F.derivative()
-            edges = sorted([(x, 0) for x in crit]
-                           + [(x, 1 if dF(x) > 0 else -1) for x in poles])
-            edges = [(-math.inf, -1)] + edges + [(math.inf, -1)]
-            assert lattes._piece_ranges(num, den, edges) == expected, curve
+            gaps = uncovered(probing_piece_ranges(num, den, crit, poles))
+            out = real_surjectivity(curve)
+            assert out["surjective"] == (curve.disc < 0) == (gaps == []), curve
             if curve.disc > 0:
-                assert real_surjectivity(curve)["witness"]["ranges"] == sorted(expected)
+                (lo, hi), = gaps
+                expected = out["witness"]["gap"]
+                assert set(out["witness"]) == {"gap"}
+                assert math.isclose(lo, expected[0], rel_tol=1e-9, abs_tol=1e-9), curve
+                assert math.isclose(hi, expected[1], rel_tol=1e-9, abs_tol=1e-9), curve
 
     def test_poles_solved_once(self, monkeypatch):
         # one solve, of F: its roots are the real poles and the rho of the
         # closed form; no solve of f' and no second pole solve
         calls = []
-        solve = lattes.real_roots_ex
-        monkeypatch.setattr(lattes, "real_roots_ex",
-                            lambda p, *a, **k: calls.append(1) or solve(p, *a, **k))
+        monkeypatch.setattr(lattes, "complex_roots",
+                            lambda p: calls.append(1) or complex_roots(p))
         out = real_surjectivity(E_POS)
         assert len(calls) == 1
         assert not out["surjective"]
@@ -456,7 +518,7 @@ class TestSurjectivity:
                             counted("resultant", lattes.sylvester_resultant))
         monkeypatch.setattr(lattes, "_critical_points_and_poles",
                             counted("critical", lattes._critical_points_and_poles))
-        monkeypatch.setattr(lattes, "real_roots_ex", counted("solve", lattes.real_roots_ex))
+        monkeypatch.setattr(lattes, "complex_roots", counted("solve", lattes.complex_roots))
         assert main(["lattes", "--curve", "0,-1,0"]) == 0
         assert counts == {"resultant": 1, "critical": 1, "solve": 1}
         payload = json.loads(capsys.readouterr().out)
@@ -583,15 +645,14 @@ class TestCertify:
     def test_lattes_certificate_makes_one_solve(self, monkeypatch, curve):
         # F, whose roots are the rho of the closed form and the real poles
         calls = []
-        solve = lattes.real_roots_ex
-        monkeypatch.setattr(lattes, "real_roots_ex",
-                            lambda p, *a, **k: calls.append(p.degree) or solve(p, *a, **k))
+        monkeypatch.setattr(lattes, "complex_roots",
+                            lambda p: calls.append(p.degree) or complex_roots(p))
         certify_nonabelian(duplication_lattes(curve), Fraction(1, 3), curve=curve)
         assert calls == [3]
 
     @pytest.mark.parametrize("curve", [E_NEG, E_POS, WeierstrassCurve(1, -4, -3)])
     def test_lattes_certificate_makes_one_root_solve(self, monkeypatch, curve):
-        # the one real_roots_ex solve; no check_non_exceptional solve
+        # the one complex_roots solve of F; no check_non_exceptional solve
         calls = []
         solve = roots.roots_shifted
         counted = lambda p, t: calls.append(p.degree) or solve(p, t)
