@@ -117,14 +117,14 @@ def probing_piece_ranges(num, den, crit, poles):
     return ranges
 
 
-def uncovered(ranges, rel=1e-9):
+def uncovered(ranges):
     """The gaps that the union of the ranges leaves in [-inf, +inf], a gap
-    narrower than rel (1 + |its lower end|) counting as covered."""
+    narrower than 1e-9 (1 + |its lower end|) counting as covered."""
     ranges = sorted(ranges)
     gaps = [] if ranges[0][0] == -math.inf else [(-math.inf, ranges[0][0])]
     covered_hi = ranges[0][1]
     for lo, hi in ranges[1:]:
-        if lo > covered_hi + rel * (1.0 + abs(covered_hi)):
+        if lo > covered_hi + 1e-9 * (1.0 + abs(covered_hi)):
             gaps.append((covered_hi, lo))
         covered_hi = max(covered_hi, hi)
     return gaps if covered_hi == math.inf else gaps + [(covered_hi, math.inf)]
@@ -352,7 +352,7 @@ class TestCriticalPoints:
             curve = WeierstrassCurve(*abc)
         except SingularCurveError:
             return
-        crit, poles = lattes._critical_points_and_poles(curve)
+        poles = lattes._critical_points_and_poles(curve)[1]
         assert len(poles) == real_root_count(curve.F)
         w = real_surjectivity(curve)["witness"]
         if curve.disc < 0:
