@@ -24,17 +24,22 @@ from .orbit import (EmpiricalMeasure, backward_orbit, check_non_exceptional,
 from .poly import poly_from_json
 
 
+def _in_float_range(x):
+    """An int or Fraction that converts to a finite float."""
+    return abs(x) <= sys.float_info.max
+
+
 def _is_coefficient(c):
-    """A finite JSON number other than a bool, or a "p/q" string with q != 0."""
+    """A finite JSON number other than a bool, or a "p/q" string with q != 0,
+    within the float range."""
     if isinstance(c, str):
         try:
-            Fraction(c)
+            return _in_float_range(Fraction(c))
         except (ValueError, ZeroDivisionError):
             return False
-        return True
     # JSON NaN and Infinity, and decimals too large for a float, parse as
-    # non-finite floats; integers that large are rejected alike
-    return (isinstance(c, int) and not isinstance(c, bool) and abs(c) <= sys.float_info.max
+    # non-finite floats; integers and strings that large are rejected alike
+    return (isinstance(c, int) and not isinstance(c, bool) and _in_float_range(c)
             or isinstance(c, float) and math.isfinite(c))
 
 
@@ -47,7 +52,8 @@ def _parse_poly(text):
         raise argparse.ArgumentTypeError("polynomial must be a nonempty JSON array")
     if not all(map(_is_coefficient, coeffs)):
         raise argparse.ArgumentTypeError(
-            f'expected finite numbers or "p/q" strings as coefficients, got {text!r}')
+            f'expected finite numbers or "p/q" strings within the float range as '
+            f'coefficients, got {text!r}')
     return poly_from_json(coeffs)
 
 
@@ -65,6 +71,8 @@ def _checked(convert, what, ok=lambda value: True):
 
 
 _parse_rational = _checked(Fraction, "a rational p/q")
+_parse_float_rational = _checked(Fraction, "a rational p/q within the float range",
+                                 _in_float_range)
 _parse_range = _checked(lambda t: tuple(float(v) for v in t.split(":")),
                         "a finite range lo:hi with lo <= hi",
                         lambda r: len(r) == 2 and all(map(math.isfinite, r)) and r[0] <= r[1])
@@ -228,7 +236,7 @@ def build_parser():
 
     p = sub.add_parser("equidist", help="backward-orbit equidistribution report")
     p.add_argument("--poly", type=_parse_poly, required=True)
-    p.add_argument("--alpha", type=_parse_rational, required=True)
+    p.add_argument("--alpha", type=_parse_float_rational, required=True)
     p.add_argument("--depth", type=_parse_count, default=10)
     p.add_argument("--compare-depth", type=_parse_count)
     p.add_argument("--out")

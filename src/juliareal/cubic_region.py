@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import classify_batch
-from .roots import near_axis, roots_batch
-from .tolerances import TRAJECTORY_REALNESS_TOL
+from .roots import roots_batch
 
 # cells per classify_batch call in region_scan: bounds each (cells, 66)
 # cross-check array to about 0.5 MB
@@ -42,31 +41,6 @@ def b_zero(a) -> float:
     if a < 1:
         raise ValueError("no admissible B for a < 1")
     return 2.0 * a * (a * a - 1.0)
-
-
-def in_three_fixed_set(A, B) -> bool:
-    """Closed set where X^3 + (A-1)X + B has three real roots (disc >= 0)."""
-    return -4.0 * (A - 1.0) ** 3 - 27.0 * B * B >= 0.0
-
-
-def fixed_point_trajectory(a, b_grid):
-    """Rows (B, alpha1, alpha2, in_set) tracking the extreme real fixed points.
-
-    alpha1/alpha2 are the smallest/largest real roots of f - X for
-    f = X^3 - 3a^2 X + B; rows outside the three-real-fixed-point set carry
-    in_set = False and NaN alphas instead of aborting the sweep.
-    """
-    A = -3.0 * a * a
-    rows = []
-    for B in b_grid:
-        B = float(B)
-        if not in_three_fixed_set(A, B):
-            rows.append((B, math.nan, math.nan, False))
-            continue
-        r = roots_batch(np.array([[B, A - 1.0, 0.0, 1.0]]))[0]
-        real = np.sort(r.real[near_axis(r, TRAJECTORY_REALNESS_TOL)])
-        rows.append((B, float(real[0]), float(real[-1]), True))
-    return rows
 
 
 # samples of the arc A in [-9, -3], B >= 0 of the boundary curve's A <= -3

@@ -1,15 +1,15 @@
 """Duplication Lattes maps from Weierstrass data, and the certificate pipeline.
 
 A curve y^2 = F(x) = x^3 + a x^2 + b x + c induces the degree-4 rational map
-f with x([2]P) = f(x(P)).  This module builds f, cross-checks it against an
-independent chord-tangent group law, finds its real critical points from the
-closed form rho +- sqrt F'(rho) over the real roots rho of F, certifies
-those roots and points on integers by sign changes of F and of the numerator
-of f', decides surjectivity on the real projective line by the sign of
-disc(F), and assembles the non-abelian certificate (surjectivity + non-real
-Julia set + a base point certified nonperiodic on integer pairs by
+f with x([2]P) = f(x(P)).  This module builds f, finds its real critical
+points from the closed form rho +- sqrt F'(rho) over the real roots rho of
+F, certifies those roots and points on integers by sign changes of F and of
+the numerator of f', decides surjectivity on the real projective line by the
+sign of disc(F), and assembles the non-abelian certificate (surjectivity +
+non-real Julia set + a base point certified nonperiodic on integer pairs by
 ``poly._PairMap``).  A certificate makes one float root solve, the complex
-roots of F.
+roots of F, and certifies critical points only when disc(F) < 0.  The tests
+check f against the chord-tangent group law.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .orbit import OrbitStatus, _orbit_loop, check_non_exceptional, orbit_status
 from .poly import (_EXACT_TYPES, Polynomial, _bareiss, _number_text, _PairMap,
                    poly_to_json, sylvester_resultant)
 from .roots import _sign, complex_roots
-from .tolerances import BRACKET_TOL, ON_CURVE_TOL
+from .tolerances import BRACKET_TOL
 
 
 class SingularCurveError(ValueError):
@@ -62,24 +62,6 @@ class WeierstrassCurve:
 
 
 INFINITY = object()     # the point at infinity on the curve / pole value of f
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    x: object = None
-    y: object = None
-    at_infinity: bool = False
-
-    @staticmethod
-    def zero():
-        return CurvePoint(at_infinity=True)
-
-    def on_curve(self, curve: WeierstrassCurve, rel=ON_CURVE_TOL):
-        if self.at_infinity:
-            return True
-        lhs = self.y * self.y
-        rhs = curve.F(self.x)
-        return abs(lhs - rhs) <= rel * (1.0 + abs(float(lhs)) + abs(float(rhs)))
 
 
 @dataclass(frozen=True)
@@ -136,34 +118,6 @@ def duplication_lattes(curve: WeierstrassCurve) -> RationalMap:
     return RationalMap(*_duplication_polys(curve))
 
 
-def double_point(curve: WeierstrassCurve, P: CurvePoint) -> CurvePoint:
-    """Chord-tangent doubling; independent of the Lattes formula."""
-    if P.at_infinity:
-        return P
-    if P.y == 0:
-        return CurvePoint.zero()
-    lam = curve.F.derivative()(P.x) / (2 * P.y)
-    x2 = lam * lam - curve.a - 2 * P.x
-    y2 = lam * (P.x - x2) - P.y
-    return CurvePoint(x2, y2)
-
-
-def check_commutation(curve: WeierstrassCurve, x0: float) -> float:
-    """|f(x0) - x([2](x0, sqrt(F(x0))))|, with 0 when both sides are infinite."""
-    Fx = float(curve.F(x0))
-    if Fx < 0:
-        raise ValueError("F(x0) < 0: no real point above x0")
-    f = duplication_lattes(curve)
-    P = CurvePoint(float(x0), math.sqrt(Fx))
-    twoP = double_point(curve, P)
-    fx = f(float(x0))
-    if twoP.at_infinity and fx is INFINITY:
-        return 0.0
-    if twoP.at_infinity or fx is INFINITY:
-        return math.inf
-    return abs(fx - float(twoP.x))
-
-
 class InvariantError(RuntimeError):
     """A fact the certificate relies on failed in computation; indicates a bug."""
 
@@ -190,22 +144,30 @@ def lattes_critical_points(curve: WeierstrassCurve):
 def _critical_points_and_poles(curve: WeierstrassCurve):
     """(lattes_critical_points(curve), the real poles of f), both certified.
 
-    The one float solve is of F: its real roots are the rho of the closed
-    form and the real poles, the roots of den = 4F.  F has 3 real roots when
-    disc(F) > 0 and 1 when disc(F) < 0; that many of its complex roots, the
-    nearest the real axis, give them by their real parts, and sign changes
-    of F on integers certify them (_certify_real_roots).
+    The real roots rho of F (_real_roots_of_F) are the real poles, the roots
+    of den = 4F, and the rho of the closed form.
     """
+    poles = _real_roots_of_F(curve)
     num, den = _duplication_polys(curve)
     w = num.derivative() * den - num * den.derivative()
-    F = curve.F.to_float()
-    n_poles, n_crit = (3, 4) if curve.disc > 0 else (1, 2)
-    nearest = sorted(complex_roots(F), key=lambda z: abs(z.imag))[:n_poles]
-    poles = sorted(float(z.real) for z in nearest)
-    _certify_real_roots(curve.F, poles, n_poles, "F")
-    crit = _torsion_route(F, poles, w.to_float())
-    _certify_real_roots(w, crit, n_crit, "the numerator of f'")
+    crit = _torsion_route(curve.F.to_float(), poles, w.to_float())
+    _certify_real_roots(w, crit, 4 if curve.disc > 0 else 2, "the numerator of f'")
     return crit, poles
+
+
+def _real_roots_of_F(curve: WeierstrassCurve):
+    """The real roots of F, sorted, certified: the one float solve.
+
+    F has 3 real roots when disc(F) > 0 and 1 when disc(F) < 0; that many of
+    its complex roots, the nearest the real axis, give them by their real
+    parts, and sign changes of F on integers certify them
+    (_certify_real_roots).
+    """
+    n_roots = 3 if curve.disc > 0 else 1
+    nearest = sorted(complex_roots(curve.F.to_float()), key=lambda z: abs(z.imag))[:n_roots]
+    roots = sorted(float(z.real) for z in nearest)
+    _certify_real_roots(curve.F, roots, n_roots, "F")
+    return roots
 
 
 def _torsion_route(F: Polynomial, roots, w: Polynomial):
@@ -282,13 +244,16 @@ def real_surjectivity(curve: WeierstrassCurve):
     (f_c1, f_c2: f at the float points, in exact arithmetic).  With
     disc(F) > 0 and real roots e1 < e2 < e3 the identity components are
     x >= e3 and x <= e1, so f misses (e1, e3): the witness "gap" is the
-    outer certified poles.
+    outer certified poles, and no critical point is computed.
     """
+    if curve.disc > 0:
+        return _surjectivity(curve, [], _real_roots_of_F(curve))
     return _surjectivity(curve, *_critical_points_and_poles(curve))
 
 
 def _surjectivity(curve: WeierstrassCurve, crit, poles):
-    """real_surjectivity(curve) from the certified real critical points and poles of its map."""
+    """real_surjectivity(curve) from the certified real poles of its map and,
+    when disc(F) < 0, its certified real critical points (unused otherwise)."""
     if curve.disc > 0:
         return {"surjective": False, "witness": {"gap": (poles[0], poles[-1])}}
     num, den = _duplication_polys(curve)
@@ -432,21 +397,20 @@ class NonAbelianCertificate:
         }
 
 
-def certify_nonabelian(target, alpha, curve: WeierstrassCurve | None = None,
-                       disabled=frozenset()) -> NonAbelianCertificate:
+def certify_nonabelian(target, alpha,
+                       curve: WeierstrassCurve | None = None) -> NonAbelianCertificate:
     """Assemble the three-part certificate for a polynomial or Lattes map.
 
     target: a Polynomial with rational coefficients, or a RationalMap built
-    by duplication_lattes (pass the curve for the Julia-set fact).  `disabled`
-    names sub-checks to skip (treated as passing) for mutation testing.
+    by duplication_lattes (pass the curve for the Julia-set fact).  Each
+    check records its own pass flag, and the map is certified exactly when
+    all three pass: surjective, julia_nonreal and nonperiodic.
     """
     alpha = Fraction(alpha)
     cert = NonAbelianCertificate(map_json={}, alpha=alpha)
 
     if isinstance(target, Polynomial):
         p = target.to_exact()
-        if not p.is_exact:
-            raise ValueError("rational coefficients required")
         cert.map_json = {"poly": poly_to_json(p)}
         d = p.degree
         if d % 2 == 1:
@@ -481,14 +445,8 @@ def certify_nonabelian(target, alpha, curve: WeierstrassCurve | None = None,
     ok = status.counts_as_nonperiodic
     cert.nonperiodic = {"pass": ok, "tag": status.tag,
                         "reason": status.reason or status.tag}
-    checks = {"surjective": cert.surjective["pass"],
-              "julia_nonreal": cert.julia_nonreal["pass"],
-              "nonperiodic": cert.nonperiodic["pass"]}
-    for name in disabled:
-        if name not in checks:
-            raise ValueError(f"unknown check {name!r}")
-        checks[name] = True
-    cert.certified = all(checks.values())
-    if status.tag == "undecided" and "nonperiodic" not in disabled:
+    cert.certified = all(check["pass"] for check in
+                         (cert.surjective, cert.julia_nonreal, cert.nonperiodic))
+    if status.tag == "undecided":
         cert.nonperiodic["reason"] = "periodicity undecided"
     return cert

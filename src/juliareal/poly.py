@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 
-import numpy as np
-
 # Composition/iteration refuses to build anything bigger than this many
 # coefficients.
 DEGREE_CAP = 10**6
@@ -263,24 +261,24 @@ def _det_exact(rows):
 
 
 def sylvester_resultant(a, b):
-    """Resultant of two coefficient sequences (ascending order).
+    """Resultant of two coefficient sequences (ascending order), exact.
 
     Degrees are taken from the sequence lengths, so padded sequences give the
-    resultant of the corresponding homogeneous forms.
+    resultant of the corresponding homogeneous forms.  A float coefficient
+    is taken at its exact value, the Fraction it is.
     """
     m, n = len(a) - 1, len(b) - 1
     if m == 0 and n == 0:
         return 1
-    ar, br = list(reversed(a)), list(reversed(b))
+    ar, br = ([x if isinstance(x, _EXACT_TYPES) else Fraction(x) for x in reversed(v)]
+              for v in (a, b))
     size = m + n
     rows = []
     for i in range(n):
         rows.append([0] * i + ar + [0] * (size - m - 1 - i))
     for i in range(m):
         rows.append([0] * i + br + [0] * (size - n - 1 - i))
-    if all(isinstance(x, _EXACT_TYPES) for x in a + b):
-        return _det_exact(rows)
-    return float(np.linalg.det(np.array(rows, dtype=float)))
+    return _det_exact(rows)
 
 
 class _PairMap:

@@ -13,8 +13,6 @@ CRIT_REALNESS_TOL = 1e-7
 FIXED_REALNESS_TOL = 1e-6
 # the refined center of a cluster merged as a multiple root
 MULTIPLE_REALNESS_TOL = 1e-6
-# an extreme fixed point along cubic_region.fixed_point_trajectory
-TRAJECTORY_REALNESS_TOL = 1e-7
 # every root of p - t, for p - t to split: at a sample inside a critical
 # interval, and at an endpoint pulled in by ENDPOINT_PULL
 SPLIT_TOL = 1e-6
@@ -57,6 +55,3 @@ ENDPOINT_PULL = 1e-9
 # the half-width of the rational bracket that certifies a float root x of an
 # exact polynomial, times 1 + |x|
 BRACKET_TOL = 1e-10
-# (x, y) is on y^2 = F(x) when |y^2 - F(x)| is at most this times
-# 1 + |y^2| + |F(x)|
-ON_CURVE_TOL = 1e-9

@@ -220,6 +220,9 @@ class TestMalformedNumbers:
         ["classify", "--poly", '["one",0,1]'],
         ["classify", "--poly", "[true,0,1]"],
         ["classify", "--poly", "[1,0,1" + "0" * 400 + "]"],
+        ["classify", "--poly", '["1e400",0,1]'],
+        ["classify", "--poly", '["' + "1" * 400 + '/3",0,1]'],
+        ["equidist", "--poly", "[-2,0,1]", "--alpha", "1e400"],
     ])
     def test_usage_error_exit_2(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

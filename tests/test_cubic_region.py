@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from juliareal import classifier
 from juliareal.classifier import classify_batch, classify_real_julia
 from juliareal.cubic_region import (_COARSE_STRIDE, _arc_distance, b_zero, boundary_distance,
-                                    fixed_point_trajectory, in_region,
-                                    in_three_fixed_set, region_bound,
-                                    region_scan)
+                                    in_region, region_bound, region_scan)
 from juliareal.poly import Polynomial
+from reference_oracles import fixed_point_trajectory, in_three_fixed_set
 
 # the same examples on every run, and no example database on disk
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -8,19 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from juliareal.lattes import (INFINITY, CurvePoint,
-                              NonAbelianCertificate, RationalMap,
-                              SingularCurveError, WeierstrassCurve,
-                              certify_nonabelian, check_commutation,
-                              double_point, duplication_lattes,
-                              lattes_critical_points, rational_orbit_status,
-                              real_surjectivity)
+from juliareal.lattes import (INFINITY, RationalMap, SingularCurveError,
+                              WeierstrassCurve, certify_nonabelian,
+                              duplication_lattes, lattes_critical_points,
+                              rational_orbit_status, real_surjectivity)
 from juliareal import classifier, lattes, orbit, poly, roots
 from juliareal.cli import main
 from juliareal.lattes import InvariantError, _bezout_constant
 from juliareal.orbit import ExceptionalPointError, check_non_exceptional
 from juliareal.poly import Polynomial, _PairMap
 from juliareal.roots import complex_roots, real_roots_ex, real_root_count
+from juliareal.tolerances import BRACKET_TOL
+from reference_oracles import CurvePoint, check_commutation, double_point
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "lattes_golden.json"
 
@@ -504,6 +503,19 @@ class TestSurjectivity:
         assert len(calls) == 1
         assert not out["surjective"]
 
+    def test_close_real_roots_need_no_critical_points(self):
+        # F = (X - 1)(X - 2)(X - 2 - 1e-4): the critical point near 1.9901 is
+        # ill-conditioned, but the disc > 0 witness is the outer roots of F
+        eps = Fraction(1, 10**4)
+        curve = WeierstrassCurve(-(5 + eps), 8 + 3 * eps, -(4 + 2 * eps))
+        out = real_surjectivity(curve)
+        assert not out["surjective"]
+        lo, hi = out["witness"]["gap"]
+        for x, root in ((lo, 1), (hi, 2 + eps)):
+            assert abs(Fraction(x) - root) <= BRACKET_TOL * (1 + abs(x))
+        cert = certify_nonabelian(duplication_lattes(curve), Fraction(1, 3), curve=curve)
+        assert cert.surjective == {"pass": False, "witness": out["witness"]}
+
     def test_lattes_command_computes_each_object_once(self, monkeypatch, capsys):
         # one map, checked once; one set of critical points and poles, from
         # the one solve of F
@@ -606,10 +618,12 @@ class TestCertify:
             (P(0, -1, 0, 1), Fraction(0), "nonperiodic"),
         ]
         for poly, alpha, check in flips:
-            baseline = certify_nonabelian(poly, alpha)
-            mutated = certify_nonabelian(poly, alpha, disabled={check})
-            assert not baseline.certified
-            assert mutated.certified
+            # the named check alone fails, and it alone denies the certificate
+            cert = certify_nonabelian(poly, alpha)
+            assert not cert.certified
+            checks = cert.to_json()["checks"]
+            assert not checks[check]["pass"]
+            assert all(checks[name]["pass"] for name in checks if name != check)
 
     def test_exceptional_alpha_rejected(self):
         with pytest.raises(ExceptionalPointError):
@@ -620,11 +634,6 @@ class TestCertify:
         with pytest.raises(ExceptionalPointError):
             check_non_exceptional(RationalMap(P(0, 0, 1), P(1)), Fraction(0))
         check_non_exceptional(duplication_lattes(E_NEG), Fraction(1, 3))
-
-    def test_unknown_check_name(self):
-        with pytest.raises(ValueError):
-            certify_nonabelian(P(0, -1, 0, 1), Fraction(1, 2),
-                               disabled={"bogus"})
 
     def test_lattes_certificate_checks_coprimality_once(self, monkeypatch):
         # the caller's duplication_lattes has checked the map; the

@@ -142,6 +142,13 @@ class TestResultants:
         assert plain != 0
         assert padded == 0
 
+    def test_float_coefficients_taken_exactly(self):
+        # 0.1 is the dyadic Fraction(0.1), not 1/10, and the resultant of
+        # its rows is that Fraction's, with no rounding
+        r = sylvester_resultant([0.1, 1.0], [3.0, 1.0])
+        assert r == sylvester_resultant([Fraction(0.1), 1], [3, 1])
+        assert isinstance(r, Fraction)
+
 
 def fraction_bareiss(rows):
     """Bareiss determinant over Fraction, pivoting on the first nonzero entry."""
