@@ -14,9 +14,16 @@ ABERTH_STEP_TOL (1 + |z|) or lies on the rounding floor, for Horner's rule
 2000), so roots next to a multiple root stop as soon as their steps are
 noise; a row still moving after _ABERTH_MAX_ITER iterations raises
 RootFindingError.  The tolerances are those of the tolerances module.
-The Newton polish reuses each step's residual evaluation as the next
-step's p and p', so it makes 1 + _POLISH_STEPS = 5 evaluator passes, and
-Horner's rule runs in place on one buffer each for p and p'.
+Aberth holds its iterates roots-major, shape (d, rows), so Horner's rule,
+the floor, the update and the pair sums run along the long rows axis; the
+sums take their terms in one fixed order, so a row gets the same bits
+alone or in any batch.  The first pass of the Newton polish also returns
+the floor: a row of Aberth or quadratic roots that all lie on it comes
+back as it is, after that one pass.  Every other row, and every row of
+Cardano's cubic, gets the full polish, which reuses each step's residual
+evaluation as the next step's p and p', so it makes 1 + _POLISH_STEPS = 5
+evaluator passes.  Horner's rule runs in place on one buffer each for p
+and p'.
 real_roots_ex merges root clusters into multiple roots and refines an
 m-fold cluster by Newton's method on p^(m-1), where it is a simple root; it
 takes a Polynomial or a TwoCycles, f(f(X)) - X.
@@ -38,8 +45,13 @@ from .tolerances import (ABERTH_STEP_TOL, CLUSTER_TOL, DIVISION_GUARD, FLOOR_ULP
 
 _ABERTH_MAX_ITER = 120
 _POLISH_STEPS = 4
-# rows per block of the (rows, d, d) Aberth differences: 0.6 MB at d = 6
+# batch rows, the columns of the roots-major iterates, per block of the
+# Aberth pair terms 1 / (z_i - z_j): 0.25 MB of terms at d = 6
 _DIFF_BLOCK_ROWS = 1024
+# below this many columns a block's d^2 pair terms take fewer numpy calls
+# than its d (d - 1) / 2 pairs taken one at a time (measured crossover
+# about 64 columns for d = 4 to 25)
+_NARROW_BLOCK = 64
 # the rounding floor's factor FLOOR_ULPS * eps, built once
 _FLOOR_UNIT = FLOOR_ULPS * np.finfo(float).eps
 
@@ -66,10 +78,12 @@ def _horner_many(C, z):
 
     Horner's rule in place on one buffer each for p and p', with the
     operations, and so the rounding, of p = p z + c_i and p' = p' z + p.
+    The buffers take z's memory order, so a roots-major z is evaluated
+    along its rows.
     """
-    p = np.empty(z.shape, dtype=complex)
+    p = np.empty_like(z, dtype=complex)
     p[...] = C[:, -1:]
-    dp = np.zeros(z.shape, dtype=complex)
+    dp = np.zeros_like(z, dtype=complex)
     for i in range(C.shape[1] - 2, -1, -1):
         dp *= z
         dp += p
@@ -86,7 +100,7 @@ def _quadratic_batch(C):
     r1 = t / c2
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(t != 0, c0 / np.where(t != 0, t, 1), 0)
-    return np.stack([r1, r2], axis=1)
+    return np.stack([r1, r2]).T
 
 
 _CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
@@ -105,10 +119,10 @@ def _cubic_batch(C):
     u3b = -q / 2 - s
     u3 = np.where(np.abs(u3a) >= np.abs(u3b), u3a, u3b)
     u = u3.astype(complex) ** (1.0 / 3.0)
-    w = u[:, None] * _CUBE_ROOTS_OF_UNITY[None, :]
+    w = u[None, :] * _CUBE_ROOTS_OF_UNITY[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.where(np.abs(w) > 0, w - p[:, None] / np.where(np.abs(w) > 0, 3 * w, 1), 0)
-    return y - shift[:, None]
+        y = np.where(np.abs(w) > 0, w - p[None, :] / np.where(np.abs(w) > 0, 3 * w, 1), 0)
+    return (y - shift[None, :]).T
 
 
 def _fujiwara_radius(C):
@@ -142,7 +156,8 @@ class Horner:
 
     Called on z of shape (rows, k), it returns p(z), p'(z) and, with
     floor=True, the rounding floor of Horner's rule, FLOOR_ULPS * eps *
-    sum |c_i| |z|^i (else None).  take(rows) restricts it to some rows.
+    sum |c_i| |z|^i (else None), each in z's memory order.  take(rows)
+    restricts it to some rows.
     """
 
     def __init__(self, C):
@@ -153,7 +168,8 @@ class Horner:
         return _fujiwara_radius(self.C)
 
     def take(self, rows):
-        return Horner(self.C[rows])
+        # through C.T, so that a column-major C stays column-major
+        return Horner(self.C.T[:, rows].T)
 
     def __call__(self, z, floor=False):
         p, dp = _horner_many(self.C, z)
@@ -214,58 +230,95 @@ class NestedHorner:
         return RESIDUAL_TOL / _FLOOR_UNIT * self(z, floor=True)[2]
 
 
+def _pair_sums(z):
+    """S_i = sum_j 1 / (z_i - z_j) over j != i, for roots-major z, shape (d, rows).
+
+    S_i takes the terms T_ij = 1 / (z_i - z_j) in the order j = 0, ..., d - 1,
+    over blocks of at most _DIFF_BLOCK_ROWS columns, so a column gets the same
+    bits whatever the width of the batch.  A block narrower than
+    _NARROW_BLOCK forms all d^2 terms in a few calls, T_ii = 1 / inf = 0; a
+    wider one divides each pair once, column j holding T_kj for k > j, and
+    subtracts T_kj where it needs T_jk = -T_kj.  The two give the same bits:
+    negation is exact, in z_i - z_j and in the division alike.
+    """
+    d, n = z.shape
+    S = np.zeros_like(z)
+    for lo in range(0, n, _DIFF_BLOCK_ROWS):
+        block, sums = z[:, lo:lo + _DIFF_BLOCK_ROWS], S[:, lo:lo + _DIFF_BLOCK_ROWS]
+        if block.shape[1] < _NARROW_BLOCK:
+            T = block[:, None, :] - block[None, :, :]
+            T[np.arange(d), np.arange(d)] = np.inf
+            np.divide(1.0, T, out=T)
+            sums[...] = np.add.accumulate(T, axis=1, out=T)[:, -1]
+            continue
+        cols = []
+        for j in range(d):
+            for i in range(j):
+                sums[i] -= cols[i][j - i - 1]
+            col = block[j + 1:] - block[j]
+            sums[j + 1:] += np.divide(1.0, col, out=col)
+            cols.append(col)
+    return S
+
+
 def _aberth_batch(ev):
     """Aberth-Ehrlich on every row of evaluator ev, from a circle of starts.
 
     A row stops once each of its roots takes a step below ABERTH_STEP_TOL
     (1 + |z|) or lies on ev's rounding floor: a root next to a multiple
-    root never meets the step test, since its steps are rounding noise.  Returns the
-    iterates and the indices of the rows still live after _ABERTH_MAX_ITER
-    iterations.
+    root never meets the step test, since its steps are rounding noise.  The
+    iterates are held roots-major, shape (d, rows), so every operation runs
+    along the long rows axis; ev sees their transpose, a (rows, d) view that
+    keeps that memory order.  Returns the iterates, shape (rows, d), and the
+    indices of the rows still live after _ABERTH_MAX_ITER iterations.
     """
     d = ev.degree
     R = ev.radius()
     angles = 2 * np.pi * (np.arange(d) + 0.37) / d + 0.61
     radii = 0.9 * (1.0 + 0.08 * np.arange(d) / max(d - 1, 1))
-    z = R[:, None] * radii[None, :] * np.exp(1j * angles)[None, :]
+    z = R[None, :] * radii[:, None] * np.exp(1j * angles)[:, None]
     # each row stops at its own convergence, so it gets the roots it would
     # get alone and a slow row costs no work on the others
     rows, eva, za = np.arange(len(R)), ev, z
     for _ in range(_ABERTH_MAX_ITER):
         if rows.size == 0:
             break
-        p, dpv, floor = eva(za, floor=True)
+        p, dpv, floor = (a.T for a in eva(za.T, floor=True))
         on_floor = np.abs(p) <= floor
         bad = dpv == 0
         if bad.any():
             dpv = np.where(bad, DIVISION_GUARD, dpv)
         N = p / dpv
-        # S_i = sum_j 1 / (z_i - z_j) over j != i, a block of rows at a time,
-        # so that the (rows, d, d) differences stay the size of one block
-        S = np.empty_like(za)
-        for lo in range(0, len(za), _DIFF_BLOCK_ROWS):
-            block = za[lo:lo + _DIFF_BLOCK_ROWS]
-            diffs = block[:, :, None] - block[:, None, :]
-            np.einsum("bii->bi", diffs)[:] = np.inf
-            np.divide(1.0, diffs, out=diffs).sum(axis=2, out=S[lo:lo + _DIFF_BLOCK_ROWS])
-        w = N / (1.0 - N * S)
+        w = N / (1.0 - N * _pair_sums(za))
         w = np.where(np.isfinite(w), w, N)
         za = za - w
-        live = ~(on_floor | (np.abs(w) <= ABERTH_STEP_TOL * (1.0 + np.abs(za)))).all(axis=1)
+        live = ~(on_floor | (np.abs(w) <= ABERTH_STEP_TOL * (1.0 + np.abs(za)))).all(axis=0)
         if not live.all():
-            z[rows] = za
-            rows, eva, za = rows[live], eva.take(live), za[live]
-    z[rows] = za
-    return z, rows
+            z[:, rows] = za
+            rows, eva, za = rows[live], eva.take(live), za[:, live]
+    z[:, rows] = za
+    return z.T, rows
 
 
-def _polish_batch(ev, z):
-    # Residual-monotone Newton: near multiple roots p/p' is noise over noise
-    # and an unguarded step can wander by O(1e-2), so a step is kept only
-    # where it actually shrinks |p|.  The evaluation that gives a step's
-    # residual also gives the next step's p and p', so the polish makes
-    # 1 + _POLISH_STEPS evaluator passes.
-    p, dpv, _ = ev(z)
+def _polish_batch(ev, z, keep_on_floor=True):
+    """Residual-monotone Newton polish of the roots z, shape (rows, d).
+
+    Near multiple roots p/p' is noise over noise and an unguarded step can
+    wander by O(1e-2), so a step is kept only where it actually shrinks |p|.
+    The evaluation that gives a step's residual also gives the next step's
+    p and p', so the polish makes 1 + _POLISH_STEPS evaluator passes.  With
+    keep_on_floor the first pass also returns the rounding floor, and a row
+    whose roots all satisfy |p| <= floor comes back as it is, after that one
+    pass; the other rows are polished, each with the bits it would get
+    alone.
+    """
+    p, dpv, floor = ev(z, floor=keep_on_floor)
+    if keep_on_floor:
+        off = np.flatnonzero(~(np.abs(p) <= floor).all(axis=1))
+        if off.size == 0:
+            return z
+        out = z.copy()
+        ev, z, p, dpv, floor = ev.take(off), z[off], p[off], dpv[off], None
     best, best_res = z, np.abs(p)
     for _ in range(_POLISH_STEPS):
         bad = dpv == 0
@@ -279,7 +332,10 @@ def _polish_batch(ev, z):
         improved = res < best_res
         best = np.where(improved, z, best)
         best_res = np.where(improved, res, best_res)
-    return best
+    if not keep_on_floor:
+        return best
+    out[off] = best
+    return out
 
 
 def roots_batch(C, evaluator=Horner):
@@ -288,10 +344,13 @@ def roots_batch(C, evaluator=Horner):
     With the default evaluator the rows are polynomials: closed forms for
     d <= 3, Aberth-Ehrlich above.  With evaluator=NestedHorner the roots
     are those of f(f(z)) - z for each row f, by Aberth with nested
-    evaluation.  A residual-monotone Newton polish follows; returns shape
-    (rows, degree), complex.  Each row gets the roots it would get alone.
-    Raises RootFindingError, with the polished iterates as best, if any row
-    is still moving after _ABERTH_MAX_ITER Aberth iterations.
+    evaluation.  A residual-monotone Newton polish follows: on every row of
+    Cardano's cubic, and on those rows of the quadratic formula and of
+    Aberth that have a root above the rounding floor.  Returns shape (rows,
+    degree), complex, held roots-major in memory.  Each row gets the roots
+    it would get alone.  Raises
+    RootFindingError, with the polished iterates as best, if any row is
+    still moving after _ABERTH_MAX_ITER Aberth iterations.
     """
     C = np.asarray(C, dtype=complex)
     d = C.shape[1] - 1
@@ -306,7 +365,9 @@ def roots_batch(C, evaluator=Horner):
     elif d == 2:
         z = _quadratic_batch(C)
     else:
-        z = _cubic_batch(C)
+        # Cardano's roots can lie on the floor a few ulps off the polished
+        # ones (-0.9999999999999998 for -1), so every cubic row is polished
+        return _polish_batch(ev, _cubic_batch(C), keep_on_floor=False)
     z = _polish_batch(ev, z)
     if len(stalled):
         raise RootFindingError(
@@ -318,7 +379,9 @@ def roots_batch(C, evaluator=Horner):
 def roots_shifted(p: Polynomial, targets):
     """Roots of p(X) - t for every t in targets; shape (len(targets), deg)."""
     t = np.asarray(targets, dtype=complex).ravel()
-    C = np.tile(np.array([complex(c) for c in p.coeffs]), (t.size, 1))
+    # column-major, so that each coefficient is one vector along the rows
+    C = np.empty((t.size, p.degree + 1), dtype=complex, order="F")
+    C[...] = [complex(c) for c in p.coeffs]
     C[:, 0] -= t
     return roots_batch(C)
 

@@ -120,10 +120,13 @@ class TestBackwardOrbit:
             assert orb.residuals().max() <= 1e-6 * (1 + abs(alpha))
 
     def test_conjugation_closure(self):
+        # each point is matched one to one with a conjugate: the two members
+        # of a pair may differ by an ulp, so their sort orders need not agree
         orb = backward_orbit(BASILICA, 1 / 3, 4)
-        pts = np.sort_complex(orb.points)
-        conj = np.sort_complex(np.conj(orb.points))
-        assert np.allclose(pts, conj, atol=1e-9)
+        conj = list(np.conj(orb.points))
+        for z in orb.points:
+            k = int(np.argmin(np.abs(np.array(conj) - z)))
+            assert abs(conj.pop(k) - z) <= 1e-9
 
     def test_cap(self):
         with pytest.raises(OrbitCapError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from juliareal import roots
 from juliareal.orbit import backward_orbit
 from juliareal.poly import Polynomial
-from juliareal.roots import (RootFindingError, all_real_batch, all_real_shifted,
+from juliareal.roots import (NestedHorner, RootFindingError, all_real_batch, all_real_shifted,
                              all_roots_real, complex_roots, real_root_count,
                              real_roots_batch, real_roots_ex, roots_batch,
                              roots_shifted, square_free_part)
@@ -109,14 +110,41 @@ class TestRootsShifted:
             batch = roots_batch(C)
             for row, z in zip(C, batch):
                 assert np.array_equal(z, roots_shifted(Polynomial(list(row)), [0.0])[0])
+        # f(f(z)) - z of degree 9 and 25: a sum over j in numpy's pairwise
+        # order would depend on the width of the batch
+        for d in (3, 5):
+            C = rng.uniform(-2, 2, (5, d + 1))
+            batch = roots_batch(C, NestedHorner)
+            for row, z in zip(C, batch):
+                assert np.array_equal(z, roots_batch(row[None, :], NestedHorner)[0])
+        # wider than two blocks of columns, the last one narrow
+        C = rng.uniform(-2, 2, (2 * roots._DIFF_BLOCK_ROWS + 52, 7))
+        batch = roots_batch(C)
+        for i in (*range(0, len(C), 97), len(C) - 1):
+            assert np.array_equal(batch[i], roots_batch(C[i:i + 1])[0])
 
     def test_difference_blocks_change_no_root(self, monkeypatch):
-        # the Aberth differences are formed a block of rows at a time; blocks
-        # of 3 rows, one of them short, give the same roots bit for bit
+        # the Aberth pair terms are formed a block of columns (batch rows) at
+        # a time; blocks of 3 columns, one of them short, give the same roots
+        # bit for bit
         C = np.random.default_rng(13).uniform(-2, 2, (8, 6))
         whole = roots_batch(C)
         monkeypatch.setattr(roots, "_DIFF_BLOCK_ROWS", 3)
         assert np.array_equal(roots_batch(C), whole)
+
+    def test_wide_and_narrow_blocks_agree(self, monkeypatch):
+        # a narrow block forms all d^2 pair terms, a wide one each pair once
+        # with T_ji = -T_ij: the two give the same sums bit for bit
+        rng = np.random.default_rng(14)
+        for d, n in ((4, 70), (6, 130), (25, 3)):
+            z = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+            monkeypatch.setattr(roots, "_NARROW_BLOCK", n + 1)
+            narrow = roots._pair_sums(z)
+            monkeypatch.setattr(roots, "_NARROW_BLOCK", 0)
+            wide = roots._pair_sums(z)
+            assert np.array_equal(narrow, wide)
+            ref = [sum(1 / (z[i] - z[j]) for j in range(d) if j != i) for i in range(d)]
+            assert np.allclose(wide, ref, rtol=1e-12, atol=0)
 
     def test_stops_at_rounding_floor_near_double_root(self, monkeypatch):
         # 2T_4(x/2) - t at the cross-check's pulled-in endpoint t = -2 + 1e-9
@@ -142,6 +170,43 @@ class TestRootsShifted:
         roots_batch(np.array([[-0.5, 2.0, -1.0, 1.0]]))
         assert len(calls) == 1 + roots._POLISH_STEPS == 5
 
+    def test_on_floor_quadratic_is_kept(self, monkeypatch):
+        # the quadratic formula's roots of x^2 - 2 lie on the rounding floor:
+        # the polish makes its first pass and returns them unchanged
+        calls = []
+        horner = roots._horner_many
+        monkeypatch.setattr(roots, "_horner_many",
+                            lambda C, z: calls.append(1) or horner(C, z))
+        C = np.array([[-2.0, 0.0, 1.0], [1.0, -1e8, 1.0]], dtype=complex)
+        z = roots_batch(C)
+        assert len(calls) == 1
+        assert np.array_equal(z, roots._quadratic_batch(C))
+
+    def test_on_floor_aberth_row_is_kept(self, monkeypatch):
+        calls = []
+        horner = roots._horner_many
+        monkeypatch.setattr(roots, "_horner_many",
+                            lambda C, z: calls.append(1) or horner(C, z))
+        C = np.array([[0.3, -1.2, 0.0, 0.5, 1.0]], dtype=complex)
+        aberth, _ = roots._aberth_batch(roots.Horner(C))
+        iterations = len(calls)
+        calls.clear()
+        z = roots_batch(C)
+        assert len(calls) == iterations + 1
+        assert np.array_equal(z, aberth)
+
+    def test_row_above_floor_gets_the_full_polish(self):
+        C = np.array([[-2.0, 0.0, 1.0], [-3.0, 1.0, 1.0], [2.0, 0.5, 1.0]], dtype=complex)
+        ev = roots.Horner(C)
+        z = roots._quadratic_batch(C)
+        z[1, 0] += 1e-9
+        start = z.copy()
+        gated = roots._polish_batch(ev, z)
+        full = roots._polish_batch(ev, z, keep_on_floor=False)
+        assert np.array_equal(z, start)
+        assert np.array_equal(gated[1], full[1]) and not np.array_equal(gated[1], z[1])
+        assert np.array_equal(gated[[0, 2]], z[[0, 2]])
+
     def test_residuals_small(self):
         rng = np.random.default_rng(9)
         p = Polynomial(list(rng.uniform(-2, 2, 5)))
@@ -164,6 +229,25 @@ class TestHornerKernel:
                 p, dp = roots._horner_many(C, z)
                 ref_p, ref_dp = reference_horner(C, z)
                 assert np.array_equal(p, ref_p) and np.array_equal(dp, ref_dp)
+
+
+class TestBackwardOrbitMemory:
+    # tracemalloc's peak over one tree, which the benchmark's peak_rss_mb
+    # carries: no higher than with the rows-major Aberth blocks and the
+    # ungated polish, which peaked at these byte counts (numpy 2.4)
+    @pytest.mark.parametrize("coeffs, depth, before", [
+        ([-2.0, 0.0, 1.0], 16, 11_801_048),
+        ([-2.0, 0.0, 9.0, 0.0, -6.0, 0.0, 1.0], 6, 11_048_768)])
+    def test_peak_no_higher(self, coeffs, depth, before):
+        p = Polynomial(coeffs)
+        backward_orbit(p, 0.5, depth, cap=10 ** 5)
+        tracemalloc.start()
+        try:
+            backward_orbit(p, 0.5, depth, cap=10 ** 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= before
 
 
 class TestNonConvergence:
