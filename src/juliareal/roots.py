@@ -348,9 +348,9 @@ def roots_batch(C, evaluator=Horner):
     Cardano's cubic, and on those rows of the quadratic formula and of
     Aberth that have a root above the rounding floor.  Returns shape (rows,
     degree), complex, held roots-major in memory.  Each row gets the roots
-    it would get alone.  Raises
-    RootFindingError, with the polished iterates as best, if any row is
-    still moving after _ABERTH_MAX_ITER Aberth iterations.
+    it would get alone.  Raises RootFindingError, with the polished
+    iterates as best, if any row is still moving after _ABERTH_MAX_ITER
+    Aberth iterations.
     """
     C = np.asarray(C, dtype=complex)
     d = C.shape[1] - 1

@@ -171,8 +171,8 @@ class TestRootsShifted:
         assert len(calls) == 1 + roots._POLISH_STEPS == 5
 
     def test_on_floor_quadratic_is_kept(self, monkeypatch):
-        # the quadratic formula's roots of x^2 - 2 lie on the rounding floor:
-        # the polish makes its first pass and returns them unchanged
+        # the quadratic formula's roots of x^2 - 2 and x^2 - 1e8 x + 1 lie on
+        # the rounding floor: the polish makes its first pass and keeps them
         calls = []
         horner = roots._horner_many
         monkeypatch.setattr(roots, "_horner_many",
@@ -183,6 +183,8 @@ class TestRootsShifted:
         assert np.array_equal(z, roots._quadratic_batch(C))
 
     def test_on_floor_aberth_row_is_kept(self, monkeypatch):
+        # Aberth's roots of this quartic lie on the floor: the polish adds
+        # one pass to Aberth's and keeps them
         calls = []
         horner = roots._horner_many
         monkeypatch.setattr(roots, "_horner_many",
