@@ -318,6 +318,7 @@ def _polish_batch(ev, z, keep_on_floor=True):
         if off.size == 0:
             return z
         out = z.copy()
+        # polish the off-floor rows alone, letting the full-size arrays go
         ev, z, p, dpv, floor = ev.take(off), z[off], p[off], dpv[off], None
     best, best_res = z, np.abs(p)
     for _ in range(_POLISH_STEPS):
