@@ -48,9 +48,9 @@ _POLISH_STEPS = 4
 # batch rows, the columns of the roots-major iterates, per block of the
 # Aberth pair terms 1 / (z_i - z_j): 0.25 MB of terms at d = 6
 _DIFF_BLOCK_ROWS = 1024
-# below this many columns a block's d^2 pair terms take fewer numpy calls
-# than its d (d - 1) / 2 pairs taken one at a time (measured crossover
-# about 64 columns for d = 4 to 25)
+# below this many columns a block's d^2 pair terms, in a few numpy calls,
+# cost less than its d (d - 1) / 2 pairs taken one at a time; the two cross
+# between 32 and 128 columns for d = 4 to 25 (BENCH_24.json, variants)
 _NARROW_BLOCK = 64
 # the rounding floor's factor FLOOR_ULPS * eps, built once
 _FLOOR_UNIT = FLOOR_ULPS * np.finfo(float).eps
