@@ -114,11 +114,11 @@ def _cross_check_targets(lo, hi, scale):
 
 
 def _critical_points(q):
-    """Real critical points (x, m, kind) of q in ascending order, or None.
+    """Real critical points (x, kind) of q in ascending order, or None.
 
-    m is the multiplicity as a root of q'; kind is +1 at a local minimum,
-    -1 at a local maximum and 0 at a multiple critical point.  None means
-    some critical point is nonreal.
+    kind is +1 at a local minimum, -1 at a local maximum and 0 at a
+    multiple critical point (a root of q' of multiplicity >= 2).  None
+    means some critical point is nonreal.
     """
     dq = q.derivative()
     crit, _ = real_roots_ex(dq, realness_tol=CRIT_REALNESS_TOL)
@@ -137,7 +137,7 @@ def _critical_points(q):
             kind = 1
         else:                                       # local max
             kind = -1
-        out.append((x, m, kind))
+        out.append((x, kind))
     return out
 
 
@@ -200,56 +200,48 @@ def critical_interval(p: Polynomial) -> CriticalInterval:
     if crit is None:
         # nonreal critical point: p - t can never split over R
         return _EMPTY
-    lo, hi = _bounds((q(x), kind) for x, _, kind in crit)
+    lo, hi = _bounds((q(x), kind) for x, kind in crit)
     return _checked_interval(lo, hi, lambda ts, tol: all_real_shifted(q, ts, tol=tol))
 
 
 def square_critical_interval(p: Polynomial) -> CriticalInterval:
-    """critical_interval of p o p, from degree-d solves of p alone.
+    """critical_interval of p o p for p of odd degree with a negative lead.
 
     p o p is never expanded.  With g = p o p, g - t splits iff p - t splits
-    with every root in I_p, p's critical interval, so:
-
-    - the critical points of g are crit(p) and the preimages of each
-      critical point c, all real iff crit(p) lies in I_p;
-    - a preimage of c is an extremum of g of c's kind with value p(c), so
-      I_g lies in I_p;
-    - c itself gives g the value p(p(c)), with c's kind where p' > 0 at
-      p(c), the other kind where p' < 0 (the sign comes from the
-      multiplicity parity of the critical points right of p(c)), and a pin
-      where p(c) is itself a critical point or c is multiple.
+    with every root in I_p = [lo, hi], p's critical interval, so g has real
+    critical points only if crit(p) lies in I_p.  Then p decreases left of
+    its least critical point and right of its greatest, both in I_p: the
+    least root of p - t is >= lo iff t <= p(lo), the greatest is <= hi iff
+    t >= p(hi), and I_g = [max(lo, p(hi)), min(hi, p(lo))].  Where p(c) is
+    a critical point for some critical point c (or c is multiple), c is a
+    multiple critical point of g and its value p(p(c)) pins both ends.
 
     The cross-check solves p - t, one degree-d row per target, and asks
     that it split with every root in I_p; I_p is cross-checked as in
     critical_interval.
     """
     q = p.to_float()
-    if q.degree < 2:
-        raise ValueError("degree >= 2 required")
+    if q.degree < 3 or q.degree % 2 == 0 or q.lead > 0:
+        raise ValueError("odd degree >= 3 with negative lead required")
     crit = _critical_points(q)
     if crit is None:
         return _EMPTY
-    values = [q(x) for x, _, _ in crit]
-    extremes = [(v, kind) for v, (_, _, kind) in zip(values, crit)]
-    outer = _checked_interval(*_bounds(extremes),
+    values = [(q(x), kind) for x, kind in crit]
+    outer = _checked_interval(*_bounds(values),
                               lambda ts, tol: all_real_shifted(q, ts, tol=tol))
-    if outer.empty or not all(outer.contains(x) for x, _, _ in crit):
+    if outer.empty or not all(outer.contains(x) for x, _ in crit):
         # a critical point outside I_p has nonreal preimages
         return _EMPTY
-    # extremes now holds the preimages of each critical point; add the
-    # critical points themselves
-    for v, (_, _, kind) in zip(values, crit):
-        if kind == 0 or any(abs(v - c) <= CLUSTER_TOL * (1.0 + abs(v)) for c, _, _ in crit):
-            kind = 0
-        elif (q.lead > 0) != (sum(m for c, m, _ in crit if c > v) % 2 == 0):   # p' < 0 at v
-            kind = -kind
-        extremes.append((q(v), kind))
+    lo, hi = outer.lo, outer.hi
+    pins = [(q(v), 0) for v, kind in values
+            if kind == 0 or any(abs(v - c) <= CLUSTER_TOL * (1.0 + abs(v)) for c, _ in crit)]
 
     def splits(ts, tol):
         z = roots_shifted(q, ts)
-        return (near_axis(z, tol[:, None]) & _locate(z.real, outer.lo, outer.hi)[0]).all(axis=1)
+        return (near_axis(z, tol[:, None]) & _locate(z.real, lo, hi)[0]).all(axis=1)
 
-    return _checked_interval(*_bounds(extremes), splits)
+    return _checked_interval(*_bounds([(lo, 1), (q(hi), 1), (hi, -1), (q(lo), -1)] + pins),
+                             splits)
 
 
 def real_fixed_points(p: Polynomial):
@@ -264,9 +256,10 @@ def classify_real_julia(p: Polynomial) -> ClassificationReport:
     """Dispatch on (degree parity, lead sign) and test the containments.
 
     The odd-negative branch decides on p o p, which has odd degree and a
-    positive lead: its critical interval comes from square_critical_interval
-    and its real fixed points (those of p and its real 2-cycles) from
-    TwoCycles, both without expanding p o p.
+    positive lead, without expanding it: its critical interval is p's
+    critical interval [lo, hi] cut to [p(hi), p(lo)]
+    (square_critical_interval), and its real fixed points (those of p and
+    its real 2-cycles) come from TwoCycles.
     """
     q = p.to_float()
     if q.degree < 2:

@@ -113,8 +113,9 @@ def backward_orbit(p: Polynomial, alpha, depth, cap=DEFAULT_ORBIT_CAP) -> Backwa
         except RootFindingError as err:
             raise RootFindingError(
                 f"root finding failed expanding level {n + 1}", best=err.best) from err
-        # deterministic order for reproducible measures
-        level = level[np.lexsort((level.imag, level.real))]
+        # deterministic order for reproducible measures: by real part, then
+        # imaginary part, ties (and +-0.0) kept in solver order
+        level = np.sort(level, kind="stable")
     return BackwardOrbit(complex(alpha), depth, level, q)
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from juliareal.classifier import (classify_real_julia, critical_interval,
-                                  square_critical_interval)
+from juliareal import classifier
+from juliareal.classifier import (CriticalIntervalError, classify_real_julia,
+                                  critical_interval, square_critical_interval)
 from juliareal.poly import AffineMap, Polynomial, conjugate
 from juliareal.roots import TwoCycles, real_roots_ex
 
@@ -207,12 +208,39 @@ class TestOddNegative:
             assert rep.julia_real is real, (d, s, phi)
 
     def test_square_interval_matches_expansion(self):
+        rng = np.random.default_rng(27)
+        random_cubics = [P(rng.uniform(-1, 1), rng.uniform(1, 4), rng.uniform(-0.5, 0.5),
+                           -rng.uniform(0.5, 1.5)) for _ in range(20)]
         for f in (P(0.0, 3.0, 0.0, -1.0), P(0.5, 3.2, -0.1, -1.0),
-                  P(0.0, 2.0, 0.0, -1.0)):
+                  P(0.0, 2.0, 0.0, -1.0), *random_cubics):
             iv, ref = square_critical_interval(f), critical_interval(f.iterate(2))
             assert iv.empty == ref.empty
             if not iv.empty:
                 assert abs(iv.lo - ref.lo) < 1e-9 and abs(iv.hi - ref.hi) < 1e-9
+
+
+    def test_fixed_critical_point_pins_the_interval(self, monkeypatch):
+        # f fixes its critical point -a, so -a is a multiple critical point
+        # of f o f and I(f o f) is the point f(-a) = -a.  The expansion's
+        # own interval fails its cross-check here, so the bits are pinned
+        f = P(4.282787606852868, 6.030922632826312, 0.0, -1.0)
+        iv = square_critical_interval(f)
+        assert (iv.empty, iv.lo, iv.hi) == (False, -1.4178541462261443, -1.4178541462261443)
+        rep = classify_real_julia(f)
+        assert rep.julia_real is False
+        assert rep.reason == "fixed point outside critical interval"
+        # without the pin the two closed-form ends cross the point and the
+        # pulled-in endpoints fail the cross-check
+        monkeypatch.setattr(classifier, "CLUSTER_TOL", 0.0)
+        with pytest.raises(CriticalIntervalError):
+            square_critical_interval(f)
+
+    @pytest.mark.parametrize("f", [P(0.0, 3.0, 0.0, -0.5, 0.0, 0.1),    # positive lead
+                                   P(-2.0, 0.0, -1.0),                 # even degree
+                                   P(0.0, 3.0, 0.0, 0.0, -1.0)])
+    def test_square_interval_needs_odd_negative(self, f):
+        with pytest.raises(ValueError):
+            square_critical_interval(f)
 
 
 class TestDegreeGuards:

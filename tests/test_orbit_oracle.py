@@ -132,6 +132,17 @@ class TestBackwardOrbit:
         with pytest.raises(OrbitCapError):
             backward_orbit(CHEB, 0.0, 40)
 
+    def test_level_order_keeps_ties_in_solver_order(self, monkeypatch):
+        # equal points and +-0.0 parts keep the order of a lexsort on
+        # (imag, real), sign bits included; 64 points, past the length at
+        # which an unstable sort reorders ties
+        parts = np.random.default_rng(31).choice([0.0, -0.0, 1.0, -1.0, 2.0], (64, 2))
+        level = np.array([complex(x, y) for x, y in parts])
+        monkeypatch.setattr(orbit, "roots_shifted", lambda q, ts: level[None, :])
+        got = backward_orbit(P(*[0.0] * 64, 1.0), 0.0, 1).points
+        want = level[np.lexsort((level.imag, level.real))]
+        assert got.tobytes() == want.tobytes()
+
     def test_cardinality(self):
         orb = backward_orbit(P(0.0, -1.0, 0.0, 1.0), 0.25, 3)
         assert orb.points.size == 27
