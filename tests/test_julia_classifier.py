@@ -218,7 +218,6 @@ class TestOddNegative:
             if not iv.empty:
                 assert abs(iv.lo - ref.lo) < 1e-9 and abs(iv.hi - ref.hi) < 1e-9
 
-
     def test_fixed_critical_point_pins_the_interval(self, monkeypatch):
         # f fixes its critical point -a, so -a is a multiple critical point
         # of f o f and I(f o f) is the point f(-a) = -a.  The expansion's
@@ -229,8 +228,8 @@ class TestOddNegative:
         rep = classify_real_julia(f)
         assert rep.julia_real is False
         assert rep.reason == "fixed point outside critical interval"
-        # without the pin the two closed-form ends cross the point and the
-        # pulled-in endpoints fail the cross-check
+        # without the pin the closed form leaves a sliver narrower than
+        # twice the endpoint pull, and its pulled-in ends fail the cross-check
         monkeypatch.setattr(classifier, "CLUSTER_TOL", 0.0)
         with pytest.raises(CriticalIntervalError):
             square_critical_interval(f)
