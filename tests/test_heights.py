@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from juliareal import heights
 from juliareal.cli import main
-from juliareal.heights import (BitSizeCapError, _exact_orbit_point, canonical_height,
+from juliareal.heights import (BitSizeCapError, _ball_log_height, _exact_orbit_point,
+                               _log_height, _orbit_height, canonical_height,
                                functional_equation_residual, height_constant,
                                weil_height)
 from juliareal.orbit import orbit_status
-from juliareal.poly import Polynomial
+from juliareal.poly import Polynomial, _PairMap
 
 
 def P(*coeffs):
@@ -81,6 +82,36 @@ class TestCanonical:
         with pytest.raises(BitSizeCapError):
             canonical_height(P(0, 0, 0, 0, 1), Fraction(12345, 7), 12)
 
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_bound_holds_with_coefficient_denominators(self, n):
+        # X^2/1000 sends 1 to 1/1000, which it fixes: h^(1) = log 1000
+        est, err = canonical_height(P(0, 0, Fraction(1, 1000)), 1, n)
+        assert abs(est - math.log(1000)) <= err
+
+
+SMALL_DEN = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 1000])
+RATIONAL = st.builds(Fraction, st.integers(-12, 12), SMALL_DEN)
+
+
+class TestHeightConstant:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(RATIONAL, min_size=2, max_size=5),
+           st.builds(Fraction, st.integers(-12, 12).filter(bool), SMALL_DEN),
+           st.builds(Fraction, st.integers(-10 ** 5, 10 ** 5), st.integers(1, 10 ** 5)))
+    # points where the parent's crude constant failed: X^2/1000 at 1, and a
+    # point near the real root 2^(1/2) of X^2 - 2, where A = N^2 - 2 D^2 is small
+    @example([Fraction(0), Fraction(0)], Fraction(1, 1000), Fraction(1))
+    @example([Fraction(-2), Fraction(0)], Fraction(1), Fraction(141421, 100000))
+    def test_one_step(self, low, lead, y):
+        coeffs = low + [lead]
+        d = len(low)
+        fy = fraction_orbit_point(coeffs, y, 1)
+        assert abs(weil_height(fy) - d * weil_height(y)) <= height_constant(Polynomial(coeffs))
+
+    def test_no_bound_shrinks(self):
+        # the crude constant stays in the max: X^2 keeps C = 3 log 2 > 0
+        assert height_constant(SQ) == math.log(2.0) + 2 * math.log(2.0)
+
 
 class TestFunctionalEquation:
     def test_powering_zero_residual(self):
@@ -144,16 +175,16 @@ class TestIntegerOrbit:
 
     def test_residual_runs_one_orbit(self, monkeypatch):
         calls = []
-        orbit = heights._exact_orbit_point
-        monkeypatch.setattr(heights, "_exact_orbit_point",
+        orbit = heights._orbit_height
+        monkeypatch.setattr(heights, "_orbit_height",
                             lambda *a: calls.append(a[2]) or orbit(*a))
         functional_equation_residual(CHEB, Fraction(1, 3), 10)
         assert calls == [10]
 
     def test_heights_command_runs_one_orbit(self, monkeypatch, capsys):
         calls = []
-        orbit = heights._exact_orbit_point
-        monkeypatch.setattr(heights, "_exact_orbit_point",
+        orbit = heights._orbit_height
+        monkeypatch.setattr(heights, "_orbit_height",
                             lambda *a: calls.append(a[2]) or orbit(*a))
         assert main(["heights", "--poly", "[-2,0,1]", "--x", "1/3", "--depth", "8"]) == 0
         assert calls == [8]
@@ -167,3 +198,72 @@ class TestIntegerOrbit:
         with pytest.raises(BitSizeCapError) as height:
             canonical_height(P(0, 0, 0, 0, 1), Fraction(12345, 7), 12)
         assert str(residual.value) == str(height.value)
+
+
+INT_LOW = st.lists(st.integers(-6, 6), min_size=2, max_size=5)
+UNIT = st.sampled_from([-1, 1])
+X = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
+
+
+def exact_height(p, x, n, bit_cap):
+    """log height of f^n(x) by the exact orbit, or its BitSizeCapError text."""
+    try:
+        return _log_height(*_exact_orbit_point(p, x, n, bit_cap))
+    except BitSizeCapError as exc:
+        return str(exc)
+
+
+def ball_height(p, x, n, bit_cap):
+    """The ball orbit's log height (None when undecided), or its
+    BitSizeCapError text."""
+    try:
+        return _ball_log_height(_PairMap(p, P(1)), Fraction(x), n, bit_cap)
+    except BitSizeCapError as exc:
+        return str(exc)
+
+
+class TestBallOrbit:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(INT_LOW, UNIT, X, st.integers(1, 12), st.integers(50, 3000))
+    @example([0, 0], 1, Fraction(2), 12, 3000)     # N = 2^(2^k), a power of two
+    @example([-2, 0], 1, Fraction(2), 12, 50)      # a fixed point, never trimmed
+    @example([-3, 0], -1, Fraction(5, 7), 12, 3000)
+    def test_bit_identical_to_exact_orbit(self, low, lead, x, n, bit_cap):
+        p = Polynomial(low + [lead])
+        assert ball_height(p, x, n, bit_cap) == exact_height(p, x, n, bit_cap)
+
+    def test_deep_orbit(self):
+        # N has about 207k bits at step 16, D = 7^(2^16) about 184k
+        p = P(-3, 0, 1)
+        N, D = _exact_orbit_point(p, Fraction(5, 7), 16, heights.DEFAULT_BIT_CAP)
+        assert N.bit_length() > 200_000
+        assert ball_height(p, Fraction(5, 7), 16, heights.DEFAULT_BIT_CAP) == _log_height(N, D)
+
+    def test_fast_path_runs_no_exact_orbit(self, monkeypatch):
+        def no_exact(*a):
+            raise AssertionError("exact orbit ran")
+        monkeypatch.setattr(heights, "_exact_orbit_point", no_exact)
+        assert canonical_height(CHEB, Fraction(1, 3), 10)[0] > 0
+
+    def test_undecided_balls_fall_back(self, monkeypatch):
+        cases = [(CHEB, Fraction(1, 3), 10), (P(1, -2, 0, 1), Fraction(-4, 7), 9)]
+        expected = [heights.height_report(*case) for case in cases]
+        calls = []
+        orbit = heights._exact_orbit_point
+        monkeypatch.setattr(heights, "_exact_orbit_point",
+                            lambda *a: calls.append(a[2]) or orbit(*a))
+        monkeypatch.setattr(heights, "BALL_BITS", 4)
+        assert [ball_height(*case, heights.DEFAULT_BIT_CAP) for case in cases] == [None, None]
+        assert [heights.height_report(*case) for case in cases] == expected
+        assert calls == [10, 9]
+
+    @pytest.mark.parametrize("p", [P(0, 0, Fraction(1, 1000)), P(1, 0, 2),
+                                   P(Fraction(1, 4), Fraction(-3, 2), 6)],
+                             ids=["X^2/1000", "2X^2+1", "golden"])
+    def test_other_maps_take_the_exact_orbit(self, monkeypatch, p):
+        def no_balls(*a):
+            raise AssertionError("ball orbit ran with R != 1")
+        monkeypatch.setattr(heights, "_ball_log_height", no_balls)
+        x = Fraction(5, 8)
+        assert _orbit_height(p.to_exact(), x, 6, heights.DEFAULT_BIT_CAP) == \
+            _log_height(*_exact_orbit_point(p, x, 6, heights.DEFAULT_BIT_CAP))
