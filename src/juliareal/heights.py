@@ -153,9 +153,10 @@ def _ball_log_height(step, x, n, bit_cap):
 
 
 def _orbit_height(q: Polynomial, x, n, bit_cap):
-    """h(f^n(x)) for an exact polynomial q: the ball orbit when its step has
-    R = 1 (integer coefficients, lead +-1), else or when the balls leave it
-    undecided the exact orbit."""
+    """h(f^n(x)) for an exact polynomial q: by the ball orbit when its step
+    has R = 1 (integer coefficients, lead +-1), by the exact orbit for any
+    other q and wherever the balls leave a cap check or the rounding
+    undecided."""
     x = Fraction(x)
     step = _PairMap(q, Polynomial([1]))
     if step.R == 1:

@@ -108,8 +108,8 @@ class TestHeightConstant:
         fy = fraction_orbit_point(coeffs, y, 1)
         assert abs(weil_height(fy) - d * weil_height(y)) <= height_constant(Polynomial(coeffs))
 
-    def test_no_bound_shrinks(self):
-        # the crude constant stays in the max: X^2 keeps C = 3 log 2 > 0
+    def test_powering_keeps_the_crude_constant(self):
+        # C_up = C_low = 0 for X^2; the crude constant in the max keeps C > 0
         assert height_constant(SQ) == math.log(2.0) + 2 * math.log(2.0)
 
 
@@ -256,6 +256,18 @@ class TestBallOrbit:
         assert [ball_height(*case, heights.DEFAULT_BIT_CAP) for case in cases] == [None, None]
         assert [heights.height_report(*case) for case in cases] == expected
         assert calls == [10, 9]
+
+    def test_undecided_cap_check_falls_back(self):
+        # X^5 at 2: N = 2^625 after 4 steps, a ball of bit length 625 or 626
+        # with D = 1, while 627 bits is the exact count.  With cap 783 the
+        # check before step 5 refuses more than 4 * 783 // 5 = 626 bits,
+        # which the balls cannot decide
+        p, x, cap = P(0, 0, 0, 0, 0, 1), Fraction(2), 783
+        assert ball_height(p, x, 5, cap) is None
+        with pytest.raises(BitSizeCapError) as orbit:
+            _orbit_height(p, x, 5, cap)
+        assert str(orbit.value) == exact_height(p, x, 5, cap)
+        assert "would exceed" in str(orbit.value)
 
     @pytest.mark.parametrize("p", [P(0, 0, Fraction(1, 1000)), P(1, 0, 2),
                                    P(Fraction(1, 4), Fraction(-3, 2), 6)],
