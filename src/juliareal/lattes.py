@@ -1,15 +1,17 @@
 """Duplication Lattes maps from Weierstrass data, and the certificate pipeline.
 
 A curve y^2 = F(x) = x^3 + a x^2 + b x + c induces the degree-4 rational map
-f with x([2]P) = f(x(P)).  This module builds f, finds its real critical
-points from the closed form rho +- sqrt F'(rho) over the real roots rho of
-F, certifies those roots and points on integers by sign changes of F and of
-the numerator of f', decides surjectivity on the real projective line by the
-sign of disc(F), and assembles the non-abelian certificate (surjectivity +
-non-real Julia set + a base point certified nonperiodic on integer pairs by
-``poly._PairMap``).  A certificate makes one float root solve, the complex
-roots of F, and certifies critical points only when disc(F) < 0.  The tests
-check f against the chord-tangent group law.
+f with x([2]P) = f(x(P)).  This module builds f, finds the real roots of F
+(the real poles of f) from the trigonometric or Cardano form of the cubic,
+and its real critical points from the closed form rho +- sqrt F'(rho) over
+those roots, and returns both correctly rounded, certified on integers by
+sign changes of F and of the numerator of f' (roots.rounded_real_roots).
+It decides surjectivity on the real projective line by the sign of disc(F),
+and assembles the non-abelian certificate (surjectivity + non-real Julia
+set + a base point certified nonperiodic on integer pairs by
+``poly._PairMap``).  A certificate makes no float root solve, and computes
+critical points only when disc(F) < 0.  The tests check f against the
+chord-tangent group law.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from .classifier import classify_real_julia
 from .orbit import OrbitStatus, _orbit_loop, check_non_exceptional, orbit_status
 from .poly import (_EXACT_TYPES, Polynomial, _bareiss, _number_text, _PairMap,
                    poly_to_json, sylvester_resultant)
-from .roots import _sign, complex_roots
-from .tolerances import BRACKET_TOL
+from .roots import InvariantError, rounded_real_roots
 
 
 class SingularCurveError(ValueError):
@@ -118,16 +119,14 @@ def duplication_lattes(curve: WeierstrassCurve) -> RationalMap:
     return RationalMap(*_duplication_polys(curve))
 
 
-class InvariantError(RuntimeError):
-    """A fact the certificate relies on failed in computation; indicates a bug."""
-
-
-# Newton steps that polish each closed-form critical point on the numerator of f'
+# residual-monotone Newton steps that polish a float candidate: each closed-form
+# critical point on the numerator of f', each closed-form root of F on F
 _POLISH_STEPS = 3
+_CUBIC_POLISH_STEPS = 2
 
 
 def lattes_critical_points(curve: WeierstrassCurve):
-    """Real critical points of f, from a closed form, certified on integers.
+    """Real critical points of f, from a closed form, correctly rounded.
 
     F(rho) = 0 makes num - rho den = ((X - rho)^2 - F'(rho))^2, so the
     numerator of f' is w = 4 prod ((X - rho)^2 - F'(rho)) over the roots rho
@@ -135,39 +134,77 @@ def lattes_critical_points(curve: WeierstrassCurve):
     gives no real one (f(x) = rho has no real solution), and F' is positive
     at the outer real roots of F and negative at the middle one: w has 4 real
     roots when disc(F) > 0 and 2 when disc(F) < 0.  The float points, each
-    polished by Newton on w, are certified by sign changes of w on integers
-    (_certify_real_roots); a failure raises InvariantError.
+    polished by Newton on w, are the candidates from which
+    roots.rounded_real_roots returns the real roots of w, each correctly
+    rounded and certified by sign changes of w on integers.
     """
     return _critical_points_and_poles(curve)[0]
 
 
 def _critical_points_and_poles(curve: WeierstrassCurve):
-    """(lattes_critical_points(curve), the real poles of f), both certified.
+    """(lattes_critical_points(curve), the real poles of f), both correctly
+    rounded.
 
     The real roots rho of F (_real_roots_of_F) are the real poles, the roots
-    of den = 4F, and the rho of the closed form.
+    of den = 4F, and the rho of the closed form.  Two distinct roots may round
+    to one float, so either list may repeat a value.
     """
     poles = _real_roots_of_F(curve)
     num, den = _duplication_polys(curve)
     w = num.derivative() * den - num * den.derivative()
-    crit = _torsion_route(curve.F.to_float(), poles, w.to_float())
-    _certify_real_roots(w, crit, 4 if curve.disc > 0 else 2, "the numerator of f'")
-    return crit, poles
+    candidates = _torsion_route(curve.F.to_float(), poles, w.to_float())
+    return rounded_real_roots(w, candidates, 4 if curve.disc > 0 else 2), poles
 
 
 def _real_roots_of_F(curve: WeierstrassCurve):
-    """The real roots of F, sorted, certified: the one float solve.
-
-    F has 3 real roots when disc(F) > 0 and 1 when disc(F) < 0; that many of
-    its complex roots, the nearest the real axis, give them by their real
-    parts, and sign changes of F on integers certify them
-    (_certify_real_roots).
-    """
+    """The real roots of F, sorted, each correctly rounded: 3 when disc(F) > 0
+    and 1 when disc(F) < 0, from the candidates of _cubic_candidates."""
     n_roots = 3 if curve.disc > 0 else 1
-    nearest = sorted(complex_roots(curve.F.to_float()), key=lambda z: abs(z.imag))[:n_roots]
-    roots = sorted(float(z.real) for z in nearest)
-    _certify_real_roots(curve.F, roots, n_roots, "F")
-    return roots
+    return rounded_real_roots(curve.F, _cubic_candidates(curve, n_roots), n_roots)
+
+
+def _cubic_candidates(curve: WeierstrassCurve, n_roots):
+    """Float approximations of the n_roots real roots of F, in pure Python.
+
+    x = t - a/3 turns F into t^3 + p t + q, p and q rounded once from their
+    exact values.  With three real roots (p < 0) they are the trigonometric
+    form 2 r cos((acos(-q / (2 r^3)) - 2 pi k) / 3), r = sqrt(-p/3); with one
+    it is Cardano's u - p / (3u), u^3 = -q/2 -+ sqrt(q^2/4 + p^3/27), the sign
+    taken that avoids cancellation.  Each is polished by at most
+    _CUBIC_POLISH_STEPS Newton steps on F, kept only while they lower |F|.
+    """
+    a, b, c = curve.a, curve.b, curve.c
+    p = float((3 * b - a * a) / 3)
+    q = float((2 * a * a * a - 9 * a * b + 27 * c) / 27)
+    shift = float(a / 3)
+    if n_roots == 3:
+        r = math.sqrt(max(-p / 3, 0.0))
+        cos3 = -q / (2 * r * r * r) if r else 0.0
+        phi = math.acos(max(-1.0, min(1.0, cos3)))
+        ts = [2 * r * math.cos((phi - 2 * math.pi * k) / 3) for k in range(3)]
+    else:
+        u3 = -q / 2 - math.copysign(math.sqrt(max(q * q / 4 + p * p * p / 27, 0.0)), q)
+        u = math.copysign(abs(u3) ** (1 / 3), u3)
+        ts = [u - p / (3 * u) if u else u]
+    F = curve.F.to_float()
+    dF = F.derivative()
+    return [_newton_polish(F, dF, t - shift, _CUBIC_POLISH_STEPS) for t in ts]
+
+
+def _newton_polish(f: Polynomial, df: Polynomial, x, steps):
+    """At most steps Newton steps on the float f from x, a step kept only
+    while it lowers |f|."""
+    value = f(x)
+    for _ in range(steps):
+        slope = df(x)
+        if value == 0 or slope == 0:
+            break
+        y = x - value / slope
+        fy = f(y)
+        if not abs(fy) < abs(value):
+            break
+        x, value = y, fy
+    return x
 
 
 def _torsion_route(F: Polynomial, roots, w: Polynomial):
@@ -180,54 +217,9 @@ def _torsion_route(F: Polynomial, roots, w: Polynomial):
         slope = dF(rho)
         if slope < 0:
             continue
-        for x in (rho - math.sqrt(slope), rho + math.sqrt(slope)):
-            value = w(x)
-            for _ in range(_POLISH_STEPS):
-                slope_w = dw(x)
-                if value == 0 or slope_w == 0:
-                    break
-                y = x - value / slope_w
-                wy = w(y)
-                if not abs(wy) < abs(value):
-                    break
-                x, value = y, wy
-            out.append(x)
+        out += [_newton_polish(w, dw, x, _POLISH_STEPS)
+                for x in (rho - math.sqrt(slope), rho + math.sqrt(slope))]
     return sorted(out)
-
-
-def _certify_real_roots(p: Polynomial, points, count, name):
-    """Raise InvariantError unless the sorted float points are the count real
-    roots of the exact polynomial p (called name), each within
-    BRACKET_TOL (1 + |x|).
-
-    Each point x gets the bracket [x - h, x + h], h = BRACKET_TOL (1 + |x|),
-    whose ends are dyadic rationals n / d.  The integer form of p changes
-    sign across it, both ends nonzero, so it holds an odd number of roots;
-    disjoint brackets, as many as p has real roots, then hold exactly one
-    root each.
-    """
-    if len(points) != count:
-        raise InvariantError(f"real roots {points}: {name} has {count} real roots")
-    # form(n, d) is (G(n, d), L d^k), G = L p, by homogeneous Horner on
-    # integers, over a positive common factor: G(n, d) has the sign of p(n/d)
-    form = _PairMap(p, Polynomial([1]))
-
-    def sign(x):
-        return _sign(form(*x.as_integer_ratio())[0])
-
-    below = -math.inf
-    for x in points:
-        h = BRACKET_TOL * (1.0 + abs(x))
-        lo, hi = x - h, x + h
-        if not (math.isfinite(hi) and lo > below):
-            raise InvariantError(
-                f"real root {x!r} of {name}: its bracket [{lo!r}, {hi!r}] is not "
-                "finite or meets the one below")
-        if not sign(lo) * sign(hi) < 0:
-            raise InvariantError(
-                f"real root {x!r} of {name}: {name} does not change sign "
-                f"across [{lo!r}, {hi!r}]")
-        below = hi
 
 
 def real_surjectivity(curve: WeierstrassCurve):
@@ -239,12 +231,15 @@ def real_surjectivity(curve: WeierstrassCurve):
     points of each curve onto their identity component (Silverman, The
     Arithmetic of Elliptic Curves, V.2).  With disc(F) < 0, F has one real
     root alpha and both curves' real points are connected, x >= alpha on E
-    and x <= alpha on the twist, so f is onto; the witness is the certified
-    critical points c1 < c2 straddling alpha, with f(c1) = f(c2) = alpha
-    (f_c1, f_c2: f at the float points, in exact arithmetic).  With
-    disc(F) > 0 and real roots e1 < e2 < e3 the identity components are
-    x >= e3 and x <= e1, so f misses (e1, e3): the witness "gap" is the
-    outer certified poles, and no critical point is computed.
+    and x <= alpha on the twist, so f is onto; the witness is the critical
+    points c1 < c2 straddling alpha, with f(c1) = f(c2) = alpha (f_c1, f_c2:
+    f at the float points, in exact arithmetic).  With disc(F) > 0 and real
+    roots e1 < e2 < e3 the identity components are x >= e3 and x <= e1, so
+    f misses (e1, e3): the witness "gap" is the outer poles, and no critical
+    point is computed.  Each witness point is a root of F or of the
+    numerator of f', correctly rounded to the nearest float and certified on
+    integers (roots.rounded_real_roots).  Two roots of F may round to one
+    float, but the order c1 < alpha < c2 is checked strict.
     """
     if curve.disc > 0:
         return _surjectivity(curve, [], _real_roots_of_F(curve))
@@ -252,8 +247,8 @@ def real_surjectivity(curve: WeierstrassCurve):
 
 
 def _surjectivity(curve: WeierstrassCurve, crit, poles):
-    """real_surjectivity(curve) from the certified real poles of its map and,
-    when disc(F) < 0, its certified real critical points (unused otherwise)."""
+    """real_surjectivity(curve) from the rounded real poles of its map and,
+    when disc(F) < 0, its rounded real critical points (unused otherwise)."""
     if curve.disc > 0:
         return {"surjective": False, "witness": {"gap": (poles[0], poles[-1])}}
     num, den = _duplication_polys(curve)

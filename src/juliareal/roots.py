@@ -28,17 +28,25 @@ real_roots_ex merges root clusters into multiple roots and refines an
 m-fold cluster by Newton's method on p^(m-1), where it is a simple root; it
 takes a Polynomial or a TwoCycles, f(f(X)) - X.
 
-Exact side: Sturm chains of square-free parts over Fractions.
+Exact side: Sturm chains of square-free parts over Fractions, and
+rounded_real_roots, which returns each real root of an exact square-free
+polynomial correctly rounded to the nearest float.  It certifies every
+result by a sign change of the polynomial's integer form across that
+float's rounding cell, evaluated by homogeneous Horner on integers, and it
+falls back to Sturm isolation when the float candidates it is given do not
+isolate the roots.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
 
-from .poly import Polynomial
+from .poly import Polynomial, clear_denominators
 from .tolerances import (ABERTH_STEP_TOL, CLUSTER_TOL, DIVISION_GUARD, FLOOR_ULPS,
                          MULTIPLE_REALNESS_TOL, NEWTON_STEP_TOL, PAIR_TOL, REALNESS_TOL,
                          REGROUP_TOL, RESIDUAL_TOL, SPLIT_TOL)
@@ -59,6 +67,10 @@ _FLOOR_UNIT = FLOOR_ULPS * np.finfo(float).eps
 def near_axis(z, tol):
     """The realness rule |Im z| <= tol (1 + |z|), on a number or an array."""
     return abs(z.imag) <= tol * (1.0 + abs(z))
+
+
+class InvariantError(RuntimeError):
+    """A fact the certificate relies on failed in computation; indicates a bug."""
 
 
 class RootFindingError(RuntimeError):
@@ -736,3 +748,183 @@ def real_root_count(p: Polynomial, lo=None, hi=None):
     if sf(lo) == 0:
         count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# correctly rounded real roots (integers only)
+# ---------------------------------------------------------------------------
+#
+# A point of the search is named by its half-key h.  The floats, in
+# increasing order, have the keys ..., -1, 0, 1, ... (-0.0 and 0.0 share the
+# key 0, and a key's parity is that of the float's last significand bit);
+# h = 2k is the float of key k, and h = 2k + 1 the dyadic midpoint of the
+# floats of keys k and k + 1.  A real number rounds to the float of key k
+# exactly when it lies between the half-keys 2k - 1 and 2k + 1, and one on
+# an odd half-key rounds half to even.
+
+_SIGN_BIT = 1 << 63
+# the key of the largest finite float
+_MAX_KEY = 0x7FEFFFFFFFFFFFFF
+# a candidate's brackets after its own rounding cell, in floats either side
+_WIDENINGS = (16, 1 << 10, 1 << 20)
+
+
+def _key(x):
+    bits = struct.unpack("<Q", struct.pack("<d", x))[0]
+    return -(bits ^ _SIGN_BIT) if bits & _SIGN_BIT else bits
+
+
+def _from_key(k):
+    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else -k | _SIGN_BIT))[0]
+
+
+def _dyadic(h):
+    """(n, d) with d a power of 2 and n / d the point of half-key h."""
+    n, d = _from_key(h >> 1).as_integer_ratio()
+    if h & 1:
+        n2, d2 = _from_key((h >> 1) + 1).as_integer_ratio()
+        if d2 > d:
+            n, d = n * (d2 // d), d2
+        else:
+            n2 *= d // d2
+        n, d = n + n2, 2 * d
+    return n, d
+
+
+def _tie_to_even(h):
+    """The key of the float that the point of half-key h rounds to."""
+    k = h >> 1
+    return k + (k & 1) if h & 1 else k
+
+
+def _sign_form(p: Polynomial):
+    """sign(h), the sign of the exact p at the point of half-key h.
+
+    G = L p has integer coefficients, L > 0, and G(n, d) = sum g_i n^i
+    d^(deg - i), by homogeneous Horner on integers, has the sign of p(n / d)
+    for d > 0.
+    """
+    G = clear_denominators(p.coeffs)[1]
+    top, rest = G[-1], G[-2::-1]
+
+    def sign(h):
+        n, d = _dyadic(h)
+        acc, dk = top, 1
+        for g in rest:
+            dk *= d
+            acc = acc * n + g * dk
+        return _sign(acc)
+    return sign
+
+
+def _bracket(sign, x):
+    """Half-keys (lo, hi) around the float x: lo < hi with sign(lo) sign(hi) < 0,
+    or lo == hi with sign(lo) == 0; None if none is found.
+
+    The rounding cell of x comes first, then _WIDENINGS floats either side.
+    """
+    if not math.isfinite(x):
+        return None
+    h = 2 * _key(x)
+    for lo, hi in ((h - 1, h + 1), *((h - 2 * w, h + 2 * w) for w in _WIDENINGS)):
+        if max(-lo, hi) > 2 * _MAX_KEY:
+            return None
+        s_lo, s_hi = sign(lo), sign(hi)
+        if s_lo * s_hi < 0:
+            return lo, hi
+        if s_lo == 0 or s_hi == 0:
+            return (lo, lo) if s_lo == 0 else (hi, hi)
+    return None
+
+
+def _splits(lo, hi):
+    """Is there a midpoint (an odd half-key) strictly between lo and hi?"""
+    return hi - lo > 2 or (hi - lo == 2 and not lo & 1)
+
+
+def _rounded_key(sign, lo, hi):
+    """The key of the float that the one root in a bracket rounds to.
+
+    (lo, lo) is a root.  Otherwise the open (lo, hi) holds it, and it is
+    bisected exactly at midpoints until none lies inside: every point of
+    (lo, hi) then rounds to the float of key (lo + 1) >> 1.  The bisection
+    needs sign(lo) != 0 while (lo, hi) holds a midpoint.
+    """
+    if lo == hi:
+        return _tie_to_even(lo)
+    if _splits(lo, hi):
+        s_lo = sign(lo)
+        while _splits(lo, hi):
+            m = ((lo + hi) >> 1) | 1
+            s = sign(m)
+            if s == 0:
+                return _tie_to_even(m)
+            if s == s_lo:
+                lo = m
+            else:
+                hi = m
+    return (lo + 1) >> 1
+
+
+def _sturm_brackets(p: Polynomial, sign, count):
+    """Brackets for the count real roots of the square-free p, by Sturm
+    isolation on half-keys from a Cauchy bound; raises InvariantError if the
+    Sturm count is not count.
+
+    An interval (lo, hi] holding one root, sign nonzero at both ends, is a
+    bracket.  One that holds more, or whose lo is a root, is split at a
+    midpoint while it holds one; after that its roots all round to one float,
+    and each is a bracket of its own: (hi, hi) if hi is a root, else (lo, hi).
+    """
+    chain = _sturm_chain(p)
+    bound = 1 + max(abs(Fraction(c) / p.lead) for c in p.coeffs[:-1])
+    top = 2 * min(_key(float(min(bound, sys.float_info.max))) + 1, _MAX_KEY)
+
+    def variations(h):
+        return _variations_at(chain, Fraction(*_dyadic(h)))
+
+    lo, hi = -top, top
+    v_lo, v_hi = variations(lo), variations(hi)
+    if v_lo - v_hi != count:
+        raise InvariantError(
+            f"Sturm isolation finds {v_lo - v_hi} real roots of {p}, not {count}")
+    out, stack = [], [(lo, v_lo, hi, v_hi)]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        n = v_lo - v_hi
+        if n == 0:
+            continue
+        if n == 1 and sign(lo) and sign(hi):
+            out.append((lo, hi))
+        elif _splits(lo, hi):
+            m = ((lo + hi) >> 1) | 1
+            v_m = variations(m)
+            stack += [(lo, v_lo, m, v_m), (m, v_m, hi, v_hi)]
+        else:
+            at_hi = int(sign(hi) == 0)
+            out += [(hi, hi)] * at_hi + [(lo, hi)] * (n - at_hi)
+    return out
+
+
+def rounded_real_roots(p: Polynomial, candidates, count):
+    """The count real roots of the exact square-free p, each correctly rounded
+    to the nearest float (half to even), sorted.
+
+    Each float candidate x gets a bracket (_bracket): its rounding cell,
+    between the dyadic midpoints to its two neighbours, or a wider one,
+    across which p changes sign, evaluated on integers.  Disjoint brackets,
+    count of them, hold one root each, and each is bisected exactly to its
+    rounded root.  If a bracket fails, two meet, or their number is not
+    count, Sturm isolation (_sturm_brackets) finds the brackets instead.
+    Two distinct roots may round to one float; it is then listed twice.
+    """
+    p = p.to_exact()
+    sign = _sign_form(p)
+    brackets = [_bracket(sign, x) for x in candidates]
+    isolated = None not in brackets and len(brackets) == count
+    if isolated:
+        brackets.sort()
+        isolated = all(a[1] <= b[0] and a != b for a, b in zip(brackets, brackets[1:]))
+    if not isolated:
+        brackets = _sturm_brackets(p, sign, count)
+    return [_from_key(k) for k in sorted(_rounded_key(sign, *b) for b in brackets)]

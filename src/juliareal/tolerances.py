@@ -52,6 +52,3 @@ MARGINAL_TOL = 1e-7
 # and the gap by which lo may exceed hi before the interval is empty (times
 # 1 + the largest finite |end|)
 ENDPOINT_PULL = 1e-9
-# the half-width of the rational bracket that certifies a float root x of an
-# exact polynomial, times 1 + |x|
-BRACKET_TOL = 1e-10

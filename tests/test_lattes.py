@@ -17,8 +17,7 @@ from juliareal.cli import main
 from juliareal.lattes import InvariantError, _bezout_constant
 from juliareal.orbit import ExceptionalPointError, check_non_exceptional
 from juliareal.poly import Polynomial, _PairMap
-from juliareal.roots import complex_roots, real_roots_ex, real_root_count
-from juliareal.tolerances import BRACKET_TOL
+from juliareal.roots import complex_roots, real_roots_ex, real_root_count, rounded_real_roots
 from reference_oracles import CurvePoint, check_commutation, double_point
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "lattes_golden.json"
@@ -152,6 +151,61 @@ def euclid_bezout_constant(n_coeffs, d_coeffs):
     V = Polynomial([int(c * L) for c in v])
     assert U * a + V * b == Polynomial([L])
     return L, sum(abs(c) for c in U.coeffs) + sum(abs(c) for c in V.coeffs)
+
+
+def nearest_floats(p):
+    """Oracle for rounded roots: each real root of the exact square-free p as
+    the float nearest it, by Sturm counts on Fraction intervals and exact
+    bisection until the interval rounds to one float (float() of a Fraction
+    rounds correctly, half to even)."""
+    bound = 1 + max(abs(Fraction(c) / p.lead) for c in p.coeffs[:-1])
+    out, stack = [], [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        n = real_root_count(p, lo, hi)
+        if n == 0:
+            continue
+        if float(lo) == float(hi):
+            out += [float(lo)] * n
+        elif n == 1 and p(lo) * p(hi) < 0:
+            while float(lo) != float(hi):
+                mid = (lo + hi) / 2
+                if p(mid) == 0:
+                    lo = hi = mid
+                elif (p(mid) > 0) == (p(lo) > 0):
+                    lo = mid
+                else:
+                    hi = mid
+            out.append(float(lo))
+        else:
+            mid, k = (lo + hi) / 2, 3
+            while p(mid) == 0:
+                # [lo, mid] and [mid, hi] would both count a root at mid
+                mid, k = lo + (hi - lo) / k, k + 1
+            stack += [(lo, mid), (mid, hi)]
+    return sorted(out)
+
+
+def close_pair_curve(eps, r=1, s=2):
+    """F = (X - r)(X - s)(X - s - eps)."""
+    t = s + eps
+    return WeierstrassCurve(-(r + s + t), r * s + r * t + s * t, -r * s * t)
+
+
+def count_float_solves(monkeypatch):
+    """Every float solve goes through roots.roots_batch; count its calls."""
+    calls = []
+    solve = roots.roots_batch
+    monkeypatch.setattr(roots, "roots_batch", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    return calls
+
+
+def count_roundings(monkeypatch):
+    """The degree of each polynomial lattes rounds the real roots of."""
+    calls = []
+    monkeypatch.setattr(lattes, "rounded_real_roots",
+                        lambda p, xs, n: calls.append(p.degree) or rounded_real_roots(p, xs, n))
+    return calls
 
 
 def random_curves(rng, count):
@@ -364,27 +418,49 @@ class TestCriticalPoints:
         for curve in box_curves(3) + [WeierstrassCurve(*abc) for abc in RATIONAL_CURVES]:
             assert real_root_count(derivative_numerator(curve)) == (4 if curve.disc > 0 else 2)
 
-    @pytest.mark.parametrize("mutate, message", [
-        (lambda xs: xs[:1] + [xs[1] + 1e-6] + xs[2:], "does not change sign"),
-        (lambda xs: xs[1:], "has 4 real roots"),
-        (lambda xs: xs[:1] + xs[:1] + xs[2:], "meets the one below")])
-    def test_moved_critical_point_raises(self, monkeypatch, capsys, mutate, message):
+    @pytest.mark.parametrize("mutate", [
+        lambda xs: xs[:1] + [xs[1] + 1e-6] + xs[2:], lambda xs: xs[1:],
+        lambda xs: xs[:1] + xs[:1] + xs[2:]], ids=["moved", "dropped", "doubled"])
+    def test_moved_critical_point_is_corrected(self, monkeypatch, capsys, mutate):
+        # a candidate that isolates no root hands the roots of w to Sturm
+        # isolation, which returns the same floats as the closed form
+        expected = lattes_critical_points(E_POS)
+        assert main(["lattes", "--curve", "0,-1,0"]) == 0
+        payload = capsys.readouterr().out
         closed_form = lattes._torsion_route
         monkeypatch.setattr(lattes, "_torsion_route", lambda *a: mutate(closed_form(*a)))
-        with pytest.raises(InvariantError, match=message):
+        sturm, isolate = [], roots._sturm_brackets
+        monkeypatch.setattr(roots, "_sturm_brackets",
+                            lambda p, sign, n: sturm.append((p.degree, n)) or isolate(p, sign, n))
+        assert lattes_critical_points(E_POS) == expected
+        assert sturm == [(6, 4)]
+        assert main(["lattes", "--curve", "0,-1,0"]) == 0
+        assert capsys.readouterr().out == payload
+
+    @pytest.mark.parametrize("mutate", [lambda xs: [xs[0] + 1e-6] + xs[1:], lambda xs: xs[1:]],
+                             ids=["moved", "dropped"])
+    def test_moved_pole_is_corrected(self, monkeypatch, capsys, mutate):
+        expected = real_surjectivity(E_POS)
+        closed_form = lattes._cubic_candidates
+        monkeypatch.setattr(lattes, "_cubic_candidates", lambda *a: mutate(closed_form(*a)))
+        sturm, isolate = [], roots._sturm_brackets
+        monkeypatch.setattr(roots, "_sturm_brackets",
+                            lambda p, sign, n: sturm.append((p.degree, n)) or isolate(p, sign, n))
+        assert real_surjectivity(E_POS) == expected
+        assert lattes._real_roots_of_F(E_POS) == [-1.0, 0.0, 1.0]
+        assert sturm == [(3, 3), (3, 3)]
+        assert main(["lattes", "--curve", "0,-1,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["surjectivity"]["witness"]["gap"] == [-1.0, 1.0]
+
+    def test_sturm_count_mismatch_raises(self, monkeypatch, capsys):
+        # the candidates cannot match a wrong count, and Sturm isolation,
+        # which counts the roots exactly, refuses it
+        monkeypatch.setattr(lattes, "rounded_real_roots",
+                            lambda p, xs, n: rounded_real_roots(p, xs, n + 1))
+        with pytest.raises(InvariantError, match=r"finds 3 real roots of Polynomial\(\[0, -1, 0, 1\]\), not 4"):
             lattes_critical_points(E_POS)
         assert main(["lattes", "--curve", "0,-1,0"]) == 1
-        assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize("mutate, message", [
-        (lambda zs: zs + np.array([1e-6, 0, 0]), "F does not change sign"),
-        (lambda zs: zs[1:], "F has 3 real roots")])
-    def test_moved_pole_raises(self, monkeypatch, capsys, mutate, message):
-        monkeypatch.setattr(lattes, "complex_roots", lambda p: mutate(complex_roots(p)))
-        with pytest.raises(InvariantError, match=message):
-            real_surjectivity(E_POS)
-        assert main(["lattes", "--curve", "0,-1,0"]) == 1
-        assert message in capsys.readouterr().err
+        assert "finds 3 real roots" in capsys.readouterr().err
 
     def test_double_torsion_preimages_kept(self):
         # route 2 meets two double roots here; refining one of them used to
@@ -494,13 +570,11 @@ class TestSurjectivity:
                 assert math.isclose(hi, expected[1], rel_tol=1e-9, abs_tol=1e-9), curve
 
     def test_poles_solved_once(self, monkeypatch):
-        # one solve, of F: its roots are the real poles and the rho of the
-        # closed form; no solve of f' and no second pole solve
-        calls = []
-        monkeypatch.setattr(lattes, "complex_roots",
-                            lambda p: calls.append(1) or complex_roots(p))
+        # one solve, of F, exact and from a closed form: its rounded roots are
+        # the real poles; no float solve, no solve of f' and no second pole solve
+        solves, roundings = count_float_solves(monkeypatch), count_roundings(monkeypatch)
         out = real_surjectivity(E_POS)
-        assert len(calls) == 1
+        assert (solves, roundings) == ([], [3])
         assert not out["surjective"]
 
     def test_close_real_roots_need_no_critical_points(self):
@@ -510,16 +584,48 @@ class TestSurjectivity:
         curve = WeierstrassCurve(-(5 + eps), 8 + 3 * eps, -(4 + 2 * eps))
         out = real_surjectivity(curve)
         assert not out["surjective"]
-        lo, hi = out["witness"]["gap"]
-        for x, root in ((lo, 1), (hi, 2 + eps)):
-            assert abs(Fraction(x) - root) <= BRACKET_TOL * (1 + abs(x))
+        # the outer roots of F, correctly rounded
+        assert out["witness"]["gap"] == (1.0, float(2 + eps))
         cert = certify_nonabelian(duplication_lattes(curve), Fraction(1, 3), curve=curve)
         assert cert.surjective == {"pass": False, "witness": out["witness"]}
 
+    @pytest.mark.parametrize("k", [4, 6, 9, 12, 30])
+    def test_close_real_roots_are_rounded(self, k, capsys):
+        # F = (X - 1)(X - 2)(X - 2 - 10^-k): the closed-form candidates miss
+        # the close pair by far more than an ulp, and at k = 30 both of its
+        # roots round to 2.0
+        eps = Fraction(1, 10**k)
+        curve = close_pair_curve(eps)
+        crit, poles = lattes._critical_points_and_poles(curve)
+        assert poles == [1.0, 2.0, float(2 + eps)] == nearest_floats(curve.F)
+        assert crit == nearest_floats(derivative_numerator(curve))
+        out = real_surjectivity(curve)
+        assert out == {"surjective": False, "witness": {"gap": (1.0, float(2 + eps))}}
+        cert = certify_nonabelian(duplication_lattes(curve), Fraction(1, 3), curve=curve)
+        assert cert.surjective == {"pass": False, "witness": out["witness"]}
+        assert cert.certified is False
+        assert main(["lattes", f"--curve={curve.a},{curve.b},{curve.c}"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["critical_points"] == crit and len(crit) == 4
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.fractions(-20, 20, max_denominator=50), st.fractions(-20, 20, max_denominator=50),
+           st.integers(1, 999), st.integers(3, 40), st.booleans())
+    def test_close_real_roots_rounded_exactly(self, r, s, m, k, negative):
+        eps = Fraction(-m if negative else m, 10**k)
+        try:
+            curve = close_pair_curve(eps, r, s)
+        except SingularCurveError:
+            return
+        poles = lattes._critical_points_and_poles(curve)[1]
+        assert len(poles) == real_root_count(curve.F) == 3
+        assert poles == nearest_floats(curve.F)
+        assert real_surjectivity(curve)["witness"]["gap"] == (poles[0], poles[-1])
+
     def test_lattes_command_computes_each_object_once(self, monkeypatch, capsys):
         # one map, checked once; one set of critical points and poles, from
-        # the one solve of F
-        counts = {"resultant": 0, "critical": 0, "solve": 0}
+        # the one exact solve of F, and no float solve
+        counts = {"resultant": 0, "critical": 0}
 
         def counted(name, fn):
             def wrapper(*a, **k):
@@ -530,9 +636,11 @@ class TestSurjectivity:
                             counted("resultant", lattes.sylvester_resultant))
         monkeypatch.setattr(lattes, "_critical_points_and_poles",
                             counted("critical", lattes._critical_points_and_poles))
-        monkeypatch.setattr(lattes, "complex_roots", counted("solve", lattes.complex_roots))
+        solves, roundings = count_float_solves(monkeypatch), count_roundings(monkeypatch)
         assert main(["lattes", "--curve", "0,-1,0"]) == 0
-        assert counts == {"resultant": 1, "critical": 1, "solve": 1}
+        assert counts == {"resultant": 1, "critical": 1}
+        # F once, and the numerator of f', degree 6, once
+        assert (solves, roundings) == ([], [3, 6])
         payload = json.loads(capsys.readouterr().out)
         assert payload["critical_points"] == lattes_critical_points(E_POS)
         assert payload["surjectivity"] == json.loads(json.dumps(real_surjectivity(E_POS)))
@@ -652,23 +760,24 @@ class TestCertify:
 
     @pytest.mark.parametrize("curve", [E_NEG, E_POS, WeierstrassCurve(1, -4, -3)])
     def test_lattes_certificate_makes_one_solve(self, monkeypatch, curve):
-        # F, whose roots are the rho of the closed form and the real poles
-        calls = []
-        monkeypatch.setattr(lattes, "complex_roots",
-                            lambda p: calls.append(p.degree) or complex_roots(p))
+        # one exact solve of F, whose roots are the rho of the closed form and
+        # the real poles, and no float solve; the roots of f''s numerator
+        # (degree 6) are rounded only when disc(F) < 0
+        solves, roundings = count_float_solves(monkeypatch), count_roundings(monkeypatch)
         certify_nonabelian(duplication_lattes(curve), Fraction(1, 3), curve=curve)
-        assert calls == [3]
+        assert (solves, roundings) == ([], [3, 6] if curve.disc < 0 else [3])
 
     @pytest.mark.parametrize("curve", [E_NEG, E_POS, WeierstrassCurve(1, -4, -3)])
     def test_lattes_certificate_makes_one_root_solve(self, monkeypatch, curve):
-        # the one complex_roots solve of F; no check_non_exceptional solve
+        # the one solve of F is exact (rounded_real_roots), so roots_shifted
+        # is never called; no check_non_exceptional solve either
         calls = []
         solve = roots.roots_shifted
         counted = lambda p, t: calls.append(p.degree) or solve(p, t)
         monkeypatch.setattr(roots, "roots_shifted", counted)
         monkeypatch.setattr(orbit, "roots_shifted", counted)
         certify_nonabelian(duplication_lattes(curve), Fraction(1, 3), curve=curve)
-        assert calls == [3]
+        assert calls == []
 
     @pytest.mark.parametrize("coeffs", [[0, -1, 0, 1], [5, -7, 0, 1], [1, 3, 0, 1]])
     def test_polynomial_certificate_makes_two_root_solves(self, monkeypatch, coeffs):

@@ -44,3 +44,22 @@ def test_every_tolerance_is_imported():
                 for alias in node.names}
     assert defined, "no constants found in tolerances.py"
     assert sorted(defined - imported) == []
+
+
+def test_lattes_makes_no_float_solve():
+    # a Lattes certificate rounds its roots exactly (roots.rounded_real_roots),
+    # so lattes.py names no float solver and does not import numpy
+    path = next(p for p in SOURCES if p.name == "lattes.py")
+    solvers = {"complex_roots", "roots_shifted", "roots_batch"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in solvers | {"numpy"}]
+            if (node.module or "").split(".")[0] == "numpy":
+                found.append(node.module)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            found += [name] if name in solvers else []
+    assert found == [], f"lattes.py uses the float solver or numpy: {found}"

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from juliareal import roots
 from juliareal.orbit import backward_orbit
 from juliareal.poly import Polynomial
-from juliareal.roots import (NestedHorner, RootFindingError, all_real_batch, all_real_shifted,
-                             all_roots_real, complex_roots, real_root_count,
-                             real_roots_batch, real_roots_ex, roots_batch,
-                             roots_shifted, square_free_part)
+from juliareal.roots import (InvariantError, NestedHorner, RootFindingError, all_real_batch,
+                             all_real_shifted, all_roots_real, complex_roots, real_root_count,
+                             real_roots_batch, real_roots_ex, roots_batch, roots_shifted,
+                             rounded_real_roots, square_free_part)
 
 
 def P(*coeffs):
@@ -233,6 +233,33 @@ class TestHornerKernel:
                 assert np.array_equal(p, ref_p) and np.array_equal(dp, ref_dp)
 
 
+class TestLinearRoots:
+    """The one root of a degree-1 polynomial is the closed form -c0 / c1, and
+    complex_roots checks its residual at that single point.  _horner_many on
+    one point can round differently from the same point in a larger array
+    (numpy's one-element in-place complex product), so this pins that the
+    check never rejects the closed form."""
+
+    coefficient = st.floats(-1e6, 1e6, allow_nan=False).filter(lambda c: abs(c) > 1e-6)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(coefficient, coefficient)
+    def test_real_linear_root(self, c0, c1):
+        z = complex_roots(P(c0, c1))
+        C = np.array([[c0, c1]], dtype=complex)
+        assert z.tolist() == (-C[:, 0] / C[:, 1]).tolist()
+        # numpy's complex quotient can miss the float quotient by an ulp
+        assert z[0].imag == 0 and abs(z[0].real - -c0 / c1) <= math.ulp(c0 / c1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(coefficient, coefficient, coefficient, coefficient)
+    def test_complex_linear_root(self, a0, b0, a1, b1):
+        c0, c1 = complex(a0, b0), complex(a1, b1)
+        z = complex_roots(P(c0, c1))
+        C = np.array([[c0, c1]])
+        assert z.tolist() == (-C[:, 0] / C[:, 1]).tolist()
+
+
 class TestBackwardOrbitMemory:
     # tracemalloc's peak over one tree, which the benchmark's peak_rss_mb
     # carries: no higher than with the rows-major Aberth blocks and the
@@ -423,6 +450,97 @@ class TestSturm:
         p = P(1, -2, 1)                  # (x-1)^2
         sf = square_free_part(p)
         assert sf.degree == 1
+
+
+def exact_product(*roots):
+    p = P(Fraction(1))
+    for r in roots:
+        p = p * P(-Fraction(r), 1)
+    return p
+
+
+class TestRoundedRealRoots:
+    """rounded_real_roots returns each real root as the float nearest it,
+    half to even, from the candidates or, failing them, by Sturm isolation."""
+
+    def spy_sturm(self, monkeypatch):
+        calls, isolate = [], roots._sturm_brackets
+        monkeypatch.setattr(roots, "_sturm_brackets",
+                            lambda p, sign, n: calls.append(n) or isolate(p, sign, n))
+        return calls
+
+    def test_roots_that_are_floats(self, monkeypatch):
+        p = exact_product(Fraction(-5), Fraction(3, 4), Fraction(1, 2**40))
+        sturm = self.spy_sturm(monkeypatch)
+        expected = [-5.0, 2.0**-40, 0.75]
+        assert rounded_real_roots(p, expected, 3) == expected
+        # candidates an ulp or 10 ulps off are corrected in their own brackets
+        near = [math.nextafter(-5.0, 0.0), 2.0**-40 + 10 * math.ulp(2.0**-40), 0.75]
+        assert rounded_real_roots(p, near, 3) == expected
+        assert sturm == []
+        assert rounded_real_roots(p, [], 3) == expected
+        assert sturm == [3]
+
+    @pytest.mark.parametrize("k, rounded", [(2, 1.0), (6, 1.0 + 2.0**-51), (-1, 1.0),
+                                            (-3, 1.0 - 2.0**-52)])
+    def test_root_on_a_midpoint_rounds_half_to_even(self, monkeypatch, k, rounded):
+        # 1 + k 2^-54 lies halfway between two floats (spaced 2^-52 above 1,
+        # 2^-53 below); the tie goes to the float whose last significand bit is 0
+        root = 1 + Fraction(k, 2**54)
+        assert float(root) == rounded
+        p = exact_product(root)
+        sturm = self.spy_sturm(monkeypatch)
+        for candidate in (1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 1.0 + 2.0**-40):
+            assert rounded_real_roots(p, [candidate], 1) == [rounded]
+        assert sturm == []
+        assert rounded_real_roots(p, [], 1) == [rounded]
+        # on the midpoint of a bracket's bisection too
+        assert rounded_real_roots(exact_product(root, 7), [1.25, 7.0], 2) == [rounded, 7.0]
+
+    def test_root_at_zero(self, monkeypatch):
+        p = exact_product(-1, 0, 1)
+        sturm = self.spy_sturm(monkeypatch)
+        for candidates in ([-1.0, 0.0, 1.0], [-1.0, -0.0, 1.0], [-1.0, 1e-320, 1.0],
+                           [-1.0, -5e-324, 1.0]):
+            out = rounded_real_roots(p, candidates, 3)
+            assert out == [-1.0, 0.0, 1.0] and math.copysign(1.0, out[1]) == 1.0
+        assert sturm == []
+        assert rounded_real_roots(p, [], 3) == [-1.0, 0.0, 1.0]
+        # the nearest floats to +-2^-1100, below the least subnormal, are +-0.0
+        tiny = Fraction(1, 2**1100)
+        assert rounded_real_roots(exact_product(-tiny, tiny), [], 2) == [0.0, 0.0]
+
+    def test_irrational_roots(self):
+        # x^2 - 2: the float nearest sqrt 2, which math.sqrt rounds correctly
+        p = P(-2, 0, 1)
+        assert rounded_real_roots(p, [-1.4, 1.4], 2) == [-math.sqrt(2), math.sqrt(2)]
+        assert rounded_real_roots(p, [1.4142135623730951, -1.4142135623730951], 2) == [
+            -math.sqrt(2), math.sqrt(2)]
+
+    def test_close_roots_fall_back_to_sturm(self, monkeypatch):
+        # two roots 10^-30 apart round to one float, and it is listed twice
+        p = exact_product(1, 2, 2 + Fraction(1, 10**30))
+        sturm = self.spy_sturm(monkeypatch)
+        assert rounded_real_roots(p, [1.0, 2.0, 2.0], 3) == [1.0, 2.0, 2.0]
+        assert sturm == [3]
+        p = exact_product(1, 2, 2 + Fraction(1, 10**9))
+        assert rounded_real_roots(p, [1.0, 2.0, 2.0], 3) == [1.0, 2.0, float(2 + Fraction(1, 10**9))]
+
+    def test_wrong_count_raises(self):
+        with pytest.raises(InvariantError, match="finds 3 real roots"):
+            rounded_real_roots(exact_product(-1, 0, 1), [-1.0, 0.0, 1.0], 2)
+        with pytest.raises(InvariantError, match="finds 0 real roots"):
+            rounded_real_roots(P(1, 0, 1), [], 1)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.fractions(-100, 100, max_denominator=10**6), min_size=1, max_size=5,
+                    unique=True))
+    def test_rational_roots_round_like_float(self, rs):
+        # float() of a Fraction is the nearest float, half to even
+        p = exact_product(*rs)
+        expected = sorted(float(r) for r in rs)
+        assert rounded_real_roots(p, [float(r) for r in rs], len(rs)) == expected
+        assert rounded_real_roots(p, [], len(rs)) == expected
 
 
 class TestPolishGuard:
