@@ -413,6 +413,25 @@ class TestCriticalPoints:
         else:
             assert w["gap"] == (poles[0], poles[-1])
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.tuples(*[st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1, 1]),
+                                 st.floats(-40, 40))] * 3))
+    def test_wide_float_curves_certified(self, abc):
+        # coefficients 40 orders of magnitude apart: the float solve of F and
+        # its fixed brackets used to raise on about a third of such curves
+        try:
+            curve = WeierstrassCurve(*abc)
+        except SingularCurveError:
+            return
+        crit, poles = lattes._critical_points_and_poles(curve)
+        assert len(poles) == real_root_count(curve.F)
+        assert len(crit) == (4 if curve.disc > 0 else 2)
+        w = real_surjectivity(curve)["witness"]
+        if curve.disc < 0:
+            assert w["c1"] < w["alpha"] < w["c2"]
+        else:
+            assert w["gap"] == (poles[0], poles[-1])
+
     def test_disc_rule_counts_the_real_roots_of_w(self):
         # the exact Sturm count of w against 4 real roots for disc > 0, 2 for disc < 0
         for curve in box_curves(3) + [WeierstrassCurve(*abc) for abc in RATIONAL_CURVES]:
