@@ -168,7 +168,9 @@ def _checked_interval(lo, hi, splits):
     scale = 1.0 + max((abs(v) for v in (lo, hi) if math.isfinite(v)), default=0.0)
     if lo > hi + ENDPOINT_PULL * scale:
         return _EMPTY
-    if lo > hi:
+    # narrower than twice the pull (or lo > hi), the pulled-in ends would
+    # cross: the interval is the point at its midpoint
+    if lo > hi - 2 * ENDPOINT_PULL * scale:
         lo = hi = 0.5 * (lo + hi)
 
     if lo < hi:

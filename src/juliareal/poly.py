@@ -169,16 +169,6 @@ class Polynomial:
                     rem[k + j] -= q * d
         return Polynomial(quo), Polynomial(rem[:len(div) - 1] or [Fraction(0)])
 
-    def gcd_exact(self, other):
-        """Monic gcd over the rationals."""
-        a, b = self.to_exact(), other.to_exact()
-        while not b.is_zero:
-            a, b = b, a.divmod_exact(b)[1]
-        if a.is_zero:
-            return a
-        lead = a.lead
-        return Polynomial([c / lead for c in a.coeffs])
-
 
 # -- affine conjugation ----------------------------------------------------
 

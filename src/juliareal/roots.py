@@ -28,12 +28,14 @@ real_roots_ex merges root clusters into multiple roots and refines an
 m-fold cluster by Newton's method on p^(m-1), where it is a simple root; it
 takes a Polynomial or a TwoCycles, f(f(X)) - X.
 
-Exact side: Sturm chains of square-free parts over Fractions, and
-rounded_real_roots, which returns each real root of an exact square-free
+Exact side, on integers: a polynomial is evaluated only by the sign of its
+integer form, by homogeneous Horner at n / d.  One Sturm chain, the signed
+remainder sequence of p and p' divided by its last member gcd(p, p'),
+gives real_root_count, square_free_part and the exact all_roots_real.
+rounded_real_roots returns each real root of an exact square-free
 polynomial correctly rounded to the nearest float.  It certifies every
-result by a sign change of the polynomial's integer form across that
-float's rounding cell, evaluated by homogeneous Horner on integers, and it
-falls back to Sturm isolation when the float candidates it is given do not
+result by a sign change across that float's rounding cell, and it falls
+back to Sturm isolation when the float candidates it is given do not
 isolate the roots.
 """
 
@@ -238,8 +240,12 @@ class NestedHorner:
 
     def residual_tol(self, z):
         """The largest |f(f(z)) - z| accepted at each point of z: RESIDUAL_TOL
-        times the magnitude sum whose FLOOR_ULPS * eps multiple is the floor."""
-        return RESIDUAL_TOL / _FLOOR_UNIT * self(z, floor=True)[2]
+        times the larger of max |c_i| and the magnitude sum whose FLOOR_ULPS *
+        eps multiple is the floor.  The absolute term, Horner.residual_tol's
+        at |z| <= 1, is needed where f(0) = 0: the sum then shrinks with |z|,
+        and the fixed point 0, found as a tiny z, could never meet it."""
+        bound = RESIDUAL_TOL / _FLOOR_UNIT * self(z, floor=True)[2]
+        return np.maximum(bound, RESIDUAL_TOL * np.abs(self.C).max(axis=1, keepdims=True))
 
 
 def _pair_sums(z):
@@ -612,8 +618,9 @@ def all_roots_real(p: Polynomial, tol=REALNESS_TOL):
     real roots equals its degree.
     """
     if p.is_exact:
-        sf = square_free_part(p)
-        return real_root_count(sf) == sf.degree
+        chain = _sturm_chain(p)
+        forms = [_sign_form(q) for q in chain]
+        return _variations(forms, -1, 0) - _variations(forms, 1, 0) == chain[0].degree
     roots = complex_roots(p)
     return bool(near_axis(roots, tol).all())
 
@@ -685,48 +692,66 @@ def real_roots_batch(C, realness_tol=REALNESS_TOL):
 
 
 # ---------------------------------------------------------------------------
-# exact real-root counting (Sturm)
+# exact real roots (integers only): Sturm counts
 # ---------------------------------------------------------------------------
 
-def _sign(x):
-    return (x > 0) - (x < 0)
+def _sign_form(p: Polynomial):
+    """sign(n, d), the sign of the exact p at n / d for d > 0, or at +-inf
+    for (n, d) = (+-1, 0).
+
+    G = L p has integer coefficients, L > 0, and G(n, d) = sum g_i n^i
+    d^(deg - i), by homogeneous Horner on integers, has the sign of p(n / d)
+    for d > 0; G(+-1, 0) = g_deg (+-1)^deg has the sign of p at +-inf.
+    """
+    G = clear_denominators(p.coeffs)[1]
+    top, rest = G[-1], G[-2::-1]
+
+    def sign(n, d):
+        acc, dk = top, 1
+        for g in rest:
+            dk *= d
+            acc = acc * n + g * dk
+        return (acc > 0) - (acc < 0)
+    return sign
 
 
 def _sturm_chain(p: Polynomial):
-    chain = [p, p.derivative().to_exact()]
+    """The signed remainder sequence p, p', -rem, ... of the exact p, each
+    member divided by the last one, g = gcd(p, p') up to a constant factor.
+
+    The first member is then p's square-free part up to a constant factor,
+    and the chain counts its distinct real roots: V(lo) - V(hi), V the sign
+    variations of the members, is the number in (lo, hi].  At a root of p
+    of multiplicity k, p'/g and (p/g)' have the same sign (k > 0), so this
+    holds at p's multiple roots too, interval ends included (Basu, Pollack
+    & Roy, Algorithms in Real Algebraic Geometry, ch. 2).
+    """
+    chain = [p, p.derivative()]
     while chain[-1].degree > 0:
         rem = chain[-2].divmod_exact(chain[-1])[1]
         if rem.is_zero:
             break
         chain.append(-rem)
+    g = chain[-1]
+    if g.degree > 0:
+        chain = [q.divmod_exact(g)[0] for q in chain]
     return chain
 
 
-def _variations(signs):
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _variations_at(chain, x):
-    return _variations([_sign(q(x)) for q in chain])
-
-
-def _variations_at_inf(chain, positive):
-    signs = []
-    for q in chain:
-        s = _sign(q.lead)
-        if not positive and q.degree % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
+def _variations(forms, n, d):
+    """Sign variations of a chain, given by its members' sign forms, at n / d."""
+    signs = [s for s in (sign(n, d) for sign in forms) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def square_free_part(p: Polynomial):
+    """p over the monic gcd(p, p'): p's distinct factors, with p's lead."""
     p = p.to_exact()
-    g = p.gcd_exact(p.derivative().to_exact())
-    if g.degree == 0:
+    sf = _sturm_chain(p)[0]
+    if sf.degree == p.degree:
         return p
-    return p.divmod_exact(g)[0]
+    scale = p.lead / sf.lead
+    return Polynomial([c * scale for c in sf.coeffs])
 
 
 def real_root_count(p: Polynomial, lo=None, hi=None):
@@ -734,24 +759,19 @@ def real_root_count(p: Polynomial, lo=None, hi=None):
     p = p.to_exact()
     if p.degree == 0:
         return 0
-    sf = square_free_part(p)
-    if sf.degree == 0:
-        return 0
-    chain = _sturm_chain(sf)
+    forms = [_sign_form(q) for q in _sturm_chain(p)]
     if lo is None and hi is None:
-        return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
-    lo = Fraction(lo)
-    hi = Fraction(hi)
+        return _variations(forms, -1, 0) - _variations(forms, 1, 0)
+    lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    count = _variations_at(chain, lo) - _variations_at(chain, hi)
-    if sf(lo) == 0:
-        count += 1
-    return count
+    lo, hi = lo.as_integer_ratio(), hi.as_integer_ratio()
+    # the chain counts (lo, hi], and a root at lo makes its first member 0
+    return _variations(forms, *lo) - _variations(forms, *hi) + (forms[0](*lo) == 0)
 
 
 # ---------------------------------------------------------------------------
-# correctly rounded real roots (integers only)
+# exact real roots (integers only): correct rounding
 # ---------------------------------------------------------------------------
 #
 # A point of the search is named by its half-key h.  The floats, in
@@ -797,26 +817,6 @@ def _tie_to_even(h):
     return k + (k & 1) if h & 1 else k
 
 
-def _sign_form(p: Polynomial):
-    """sign(h), the sign of the exact p at the point of half-key h.
-
-    G = L p has integer coefficients, L > 0, and G(n, d) = sum g_i n^i
-    d^(deg - i), by homogeneous Horner on integers, has the sign of p(n / d)
-    for d > 0.
-    """
-    G = clear_denominators(p.coeffs)[1]
-    top, rest = G[-1], G[-2::-1]
-
-    def sign(h):
-        n, d = _dyadic(h)
-        acc, dk = top, 1
-        for g in rest:
-            dk *= d
-            acc = acc * n + g * dk
-        return _sign(acc)
-    return sign
-
-
 def _bracket(sign, x):
     """Half-keys (lo, hi) around the float x: lo < hi with sign(lo) sign(hi) < 0,
     or lo == hi with sign(lo) == 0; None if none is found.
@@ -829,7 +829,7 @@ def _bracket(sign, x):
     for lo, hi in ((h - 1, h + 1), *((h - 2 * w, h + 2 * w) for w in _WIDENINGS)):
         if max(-lo, hi) > 2 * _MAX_KEY:
             return None
-        s_lo, s_hi = sign(lo), sign(hi)
+        s_lo, s_hi = sign(*_dyadic(lo)), sign(*_dyadic(hi))
         if s_lo * s_hi < 0:
             return lo, hi
         if s_lo == 0 or s_hi == 0:
@@ -853,10 +853,10 @@ def _rounded_key(sign, lo, hi):
     if lo == hi:
         return _tie_to_even(lo)
     if _splits(lo, hi):
-        s_lo = sign(lo)
+        s_lo = sign(*_dyadic(lo))
         while _splits(lo, hi):
             m = ((lo + hi) >> 1) | 1
-            s = sign(m)
+            s = sign(*_dyadic(m))
             if s == 0:
                 return _tie_to_even(m)
             if s == s_lo:
@@ -876,12 +876,12 @@ def _sturm_brackets(p: Polynomial, sign, count):
     midpoint while it holds one; after that its roots all round to one float,
     and each is a bracket of its own: (hi, hi) if hi is a root, else (lo, hi).
     """
-    chain = _sturm_chain(p)
+    forms = [_sign_form(q) for q in _sturm_chain(p)]
     bound = 1 + max(abs(Fraction(c) / p.lead) for c in p.coeffs[:-1])
     top = 2 * min(_key(float(min(bound, sys.float_info.max))) + 1, _MAX_KEY)
 
     def variations(h):
-        return _variations_at(chain, Fraction(*_dyadic(h)))
+        return _variations(forms, *_dyadic(h))
 
     lo, hi = -top, top
     v_lo, v_hi = variations(lo), variations(hi)
@@ -894,14 +894,14 @@ def _sturm_brackets(p: Polynomial, sign, count):
         n = v_lo - v_hi
         if n == 0:
             continue
-        if n == 1 and sign(lo) and sign(hi):
+        if n == 1 and sign(*_dyadic(lo)) and sign(*_dyadic(hi)):
             out.append((lo, hi))
         elif _splits(lo, hi):
             m = ((lo + hi) >> 1) | 1
             v_m = variations(m)
             stack += [(lo, v_lo, m, v_m), (m, v_m, hi, v_hi)]
         else:
-            at_hi = int(sign(hi) == 0)
+            at_hi = int(sign(*_dyadic(hi)) == 0)
             out += [(hi, hi)] * at_hi + [(lo, hi)] * (n - at_hi)
     return out
 

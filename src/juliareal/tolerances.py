@@ -29,8 +29,8 @@ REGROUP_TOL = 1e-4
 PAIR_TOL = 1e-13
 
 # -- residuals: a root z of p is accepted when |p(z)| is at most this times
-# max |c_i| max(1, |z|)^d (Horner), or this over FLOOR_ULPS * eps times the
-# rounding floor (NestedHorner)
+# max |c_i| max(1, |z|)^d (Horner), or this times the larger of max |c_i| and
+# the rounding floor over FLOOR_ULPS * eps (NestedHorner)
 RESIDUAL_TOL = 1e-8
 
 # -- convergence
@@ -49,6 +49,7 @@ CONTAIN_TOL = 1e-8
 # x this close to an end of the interval makes its verdict marginal
 MARGINAL_TOL = 1e-7
 # how far the cross-check pulls a finite endpoint into a critical interval,
-# and the gap by which lo may exceed hi before the interval is empty (times
-# 1 + the largest finite |end|)
+# and the gap by which lo may exceed hi before the interval is empty; an
+# interval narrower than twice this is its midpoint (times 1 + the largest
+# finite |end|)
 ENDPOINT_PULL = 1e-9

@@ -20,6 +20,14 @@ class TestClassify:
         assert payload["julia_real"] is True
         assert abs(payload["interval"]["hi"] - 2) < 1e-9
 
+    def test_odd_map_fixing_zero(self, capsys):
+        # f(0) = 0: the fixed point 0 of f o f comes back as 4.4e-106, which
+        # the residual bound of the f o f solve must accept
+        code, out = run(capsys, "classify", "--poly",
+                        "[0, 2.9935159109902654, 0, -0.9978386369967551]")
+        assert code == 0
+        assert json.loads(out)["branch"] == "odd-negative"
+
     def test_bad_poly_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--poly", "not json"])

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from juliareal import classifier
-from juliareal.classifier import (CriticalIntervalError, classify_real_julia,
-                                  critical_interval, square_critical_interval)
+from juliareal.classifier import classify_real_julia, critical_interval, square_critical_interval
 from juliareal.poly import AffineMap, Polynomial, conjugate
 from juliareal.roots import TwoCycles, real_roots_ex
 
@@ -229,10 +230,33 @@ class TestOddNegative:
         assert rep.julia_real is False
         assert rep.reason == "fixed point outside critical interval"
         # without the pin the closed form leaves a sliver narrower than
-        # twice the endpoint pull, and its pulled-in ends fail the cross-check
+        # twice the endpoint pull, which collapses to its midpoint
         monkeypatch.setattr(classifier, "CLUSTER_TOL", 0.0)
-        with pytest.raises(CriticalIntervalError):
-            square_critical_interval(f)
+        iv = square_critical_interval(f)
+        assert (iv.empty, iv.lo, iv.hi) == (False, -1.417854146228271, -1.417854146228271)
+        rep = classify_real_julia(f)
+        assert rep.julia_real is False
+        assert rep.reason == "fixed point outside critical interval"
+
+    def test_sliver_interval_collapses_to_a_point(self):
+        # the least critical value misses the critical point by 1.2e-6
+        # relative, so nothing pins I(f o f) = [lo, f(lo)], 6.3e-11 wide:
+        # narrower than twice the endpoint pull, it is its midpoint
+        f = P(9.73459715853076, 9.644048224833158, 0.0, -1.0)
+        iv = square_critical_interval(f)
+        assert not iv.empty and iv.lo == iv.hi
+        rep = classify_real_julia(f)
+        assert rep.julia_real is False
+        assert rep.reason == "fixed point outside critical interval"
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([3, 5]), st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           st.floats(0.2, 2.5))
+    def test_odd_maps_fixing_zero_classify(self, d, coeffs, s):
+        # f(0) = 0 is a fixed point of f o f, found as a tiny z whose residual
+        # the solve of f o f - X must accept
+        rep = classify_real_julia(P(0.0, *coeffs[:d - 1], -s))
+        assert rep.branch == "odd-negative"
 
     @pytest.mark.parametrize("f", [P(0.0, 3.0, 0.0, -0.5, 0.0, 0.1),    # positive lead
                                    P(-2.0, 0.0, -1.0),                 # even degree

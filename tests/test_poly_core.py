@@ -96,12 +96,6 @@ class TestComposeIterate:
         q, r = a.divmod_exact(b)
         assert q.coeffs == (1, 1) and r.is_zero
 
-    def test_gcd_exact(self):
-        a = P(-1, 0, 1)                    # (x-1)(x+1)
-        b = P(-1, 2, -1).__neg__()         # (x-1)^2
-        g = a.gcd_exact(b)
-        assert g.coeffs == (-1, 1)
-
 
 class TestAffine:
     def test_inverse_roundtrip(self):

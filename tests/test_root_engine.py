@@ -447,9 +447,41 @@ class TestSturm:
         assert real_root_count(p, Fraction(-2), Fraction(2)) == 3
 
     def test_square_free_part(self):
-        p = P(1, -2, 1)                  # (x-1)^2
-        sf = square_free_part(p)
-        assert sf.degree == 1
+        # p over the monic gcd(p, p'), so it keeps p's lead
+        assert square_free_part(P(1, -2, 1)) == P(-1, 1)                   # (x-1)^2
+        p = P(2) * P(-1, 1) * P(-1, 1) * P(3, 1)                           # 2 (x-1)^2 (x+3)
+        assert square_free_part(p) == P(-6, 4, 2)
+        assert square_free_part(P(Fraction(1, 2), 0, 3)) == P(Fraction(1, 2), 0, 3)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.fractions(-5, 5, max_denominator=12).filter(bool),
+           st.lists(st.tuples(st.fractions(-5, 5, max_denominator=12), st.integers(1, 3)),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(st.fractions(Fraction(1, 12), 5, max_denominator=12),
+                              st.integers(1, 2)), max_size=2),
+           st.data())
+    def test_counts_on_constructed_products(self, lead, linear, quadratic, data):
+        # lead prod (X - r)^m prod (X^2 + s)^k, s > 0: its real roots are the
+        # r, and its square-free part is lead prod (X - r) prod (X^2 + s)
+        p = sf = Polynomial([lead])
+        for r, m in linear:
+            for _ in range(m):
+                p = p * Polynomial([-r, 1])
+        for s, k in quadratic:
+            for _ in range(k):
+                p = p * Polynomial([s, 0, 1])
+        rs = sorted({r for r, _ in linear})
+        for r in rs:
+            sf = sf * Polynomial([-r, 1])
+        for s in sorted({s for s, _ in quadratic}):
+            sf = sf * Polynomial([s, 0, 1])
+        assert square_free_part(p) == sf
+        assert real_root_count(p) == len(rs)
+        # ends on simple roots, on multiple roots and between roots
+        ends = [rs[0] - 1, *rs, *((a + b) / 2 for a, b in zip(rs, rs[1:])), rs[-1] + 1]
+        for _ in range(3):
+            lo, hi = sorted(data.draw(st.lists(st.sampled_from(ends), min_size=2, max_size=2)))
+            assert real_root_count(p, lo, hi) == sum(lo <= r <= hi for r in rs)
 
 
 def exact_product(*roots):
