@@ -9,21 +9,21 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifier import classify_batch
-from .roots import roots_batch
+from .roots import RootFindingError, _fujiwara_radius, roots_batch
 
 # cells per classify_batch call in region_scan: bounds each (cells, 66)
 # cross-check array to about 0.5 MB
 _SCAN_BLOCK = 1024
-# float64 elements per boundary_distance temporary, about 1 MB: the coarse
-# distances of a chunk of cells and the samples of a chunk of their windows
-# each stay within it
-_DISTANCE_CHUNK = 1 << 17
+# Newton steps boundary_distance allows toward the largest root of q.  From
+# Fujiwara's bound a simple root takes at most 15 steps on random points with
+# |B| <= 21 and A down to -1e12; a double root of q, on the curve's evolute,
+# is approached linearly, the error halving each step, and takes up to 37
+_NEWTON_MAX_STEPS = 100
 
 
 def region_bound(A):
@@ -43,111 +43,101 @@ def b_zero(a) -> float:
     return 2.0 * a * (a * a - 1.0)
 
 
-# samples of the arc A in [-9, -3], B >= 0 of the boundary curve's A <= -3
-# branch, for boundary_distance; the rest of that branch, (-3a^2, 2a(a^2 - 1))
-# for a > sqrt 3, lies in the quadrant A <= -9, B >= 4 sqrt 3 = _CURVE_B[0]
-_CURVE_A = np.linspace(-9.0, -3.0, 2001)
-_CURVE_B = np.sqrt(np.maximum(region_bound(_CURVE_A), 0.0))
-
-# boundary_distance's coarse pass takes every _COARSE_STRIDE-th sample and
-# the last.  Window w holds the samples strictly between coarse samples w and
-# w + 1 (the last window's row padded with its end sample), and its polyline,
-# from one coarse sample to the next, has length _WINDOW_LENGTH[w]
-_COARSE_STRIDE = 32
-_coarse = np.append(np.arange(0, _CURVE_A.size - 1, _COARSE_STRIDE), _CURVE_A.size - 1)
-_window = np.minimum(_coarse[:-1, None] + np.arange(1, _COARSE_STRIDE), _coarse[1:, None])
-_segments = np.hypot(np.diff(_CURVE_A), np.diff(_CURVE_B))
-_COARSE_A, _COARSE_B = _CURVE_A[_coarse], _CURVE_B[_coarse]
-_WINDOW_A, _WINDOW_B = _CURVE_A[_window], _CURVE_B[_window]
-_WINDOW_LENGTH = np.add.reduceat(_segments, _coarse[:-1])
-# the widening of each window's lower bound: the largest sample spacing,
-# about 5.5e-3, far above the rounding of the distances near the arc, plus
-# the relative rounding of a distance d and of the bound, under 4 eps d
-# (1.5 eps d in each distance, 2.5 eps d in the bound), taken twice
-_SPACING = _segments.max()
-_ROUNDING = 8 * np.finfo(float).eps
-del _coarse, _window, _segments
+def _stationarity(a, b, e=0):
+    """Rows of q(2^e s) / 2^(5e) in ascending powers of s, for the
+    stationarity quintic q(t) = 6t^5 + t^3 - 3bt^2 + (3a + 2)t + b of
+    boundary_distance.  Scaling by 2^e is exact, and e = 0 gives q itself."""
+    C = np.zeros((a.size, 6))
+    C[:, 0] = np.ldexp(b, -5 * e)
+    C[:, 1] = 3.0 * np.ldexp(a, -4 * e) + np.ldexp(2.0, -4 * e)
+    C[:, 2] = -3.0 * np.ldexp(b, -3 * e)
+    C[:, 3] = np.ldexp(1.0, -2 * e)
+    C[:, 5] = 6.0
+    return C
 
 
-def _beyond_arc_distance(A, B):
-    """Distance from each (A[i], B[i]), B >= 0, to the curve points
-    (-3t^2, 2t(t^2 - 1)) with t >= sqrt 3.
+def _curve_distance(t, a, b):
+    """Distance from (a, b) to the curve point (-3t^2, 2t(t^2 - 1)).  The
+    halving is exact, and keeps 2t^3 from overflowing where b is near the
+    largest float."""
+    return np.hypot(3.0 * t * t + a, 2.0 * (t * (t * t - 1.0) - 0.5 * b))
 
-    The nearest is t = sqrt 3 or a real root of the derivative of the squared
-    distance over 4, 12t^5 + 2t^3 - 6Bt^2 + (6A + 4)t + 2B.  The real part of
-    every root, raised to at least sqrt 3, is a curve point, so the least
-    distance to those points is the distance sought.
+
+def _largest_root_distance(a, b):
+    """Distance from each (a[i], b[i]), 0 <= b <= 21, to the curve point at
+    the largest root of q if that is at least 1 (else at t = 1), by Newton's
+    method from right of every root (boundary_distance gives the proof)."""
+    C = _stationarity(a, b)
+    c1, c2 = C[:, 1], C[:, 2]
+    t = np.maximum(_fujiwara_radius(C), 1.0)
+    for _ in range(_NEWTON_MAX_STEPS):
+        t2 = t * t
+        q = (((6.0 * t2 + 1.0) * t + c2) * t + c1) * t + b
+        dq = ((30.0 * t2 + 3.0) * t + 2.0 * c2) * t + c1
+        # q' <= 0 right of 1 leaves no root of q there: step to t = 1
+        step = np.divide(q, dq, out=np.full(t.shape, np.inf), where=dq > 0)
+        new = np.maximum(t - step, 1.0)
+        if not (new < t).any():
+            return _curve_distance(t, a, b)
+        # fmin: a NaN step, from an overflow of q, is never taken
+        t = np.fmin(t, new)
+    raise RootFindingError(
+        f"Newton's method on the boundary quintic still moving after {_NEWTON_MAX_STEPS} steps")
+
+
+def _all_roots_distance(a, b):
+    """Distance from each (a[i], b[i]), b >= 0, to the curve points at the
+    real parts of all five roots of q, each raised to at least 1.
+
+    Every such t is a curve point, so the least distance is at least the
+    distance sought, and it is that distance when the nearest point is at a
+    real root of q.  The roots are those of q(2^e s) / 2^(5e), with 2^e at
+    least cbrt(b) and |a|^(1/4), so that no coefficient or root of the
+    scaled quintic overflows.
     """
-    C = np.zeros((A.size, 6))
-    C[:, 0], C[:, 1], C[:, 2], C[:, 3], C[:, 5] = 2.0 * B, 6.0 * A + 4.0, -6.0 * B, 2.0, 12.0
-    t = np.maximum(roots_batch(C).real, math.sqrt(3.0))
-    d2 = np.square(-3.0 * t * t - A[:, None]) + np.square(2.0 * t * (t * t - 1.0) - B[:, None])
-    return np.sqrt(d2.min(axis=1))
-
-
-def _coarse_pass(a, b):
-    """For each (a[i], b[i]), b >= 0: the least squared distance to a coarse
-    sample, and which windows may hold a nearer sample.  A function of its
-    own, so that its (cells, coarse samples) arrays are freed before the
-    windows are measured."""
-    d2 = np.square(_COARSE_A - a[:, None])
-    d2 += np.square(_COARSE_B - b[:, None])
-    least = d2.min(axis=1)
-    d = np.sqrt(d2, out=d2)
-    best = np.sqrt(least)
-    bound = d[:, :-1] + d[:, 1:]
-    bound -= _WINDOW_LENGTH
-    bound /= 2
-    # NaN fails the comparison, so a NaN cell keeps its NaN coarse minimum
-    return least, bound <= (best + _SPACING + _ROUNDING * best)[:, None]
-
-
-def _arc_distance(a, b):
-    """Distance from each (a[i], b[i]), b >= 0, to the nearest arc sample:
-    the square root of the least (_CURVE_A[j] - a)^2 + (_CURVE_B[j] - b)^2."""
-    least, keep = _coarse_pass(a, b)
-    cells, windows = np.nonzero(keep)
-    step = _DISTANCE_CHUNK // _WINDOW_A.shape[1]
-    for i in range(0, cells.size, step):
-        c, w = cells[i:i + step], windows[i:i + step]
-        d2 = np.square(_WINDOW_A[w] - a[c, None])
-        d2 += np.square(_WINDOW_B[w] - b[c, None])
-        np.minimum.at(least, c, d2.min(axis=1))
-    return np.sqrt(least)
+    e = np.frexp(np.maximum(np.cbrt(b), np.sqrt(np.sqrt(np.abs(a)))))[1]
+    t = np.maximum(np.ldexp(roots_batch(_stationarity(a, b, e)).real, e[:, None]), 1.0)
+    return _curve_distance(t, a[:, None], b[:, None]).min(axis=1)
 
 
 def boundary_distance(A, B):
-    """Euclidean distance in the (A, B) plane to the curve B^2 = -4A(A+3)^2/27.
+    """Euclidean distance in the (A, B) plane to the region's boundary, the
+    A <= -3 branch of B^2 = -4A(A+3)^2/27: the curve C(t) = (-3t^2,
+    +-2t(t^2 - 1)), t >= 1, exact to rounding.
 
-    The curve (A <= -3 branch, both signs of B) is sampled densely on the arc
-    A in [-9, -3] and the least distance to a sample taken; accurate to the
-    sampling resolution, which is all the scan band test needs.  A coarse
-    pass measures every _COARSE_STRIDE-th sample, and `best` is the least of
-    those.  Between coarse samples at distances d0 and d1, joined by a
-    polyline of length L, every sample is at least (d0 + d1 - L) / 2 away
-    (triangle inequality).  A window whose bound, widened by the largest
-    sample spacing and by the distances' relative rounding, exceeds `best`
-    cannot hold a sample nearer than `best` and is skipped.  The samples of
-    the other windows are measured with the same operations, so the minimum,
-    and the distance, are those of all 2,001 samples bit for bit.  Past the
-    arc the curve lies in the quadrant A <= -9, |B| >= 4 sqrt 3, so a point
-    nearer that quadrant than to the arc also gets its exact distance to the
-    curve there (_beyond_arc_distance).  A and B may be arrays of one shape;
-    the result then has that shape.
+    With b = |B| the nearer sign is +, and the squared distance to C(t) is
+    D(t) = (3t^2 + A)^2 + (2t^3 - 2t - b)^2, whose derivative is 4q(t),
+    q(t) = 6t^5 + t^3 - 3bt^2 + (3A + 2)t + b.  D's least value on t >= 1 is
+    at t = 1 (the cusp (-3, 0)) or at a root of q where q changes sign from
+    - to +.  Where b <= 21, q''(t) = 120t^3 + 6t - 6b >= 126 - 6b >= 0 on
+    t >= 1, so q is convex there: it has at most two roots right of 1, and
+    only the largest, r, is a local minimum of D.  Newton's method started at
+    Fujiwara's bound on |roots of q|, right of every root, decreases
+    monotonically: a tangent of the convex q meets the axis right of r, at a
+    point where q > 0 and q' > 0.  If q has no root right of 1 the iterates
+    fall below 1, or reach a point with q' <= 0, and stop at t = 1.  The
+    distance is then the lesser of sqrt D(1) and sqrt D at the last iterate.
+    Where b > 21 convexity may fail, and the distance is the least over t = 1
+    and the real parts of all roots of q (_all_roots_distance).
+
+    A and B may be arrays of one shape; the result then has that shape.  A
+    NaN coordinate gives NaN, an infinite one inf, and a finite point a
+    finite distance unless the distance itself passes the float range.  Past
+    |A| of about 1e245 with b <= 21 q overflows and Newton's method stays at
+    its start; sqrt D(1) is then the distance to rounding.  Raises
+    RootFindingError if Newton's method is still moving after
+    _NEWTON_MAX_STEPS steps.
     """
     A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
     a, b = A.ravel(), np.abs(B.ravel())
-    out = np.empty(a.size)
-    # the nearer branch is the one on B's side: (Bs - |B|)^2 is the smaller
-    # of (Bs - B)^2 and (Bs + B)^2, bit for bit
-    step = _DISTANCE_CHUNK // _COARSE_A.size
-    for i in range(0, a.size, step):
-        out[i:i + step] = _arc_distance(a[i:i + step], b[i:i + step])
-    # an infinite arc distance is an overflow of huge A or B: kept as it is
-    beyond = np.isfinite(out) & (
-        np.hypot(np.maximum(a - _CURVE_A[0], 0.0), np.maximum(_CURVE_B[0] - b, 0.0)) < out)
-    if beyond.any():
-        out[beyond] = np.minimum(out[beyond], _beyond_arc_distance(a[beyond], b[beyond]))
+    finite = np.isfinite(a) & np.isfinite(b)
+    # |a| + b is NaN for a NaN coordinate and inf for an infinite one
+    out = np.where(finite, np.hypot(a + 3.0, b), np.abs(a) + b)
+    convex = finite & (b <= 21.0)
+    out[convex] = np.minimum(out[convex], _largest_root_distance(a[convex], b[convex]))
+    rest = finite & ~convex
+    if rest.any():
+        out[rest] = np.minimum(out[rest], _all_roots_distance(a[rest], b[rest]))
     out = out.reshape(A.shape)
     return float(out) if out.ndim == 0 else out
 

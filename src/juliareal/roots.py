@@ -380,7 +380,12 @@ def roots_batch(C, evaluator=Horner):
     if evaluator is not Horner or d > 3:
         z, stalled = _aberth_batch(ev)
     elif d == 1:
-        return (-C[:, 0] / C[:, 1])[:, None]
+        # a real row takes the float quotient, which numpy's complex one can
+        # miss by an ulp
+        z = -C[:, 0] / C[:, 1]
+        real = ~C.imag.any(axis=1)
+        z[real] = -(C.real[real, 0] / C.real[real, 1])
+        return z[:, None]
     elif d == 2:
         z = _quadratic_batch(C)
     else:
@@ -595,15 +600,16 @@ def real_roots_ex(p, realness_tol=REALNESS_TOL):
                 out.extend((float(c.real), m) for c, m, _ in members)
                 continue
             m = sum(mm for _, mm, _ in members)
-            center = _modified_newton(q, sum(c for c, _, _ in members) / len(members),
-                                      m, REGROUP_TOL * scale)
-            if (m >= 2 and near_axis(center, MULTIPLE_REALNESS_TOL) and abs(q(center))
-                    <= _evaluator(q).residual_tol(np.array([[center]]))[0, 0]):
-                out.append((float(center.real), m))
-                marginal = True
-            else:
-                # genuinely nonreal: keep only the real members
-                out.extend((float(c.real), mm) for c, mm, real in members if real)
+            if m >= 2:
+                center = _modified_newton(q, sum(c for c, _, _ in members) / len(members),
+                                          m, REGROUP_TOL * scale)
+                if (near_axis(center, MULTIPLE_REALNESS_TOL) and abs(q(center))
+                        <= _evaluator(q).residual_tol(np.array([[center]]))[0, 0]):
+                    out.append((float(center.real), m))
+                    marginal = True
+                    continue
+            # genuinely nonreal: keep only the real members
+            out.extend((float(c.real), mm) for c, mm, real in members if real)
     else:
         out = [(float(c.real), m) for c, m in accepted]
     out.sort()

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from juliareal import classifier
 from juliareal.classifier import classify_batch, classify_real_julia
-from juliareal.cubic_region import (_COARSE_STRIDE, _arc_distance, b_zero, boundary_distance,
-                                    in_region, region_bound, region_scan)
+from juliareal import cubic_region
+from juliareal.cubic_region import b_zero, boundary_distance, in_region, region_bound, region_scan
+from juliareal.roots import RootFindingError
 from juliareal.poly import Polynomial
 from reference_oracles import fixed_point_trajectory, in_three_fixed_set
 
@@ -44,11 +45,24 @@ def scalar_calls(monkeypatch):
 
 
 def reference_distance(A, B):
-    """The per-cell distance loop region_scan used to run: both curve branches."""
+    """The per-cell distance loop region_scan once ran: the least distance to
+    2,001 samples of the arc A in [-9, -3], both branches.  Every sample is a
+    curve point, so this bounds the distance from above."""
     As = np.linspace(-9.0, -3.0, 2001)
     Bs = np.sqrt(np.maximum(region_bound(As), 0.0))
     d2 = np.minimum((As - A) ** 2 + (Bs - B) ** 2, (As - A) ** 2 + (-Bs - B) ** 2)
     return float(math.sqrt(d2.min()))
+
+
+def roots_distance(A, B):
+    """The distance to the branch C(t) = (-3t^2, +-2t(t^2 - 1)), t >= 1: the
+    least over t = 1 and the real parts >= 1 of the roots (numpy.roots) of
+    q(t) = 6t^5 + t^3 - 3bt^2 + (3A + 2)t + b, b = |B|, where the derivative
+    of the squared distance vanishes."""
+    b = abs(B)
+    r = np.roots([6.0, 0.0, 1.0, -3.0 * b, 3.0 * A + 2.0, b])
+    t = np.r_[1.0, r.real[r.real >= 1.0]]
+    return float(np.hypot(3.0 * t * t + A, 2.0 * t * (t * t - 1.0) - b).min())
 
 
 def brute_force_distance(A, B):
@@ -61,15 +75,17 @@ def brute_force_distance(A, B):
 
 
 def assert_distance(A, B, dist):
-    """dist is the arc's sampled distance bit for bit when (A, B) is no nearer
-    the quadrant A <= -9, |B| >= 4 sqrt 3 that holds the rest of the branch;
-    otherwise the brute-force distance, within the arc's sampling resolution."""
-    arc = reference_distance(A, B)
-    if math.hypot(max(A + 9.0, 0.0), max(math.sqrt(48.0) - abs(B), 0.0)) >= arc:
-        assert dist == arc
-    else:
-        assert dist <= arc
-        assert abs(dist - brute_force_distance(A, B)) <= 2e-3
+    """dist is roots_distance to within 1e-12 (1 + that distance), and at
+    most the sampled distance, up to a few ulps of the coordinates."""
+    exact = roots_distance(A, B)
+    assert abs(dist - exact) <= 1e-12 * (1.0 + exact), (A, B, dist, exact)
+    assert dist <= reference_distance(A, B) + 1e-14 * (1.0 + abs(A) + abs(B))
+
+
+def assert_distances(A, B):
+    """assert_distance at every (A[i], B[i]) of two arrays of one shape."""
+    for a, b, dist in zip(np.ravel(A), np.ravel(B), np.ravel(boundary_distance(A, B))):
+        assert_distance(a, b, dist)
 
 
 def reference_distances(A, B, chunk=256):
@@ -85,16 +101,11 @@ def reference_distances(A, B, chunk=256):
     return out
 
 
-def assert_arc_distances(A, B):
-    """assert_distance's exact case over arrays: boundary_distance is
-    reference_distance bit for bit where the point is no nearer the quadrant
-    A <= -9, |B| >= 4 sqrt 3, and at most that elsewhere."""
-    A, B = np.ravel(A), np.ravel(B)
-    dist, arc = boundary_distance(A, B), reference_distances(A, B)
-    exact = np.hypot(np.maximum(A + 9.0, 0.0), np.maximum(math.sqrt(48.0) - np.abs(B), 0.0)) >= arc
-    assert np.array_equal(dist[exact], arc[exact]), np.flatnonzero(dist[exact] != arc[exact])
-    assert (dist[~exact] <= arc[~exact]).all()
-    return exact
+def evolute(t):
+    """The center of curvature of the branch at C(t), B >= 0: there q has a
+    double root at t."""
+    k = (9.0 * t**4 + 3.0 * t**2 + 1.0) / (3.0 * (3.0 * t**2 + 1.0))
+    return -3.0 * t * t + (6.0 * t * t - 2.0) * k, 2.0 * t * (t * t - 1.0) + 6.0 * t * k
 
 
 class TestMembership:
@@ -282,14 +293,14 @@ class TestBoundaryDistance:
     def test_on_curve_zero(self):
         A = -6.0
         B = math.sqrt(region_bound(A))
-        assert boundary_distance(A, B) < 5e-3
+        assert boundary_distance(A, B) < 1e-14
 
     def test_far_point(self):
         assert boundary_distance(1.0, 0.0) > 3.5
 
     def test_arrays_match_per_point(self):
         rng = np.random.default_rng(8)
-        A = rng.uniform(-10, 2, (10, 30))      # more points than one chunk
+        A = rng.uniform(-10, 2, (10, 30))
         B = rng.uniform(-8, 8, (10, 30))
         d = boundary_distance(A, B)
         assert d.shape == A.shape
@@ -305,7 +316,7 @@ class TestBoundaryDistance:
         # for (-100, 0)
         dist = boundary_distance(A, B)
         assert abs(dist - expected) < 5e-3
-        assert abs(dist - brute_force_distance(A, B)) < 1e-6 * dist
+        assert_distance(A, B, dist)
 
     def test_matches_brute_force_far_out(self):
         rng = np.random.default_rng(9)
@@ -313,6 +324,13 @@ class TestBoundaryDistance:
         B = rng.uniform(-60, 60, 150)
         for a, b, dist in zip(A, B, boundary_distance(A, B)):
             assert_distance(a, b, dist)
+            assert -1e-12 <= brute_force_distance(a, b) - dist <= 2e-3
+
+    @PROPERTY
+    @given(st.floats(-60.0, 3.0), st.floats(-30.0, 30.0))
+    def test_matches_roots_distance(self, A, B):
+        # |B| <= 21 takes Newton's method, |B| > 21 the all-roots solve
+        assert_distance(A, B, boundary_distance(A, B))
 
     def test_reference_distances_is_reference_distance(self):
         rng = np.random.default_rng(10)
@@ -322,36 +340,72 @@ class TestBoundaryDistance:
 
     def test_pruned_search_on_a_dense_grid(self):
         # the grid holds the concave side above the upper branch, where the
-        # distance along the arc has two local minima, and points past A = -9
-        A, B = np.meshgrid(np.linspace(-12.0, 1.0, 131), np.linspace(-10.0, 10.0, 201),
+        # distance along the curve has two local minima, and points past A = -9
+        A, B = np.meshgrid(np.linspace(-12.0, 1.0, 66), np.linspace(-10.0, 10.0, 101),
                            indexing="ij")
-        exact = assert_arc_distances(A, B)
-        assert exact.sum() > 0.7 * exact.size
+        assert_distances(A, B)
+        bound = reference_distances(A.ravel(), B.ravel()).reshape(A.shape)
+        assert (boundary_distance(A, B) <= bound + 1e-14 * (1.0 + np.abs(A) + np.abs(B))).all()
 
     def test_cusp(self):
-        assert boundary_distance(-3.0, 0.0) == reference_distance(-3.0, 0.0) == 0.0
-        assert_arc_distances(np.array([-3.0, -3.0, -2.5, -3.5, -3.0]),
-                             np.array([0.25, -1.0, 0.0, 0.0, 1e-9]))
+        assert boundary_distance(-3.0, 0.0) == 0.0
+        assert_distances(np.array([-3.0, -3.0, -2.5, -3.5, -3.0]),
+                         np.array([0.25, -1.0, 0.0, 0.0, 1e-9]))
 
     def test_on_samples_and_window_ends(self):
+        # the 2,001 arc samples of the sampled distance lie on the curve up to
+        # the rounding of their B, and read within a few ulps of 0
         As = np.linspace(-9.0, -3.0, 2001)
         Bs = np.sqrt(np.maximum(region_bound(As), 0.0))
-        ends = np.r_[np.arange(0, 2000, _COARSE_STRIDE), 2000]
-        k = np.unique(np.r_[ends, ends[1:] - 1, ends[:-1] + 1, 16, 1000, 1999])
-        assert boundary_distance(As[k], Bs[k]).tolist() == [0.0] * k.size
-        assert boundary_distance(As[k], -Bs[k]).tolist() == [0.0] * k.size
+        ulp = np.spacing(np.abs(As) + Bs)
+        assert (boundary_distance(As, Bs) <= 8 * ulp).all()
+        assert (boundary_distance(As, -Bs) <= 8 * ulp).all()
+        k = np.arange(0, 2001, 50)
         for dA, dB in [(0.0, 0.5), (0.0, -0.5), (0.25, 0.0), (-0.25, 0.0), (0.1, 2.0)]:
-            assert_arc_distances(As[k] + dA, Bs[k] + dB)
-        assert_arc_distances(As[k], np.zeros(k.size))
+            assert_distances(As[k] + dA, Bs[k] + dB)
+        assert_distances(As[k], np.zeros(k.size))
+
+    @pytest.mark.parametrize("t", np.r_[np.linspace(1.0, 1.4, 9), 1.5, 2.0, 3.0])
+    def test_on_the_evolute(self, t):
+        # q has a double root at t, where Newton's method converges only
+        # linearly (|B| <= 21 for t <= 1.43), and nearby two close roots
+        A, B = evolute(t)
+        assert abs(np.polyval([6.0, 0.0, 1.0, -3.0 * B, 3.0 * A + 2.0, B], t)) < 1e-9 * (1 + B)
+        assert abs(np.polyval([30.0, 0.0, 3.0, -6.0 * B, 3.0 * A + 2.0], t)) < 1e-9 * (1 + B)
+        for dA, dB in [(0.0, 0.0), (1e-9, 0.0), (-1e-9, 0.0), (0.0, 1e-7), (0.0, -1e-7)]:
+            assert_distance(A + dA, B + dB, boundary_distance(A + dA, B + dB))
+            assert_distance(A + dA, -B - dB, boundary_distance(A + dA, -B - dB))
 
     def test_huge_coordinates(self):
-        # the rounding of the pruning bound grows with the distance, past the
-        # sample spacing from about 1e15 on; the arc search alone, since the
-        # exact distance past the arc hides it in boundary_distance there
+        # past |B| = 21 the quintic is solved after scaling its roots to
+        # about 1; no coefficient and no root overflows
         rng = np.random.default_rng(11)
         for scale in (1e12, 1e15, 1e16, 1e18):
-            A, B = rng.uniform(-scale, scale, 2000), rng.uniform(-scale, scale, 2000)
-            assert np.array_equal(_arc_distance(A, np.abs(B)), reference_distances(A, B))
+            A, B = rng.uniform(-scale, scale, 200), rng.uniform(-scale, scale, 200)
+            assert_distances(A, B)
+
+    @pytest.mark.parametrize("A, B, expected", [(1e200, 0.0, 1e200), (-1e200, 0.0, 1e200),
+                                                (-5.0, 1e200, 4.071626424892e133)])
+    def test_huge_finite_coordinates(self, A, B, expected):
+        # (-5, 1e200): the nearest curve point has 2t^3 = 1e200, 3t^2 about
+        # the distance
+        assert abs(boundary_distance(A, B) - expected) <= 1e-12 * expected
+
+    def test_finite_input_gives_finite_distance(self):
+        # q, its coefficients or the cusp distance may overflow, with numpy's
+        # warning, but no distance does: the curve passes within about |A|
+        big = [0.0, 1.0, 1e100, 1e250, 1.7e308, np.finfo(float).max]
+        A, B = np.meshgrid(np.r_[big, np.negative(big)], np.r_[big, np.negative(big)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = boundary_distance(A, B)
+            assert (dist <= np.hypot(A + 3.0, B) * (1 + 1e-15)).all()
+        assert np.isfinite(dist).all()
+        assert (dist >= np.maximum(A, 0.0)).all()
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(cubic_region, "_NEWTON_MAX_STEPS", 2)
+        with pytest.raises(RootFindingError):
+            boundary_distance(-5.0, 1.0)
 
     @pytest.mark.parametrize("A, B", [(math.nan, 0.0), (-5.0, math.nan), (math.nan, math.inf)])
     def test_nan_gives_nan(self, A, B):
@@ -360,11 +414,9 @@ class TestBoundaryDistance:
             True, False]
 
     @pytest.mark.parametrize("A, B", [(math.inf, 0.0), (-math.inf, 0.0), (-5.0, math.inf),
-                                      (-5.0, -math.inf), (1e200, 0.0), (-1e200, 0.0),
-                                      (-5.0, 1e200)])
+                                      (-5.0, -math.inf)])
     def test_infinite_or_overflowing_gives_inf(self, A, B):
-        with np.errstate(over="ignore"):
-            assert boundary_distance(A, B) == math.inf
+        assert boundary_distance(A, B) == math.inf
 
     def test_empty_and_zero_dimensional(self):
         empty = boundary_distance(np.zeros((0, 3)), np.zeros((0, 3)))

@@ -234,7 +234,8 @@ class TestHornerKernel:
 
 
 class TestLinearRoots:
-    """The one root of a degree-1 polynomial is the closed form -c0 / c1, and
+    """The one root of a degree-1 polynomial is the closed form -c0 / c1: the
+    float quotient for real coefficients, numpy's complex one otherwise.
     complex_roots checks its residual at that single point.  _horner_many on
     one point can round differently from the same point in a larger array
     (numpy's one-element in-place complex product), so this pins that the
@@ -246,10 +247,7 @@ class TestLinearRoots:
     @given(coefficient, coefficient)
     def test_real_linear_root(self, c0, c1):
         z = complex_roots(P(c0, c1))
-        C = np.array([[c0, c1]], dtype=complex)
-        assert z.tolist() == (-C[:, 0] / C[:, 1]).tolist()
-        # numpy's complex quotient can miss the float quotient by an ulp
-        assert z[0].imag == 0 and abs(z[0].real - -c0 / c1) <= math.ulp(c0 / c1)
+        assert z.tolist() == [-c0 / c1] and z[0].imag == 0
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(coefficient, coefficient, coefficient, coefficient)
@@ -326,6 +324,17 @@ class TestRealRootsMultiplicity:
 
     def test_simple_real_roots(self):
         assert real_roots_ex(P(-4.0, 0.0, 1.0)) == ([(-2.0, 1), (2.0, 1)], False)
+
+    def test_simple_nonreal_roots_are_not_refined(self, monkeypatch):
+        # the regroup pass refines a group only at combined multiplicity 2 or
+        # more: a lone nonreal root gets no Newton run
+        calls, refine = [], roots._modified_newton
+        monkeypatch.setattr(roots, "_modified_newton",
+                            lambda q, x, m, radius: calls.append(m) or refine(q, x, m, radius))
+        assert real_roots_ex(P(-1.0, 1.0, -1.0, 1.0)) == ([(1.0, 1)], False)
+        assert calls == []
+        roots_, _ = real_roots_ex(from_roots([1.0, 1.0, -2.0]))
+        assert [m for _, m in roots_] == [1, 2] and calls and min(calls) >= 2
 
     def test_cluster_refinement_stays_at_its_cluster(self):
         # double roots at -4.6696 and 0.2722 (the torsion route of the Lattes
