@@ -74,7 +74,8 @@ def _largest_root_distance(a, b):
         t2 = t * t
         q = (((6.0 * t2 + 1.0) * t + c2) * t + c1) * t + b
         dq = ((30.0 * t2 + 3.0) * t + 2.0 * c2) * t + c1
-        # q' <= 0 right of 1 leaves no root of q there: step to t = 1
+        # q' <= 0 at an iterate: by convexity q has no root right of 1, so
+        # step to t = 1
         step = np.divide(q, dq, out=np.full(t.shape, np.inf), where=dq > 0)
         new = np.maximum(t - step, 1.0)
         if not (new < t).any():
@@ -112,19 +113,22 @@ def boundary_distance(A, B):
     - to +.  Where b <= 21, q''(t) = 120t^3 + 6t - 6b >= 126 - 6b >= 0 on
     t >= 1, so q is convex there: it has at most two roots right of 1, and
     only the largest, r, is a local minimum of D.  Newton's method started at
-    Fujiwara's bound on |roots of q|, right of every root, decreases
-    monotonically: a tangent of the convex q meets the axis right of r, at a
-    point where q > 0 and q' > 0.  If q has no root right of 1 the iterates
-    fall below 1, or reach a point with q' <= 0, and stop at t = 1.  The
+    Fujiwara's bound on |roots of q| (or at 1), right of every root,
+    decreases monotonically to r: at an iterate t > r, q(t) > 0 and q'(t) > 0,
+    and the tangent there lies below the convex q, so its zero, the next
+    iterate, lies in [r, t).  If q has no root right of 1 the iterates fall
+    below 1, or reach a point with q' <= 0, and are set to 1.  The
     distance is then the lesser of sqrt D(1) and sqrt D at the last iterate.
     Where b > 21 convexity may fail, and the distance is the least over t = 1
     and the real parts of all roots of q (_all_roots_distance).
 
-    A and B may be arrays of one shape; the result then has that shape.  A
-    NaN coordinate gives NaN, an infinite one inf, and a finite point a
-    finite distance unless the distance itself passes the float range.  Past
-    |A| of about 1e245 with b <= 21 q overflows and Newton's method stays at
-    its start; sqrt D(1) is then the distance to rounding.  Raises
+    The rounding error is of order eps (|A| + |B|), since 2t^3 - 2t - b
+    cancels near the curve; it passes the distance itself only far out along
+    the curve (|B| past about 1e47).  A and B may be arrays of one shape;
+    the result then has that shape.  A NaN coordinate gives NaN, an infinite
+    one inf, and a finite point a finite distance.  Past |A| of about 1e245
+    with b <= 21 q overflows, with numpy's warning, and Newton's method stays
+    at its start; sqrt D(1) is then the distance to rounding.  Raises
     RootFindingError if Newton's method is still moving after
     _NEWTON_MAX_STEPS steps.
     """

@@ -380,8 +380,7 @@ def roots_batch(C, evaluator=Horner):
     if evaluator is not Horner or d > 3:
         z, stalled = _aberth_batch(ev)
     elif d == 1:
-        # a real row takes the float quotient, which numpy's complex one can
-        # miss by an ulp
+        # numpy's complex quotient can miss a real row's float quotient by an ulp
         z = -C[:, 0] / C[:, 1]
         real = ~C.imag.any(axis=1)
         z[real] = -(C.real[real, 0] / C.real[real, 1])

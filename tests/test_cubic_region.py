@@ -341,7 +341,7 @@ class TestBoundaryDistance:
     def test_pruned_search_on_a_dense_grid(self):
         # the grid holds the concave side above the upper branch, where the
         # distance along the curve has two local minima, and points past A = -9
-        A, B = np.meshgrid(np.linspace(-12.0, 1.0, 66), np.linspace(-10.0, 10.0, 101),
+        A, B = np.meshgrid(np.linspace(-12.0, 1.0, 131), np.linspace(-10.0, 10.0, 201),
                            indexing="ij")
         assert_distances(A, B)
         bound = reference_distances(A.ravel(), B.ravel()).reshape(A.shape)
@@ -381,7 +381,7 @@ class TestBoundaryDistance:
         # about 1; no coefficient and no root overflows
         rng = np.random.default_rng(11)
         for scale in (1e12, 1e15, 1e16, 1e18):
-            A, B = rng.uniform(-scale, scale, 200), rng.uniform(-scale, scale, 200)
+            A, B = rng.uniform(-scale, scale, 2000), rng.uniform(-scale, scale, 2000)
             assert_distances(A, B)
 
     @pytest.mark.parametrize("A, B, expected", [(1e200, 0.0, 1e200), (-1e200, 0.0, 1e200),
