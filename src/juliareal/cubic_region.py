@@ -1,8 +1,11 @@
 """The explicit parameter region for the family X^3 + A X + B.
 
-Membership is the closed analytic condition A <= -3, B^2 <= -4A(A+3)^2/27.
-The scan machinery cross-validates it cell by cell against the general
-classifier and reports each cell's distance to the analytic boundary curve.
+Membership is the closed analytic condition A <= -3, B^2 <= -4A(A+3)^2/27
+(Milnor, "Remarks on iterated cubic maps", 1992).  region_verdict decides it
+exactly for every rational cubic with a positive lead, through the real
+conjugacy to this family.  The scan machinery cross-validates the region
+cell by cell against the general classifier and reports each cell's
+distance to the analytic boundary curve.
 """
 
 from __future__ import annotations
@@ -10,10 +13,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .classifier import classify_batch
+from .poly import Polynomial, _number_text
 from .roots import RootFindingError, _fujiwara_radius, roots_batch
 
 # cells per classify_batch call in region_scan: bounds each (cells, 66)
@@ -27,13 +32,51 @@ _NEWTON_MAX_STEPS = 100
 
 
 def region_bound(A):
-    """The boundary value -4A(A+3)^2/27; B is admissible iff B^2 <= this."""
-    return -4.0 * A * (A + 3.0) ** 2 / 27.0
+    """The boundary value -4A(A+3)^2/27; B is admissible iff B^2 <= this.
+    A float A gives a float, each operation rounded once; a Fraction A gives
+    the exact value."""
+    return -4 * A * (A + 3) ** 2 / 27
 
 
 def in_region(A, B) -> bool:
     """Closed inequalities, no tolerance: A <= -3 and B^2 <= -4A(A+3)^2/27."""
     return A <= -3.0 and B * B <= region_bound(A)
+
+
+def normal_form(p: Polynomial):
+    """(A, S) for p = a3 x^3 + a2 x^2 + a1 x + a0, exact with a3 > 0: p is
+    conjugate to X^3 + A X + B, B = S / sqrt(a3), both A and S rational.
+
+    x = u X + v with u = 1 / sqrt(a3) and v = -a2 / (3 a3) gives
+    (p(u X + v) - v) / u = X^3 + p'(v) X + (p(v) - v) / u, so A = p'(v) =
+    a1 - a2^2 / (3 a3) and S = sqrt(a3) B = a3 (p(v) - v) =
+    a3 a0 - a1 a2 / 3 + 2 a2^3 / (27 a3) + a2 / 3.
+    """
+    if p.degree != 3 or p.lead <= 0:
+        raise ValueError("a cubic with a positive lead required")
+    a0, a1, a2, a3 = (Fraction(c) for c in p.coeffs)
+    A = a1 - a2 * a2 / (3 * a3)
+    S = a3 * a0 - a1 * a2 / 3 + 2 * a2 ** 3 / (27 * a3) + a2 / 3
+    return A, S
+
+
+def region_verdict(p: Polynomial):
+    """(julia_real, reason) for an exact cubic p with a positive lead a3,
+    decided by the region in Fractions, with no root solve and no square root.
+
+    The conjugacy of normal_form is real, so it maps the real line and p's
+    Julia set onto those of X^3 + A X + B: p's Julia set is real iff A <= -3
+    and B^2 <= region_bound(A), that is S^2 = a3 B^2 <= a3 region_bound(A).
+    """
+    A, S = normal_form(p)
+    text = _number_text(A.numerator if A.denominator == 1 else A)
+    region = "the region A <= -3, B^2 <= -4A(A+3)^2/27"
+    if A > -3:
+        return False, f"conjugate to X^3 + AX + B with A = {text} > -3: outside {region}"
+    real = S * S <= p.lead * region_bound(A)
+    sign = "<=" if real else ">"
+    return real, (f"conjugate to X^3 + AX + B with A = {text} <= -3 and "
+                  f"B^2 {sign} -4A(A+3)^2/27: {'inside' if real else 'outside'} {region}")
 
 
 def b_zero(a) -> float:

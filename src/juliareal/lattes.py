@@ -9,9 +9,14 @@ sign changes of F and of the numerator of f' (roots.rounded_real_roots).
 It decides surjectivity on the real projective line by the sign of disc(F),
 and assembles the non-abelian certificate (surjectivity + non-real Julia
 set + a base point certified nonperiodic on integer pairs by
-``poly._PairMap``).  A certificate makes no float root solve, and computes
-critical points only when disc(F) < 0.  The tests check f against the
-chord-tangent group law.
+``poly._PairMap``).  Res(num, den) = 256 disc(F)^2 (duplication_lattes has
+the proof), so the map's coprimality and the height bound of its orbit step
+need no determinant.  A Lattes certificate makes no float root solve and
+computes no resultant, and computes critical points only when disc(F) < 0.
+A polynomial certificate of a cubic with a positive lead takes its
+non-real Julia set from the exact cubic region
+(``cubic_region.region_verdict``), with no float root solve either.  The
+tests check f against the chord-tangent group law.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classifier import classify_real_julia
+from .cubic_region import region_verdict
 from .orbit import OrbitStatus, _orbit_loop, check_non_exceptional, orbit_status
 from .poly import (_EXACT_TYPES, Polynomial, _bareiss, _number_text, _PairMap,
                    poly_to_json, sylvester_resultant)
@@ -71,6 +77,9 @@ class RationalMap:
 
     num: Polynomial
     den: Polynomial
+    # Res(num, den) where it is known in closed form, else None (not a field,
+    # so neither compared nor a constructor argument); set only by _coprime
+    _resultant = None
 
     def __post_init__(self):
         if self.den.is_zero:
@@ -78,6 +87,15 @@ class RationalMap:
         res = sylvester_resultant(list(self.num.coeffs), list(self.den.coeffs))
         if res == 0:
             raise ValueError("numerator and denominator share a root")
+
+    @classmethod
+    def _coprime(cls, num: Polynomial, den: Polynomial, resultant):
+        """num / den with Res(num, den) = resultant, a nonzero value the caller
+        has proved, so no Bareiss check is run; rational_orbit_status reads it."""
+        f = object.__new__(cls)
+        for name, value in (("num", num), ("den", den), ("_resultant", resultant)):
+            object.__setattr__(f, name, value)
+        return f
 
     @property
     def degree(self):
@@ -115,8 +133,16 @@ def _duplication_polys(curve: WeierstrassCurve):
 
 
 def duplication_lattes(curve: WeierstrassCurve) -> RationalMap:
-    """x([2]P) as a rational function of x(P)."""
-    return RationalMap(*_duplication_polys(curve))
+    """x([2]P) as a rational function of x(P), with Res(num, den) = 256 disc(F)^2.
+
+    den = 4F has lead 4 and deg num = 4, so Res(num, den) = 4^4 prod num(rho)
+    over the roots rho of F.  At a root, num - rho den = ((X - rho)^2 -
+    F'(rho))^2, so num(rho) = F'(rho)^2, and prod F'(rho) = -disc(F) for a
+    monic cubic.  WeierstrassCurve has checked disc(F) != 0, which makes the
+    resultant nonzero and num and den coprime: the map needs no Bareiss check.
+    """
+    num, den = _duplication_polys(curve)
+    return RationalMap._coprime(num, den, 256 * curve.disc ** 2)
 
 
 # residual-monotone Newton steps that polish a float candidate: each closed-form
@@ -347,7 +373,7 @@ def rational_orbit_status(f: RationalMap, alpha, max_steps=64) -> OrbitStatus:
         raise ValueError("exact rational coefficients required")
     if f.num.degree <= f.den.degree:
         raise ValueError("the map must fix infinity: deg num > deg den required")
-    step = _PairMap(f.num, f.den)
+    step = _PairMap(f.num, f.den, f._resultant)
     growth = _height_growth_data(step)
     alpha = Fraction(alpha)
     highest = max(abs(alpha.numerator), alpha.denominator)
@@ -399,7 +425,9 @@ def certify_nonabelian(target, alpha,
     target: a Polynomial with rational coefficients, or a RationalMap built
     by duplication_lattes (pass the curve for the Julia-set fact).  Each
     check records its own pass flag, and the map is certified exactly when
-    all three pass: surjective, julia_nonreal and nonperiodic.
+    all three pass: surjective, julia_nonreal and nonperiodic.  A cubic with
+    a positive lead takes julia_nonreal from cubic_region.region_verdict, in
+    exact arithmetic; every other polynomial from classify_real_julia.
     """
     alpha = Fraction(alpha)
     cert = NonAbelianCertificate(map_json={}, alpha=alpha)
@@ -414,9 +442,12 @@ def certify_nonabelian(target, alpha,
         else:
             cert.surjective = {"pass": False,
                                "witness": "even degree polynomial has bounded range on one side"}
-        report = classify_real_julia(p.to_float())
-        cert.julia_nonreal = {"pass": not report.julia_real,
-                              "reason": report.reason}
+        if d == 3 and p.lead > 0:
+            julia_real, reason = region_verdict(p)
+        else:
+            report = classify_real_julia(p.to_float())
+            julia_real, reason = report.julia_real, report.reason
+        cert.julia_nonreal = {"pass": not julia_real, "reason": reason}
         check_non_exceptional(p, alpha)
         status = orbit_status(p, alpha)
     elif isinstance(target, RationalMap):

@@ -278,18 +278,28 @@ class _PairMap:
     are padded to forms G(X, Z) = sum g_i X^i Z^(d-i) of the larger degree d;
     R = |Res(G, H)|, or |h g_d|^d when H = h Z^d, as for a polynomial p, the
     map (p, 1).  D = 0 is the pole, the pair (1, 0).
+
+    resultant, when given, is Res(num, den) for deg num = d >= e = deg den.
+    Then R = |g_d|^(d-e) L^(d+e) |Res(num, den)|, with no determinant: the
+    d - e zero leading coefficients of H contribute g_d^(d-e) up to sign,
+    and scaling a form of degree d by L and one of degree e by L multiplies
+    the resultant by L^e L^d.
     """
 
     __slots__ = ("G", "H", "R")
 
-    def __init__(self, num: Polynomial, den: Polynomial):
-        d = max(num.degree, den.degree)
+    def __init__(self, num: Polynomial, den: Polynomial, resultant=None):
+        d, e = max(num.degree, den.degree), den.degree
         k = len(num.coeffs)
-        ints = clear_denominators(num.coeffs + den.coeffs)[1]
+        L, ints = clear_denominators(num.coeffs + den.coeffs)
         self.G = ints[:k] + [0] * (d + 1 - k)
-        self.H = ints[k:] + [0] * (d + 1 - len(den.coeffs))
-        self.R = (abs(self.H[0] * self.G[-1]) ** d if len(den.coeffs) == 1
-                  else abs(int(sylvester_resultant(self.G, self.H))))
+        self.H = ints[k:] + [0] * (d - e)
+        if len(den.coeffs) == 1:
+            self.R = abs(self.H[0] * self.G[-1]) ** d
+        elif resultant is not None:
+            self.R = int(abs(self.G[-1]) ** (d - e) * L ** (d + e) * abs(resultant))
+        else:
+            self.R = abs(int(sylvester_resultant(self.G, self.H)))
 
     def __call__(self, N, D):
         """(G(N, D), H(N, D)) by homogeneous Horner, in lowest terms: gcd(N, D) = 1

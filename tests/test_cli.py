@@ -175,6 +175,14 @@ class TestCertify:
         assert code == 0
         assert json.loads(printed)["verdict"] == "certified"
 
+    def test_cubic_at_the_region_corner(self, capsys):
+        # x^3 - 3x + 10^-9: A = -3 and B^2 = 10^-18, just outside the region
+        code, printed = run(capsys, "certify", "--poly", '["1/1000000000",-3,0,1]',
+                            "--alpha", "1/2")
+        assert code == 0
+        check = json.loads(printed)["checks"]["julia_nonreal"]
+        assert check["pass"] and "A = -3 <= -3 and B^2 > -4A(A+3)^2/27" in check["reason"]
+
     def test_curve_route(self, capsys):
         code, printed = run(capsys, "certify", "--curve", "0,0,-2",
                             "--alpha", "1/3")

@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from juliareal import classifier
 from juliareal.classifier import classify_batch, classify_real_julia
 from juliareal import cubic_region
-from juliareal.cubic_region import b_zero, boundary_distance, in_region, region_bound, region_scan
+from juliareal.cubic_region import (b_zero, boundary_distance, in_region, normal_form,
+                                    region_bound, region_scan, region_verdict)
 from juliareal.roots import RootFindingError
-from juliareal.poly import Polynomial
+from juliareal.poly import AffineMap, Polynomial, conjugate
 from reference_oracles import fixed_point_trajectory, in_three_fixed_set
 
 # the same examples on every run, and no example database on disk
@@ -123,6 +125,46 @@ class TestMembership:
         rng = np.random.default_rng(2)
         for A, B in rng.uniform(-8, 2, (200, 2)):
             assert in_region(A, B) == in_region(A, -B)
+
+
+class TestExactVerdict:
+    """region_verdict: the region decides every exact cubic with a positive
+    lead through the real conjugacy of normal_form."""
+
+    @PROPERTY
+    @given(st.fractions(Fraction(1, 20), 20, max_denominator=20),
+           st.fractions(-5, 5, max_denominator=20).filter(bool),
+           st.fractions(-30, 5, max_denominator=20), st.fractions(-20, 20, max_denominator=20))
+    def test_matches_classifier_off_the_margin(self, a3, a2, a1, a0):
+        p = Polynomial([a0, a1, a2, a3])
+        report = classify_real_julia(p.to_float())
+        if not report.marginal:
+            assert region_verdict(p)[0] == report.julia_real
+
+    @PROPERTY
+    @given(st.fractions(Fraction(1, 10), 10, max_denominator=12),
+           *[st.fractions(-20, 20, max_denominator=30) for _ in range(3)])
+    def test_conjugacy_back_gives_p(self, r, a2, a1, a0):
+        # with a3 = r^2 the conjugacy x = X / r - a2 / (3 a3) is rational, and
+        # conjugating X^3 + AX + B, B = S / r, back by it gives p exactly
+        p = Polynomial([a0, a1, a2, r * r])
+        A, S = normal_form(p)
+        q = Polynomial([S / r, A, 0, 1])
+        assert conjugate(q, AffineMap(1 / r, -a2 / (3 * r * r))) == p
+
+    @pytest.mark.parametrize("A, B, expected", [
+        (-3, 0, True), (-6, 2, True), (-6, 3, False), (-2, 0, False), (3, 1, False)])
+    def test_depressed_cubic_is_in_region(self, A, B, expected):
+        # for X^3 + AX + B itself, normal_form is the identity and the
+        # verdict is in_region
+        p = Polynomial([B, A, 0, 1])
+        assert normal_form(p) == (A, B)
+        assert region_verdict(p)[0] == in_region(float(A), float(B)) == expected
+
+    @pytest.mark.parametrize("coeffs", [[0, -3, 0, -1], [0, -3, 1], [1, 0, 0, 0, 1]])
+    def test_rejects_other_shapes(self, coeffs):
+        with pytest.raises(ValueError, match="positive lead"):
+            normal_form(Polynomial(coeffs))
 
 
 class TestBZero:

@@ -208,6 +208,17 @@ def count_roundings(monkeypatch):
     return calls
 
 
+def resultant_calls(monkeypatch):
+    """The argument pairs of every sylvester_resultant call, through either
+    binding: RationalMap's check calls lattes', the pair map poly's."""
+    calls = []
+    resultant = poly.sylvester_resultant
+    counted = lambda a, b: calls.append((a, b)) or resultant(a, b)
+    monkeypatch.setattr(poly, "sylvester_resultant", counted)
+    monkeypatch.setattr(lattes, "sylvester_resultant", counted)
+    return calls
+
+
 def random_curves(rng, count):
     out = []
     while len(out) < count:
@@ -248,9 +259,26 @@ class TestDuplicationMap:
             f = duplication_lattes(curve)
             assert f.degree == 4
 
-    def test_shared_root_rejected(self):
-        with pytest.raises(ValueError):
-            RationalMap(P(-1.0, 1.0), P(-1.0, 1.0) * P(1.0, 1.0))
+    @pytest.mark.parametrize("num, den", [
+        (P(-1.0, 1.0), P(-1.0, 1.0) * P(1.0, 1.0)),
+        # the duplication polynomials of the singular y^2 = (x - 1)^2 (x + 2),
+        # where 256 disc(F)^2 = 0
+        (P(9, -16, 6, 0, 1), P(8, -12, 0, 4))])
+    def test_shared_root_rejected(self, num, den):
+        with pytest.raises(ValueError, match="share a root"):
+            RationalMap(num, den)
+
+    def test_hand_built_map_keeps_its_checks(self, monkeypatch):
+        # only duplication_lattes knows Res(num, den) = 256 disc(F)^2: the
+        # same polynomials built by hand are checked by Bareiss, and their
+        # orbit step computes R by Bareiss, to the same certificate
+        calls = resultant_calls(monkeypatch)
+        f = duplication_lattes(E_NEG)
+        assert calls == []
+        g = RationalMap(f.num, f.den)
+        assert g == f and calls == [([0, 16, 0, 0, 1], [-8, 0, 0, 4])]
+        assert rational_orbit_status(g, Fraction(1, 3)) == rational_orbit_status(f, Fraction(1, 3))
+        assert calls[1:] == [([0, 16, 0, 0, 1], [-8, 0, 0, 4, 0])]
 
     def test_evaluation_at_infinity(self):
         f = duplication_lattes(E_NEG)
@@ -642,8 +670,9 @@ class TestSurjectivity:
         assert real_surjectivity(curve)["witness"]["gap"] == (poles[0], poles[-1])
 
     def test_lattes_command_computes_each_object_once(self, monkeypatch, capsys):
-        # one map, checked once; one set of critical points and poles, from
-        # the one exact solve of F, and no float solve
+        # one map, whose resultant 256 disc(F)^2 needs no determinant; one set
+        # of critical points and poles, from the one exact solve of F, and no
+        # float solve
         counts = {"resultant": 0, "critical": 0}
 
         def counted(name, fn):
@@ -657,7 +686,7 @@ class TestSurjectivity:
                             counted("critical", lattes._critical_points_and_poles))
         solves, roundings = count_float_solves(monkeypatch), count_roundings(monkeypatch)
         assert main(["lattes", "--curve", "0,-1,0"]) == 0
-        assert counts == {"resultant": 1, "critical": 1}
+        assert counts == {"resultant": 0, "critical": 1}
         # F once, and the numerator of f', degree 6, once
         assert (solves, roundings) == ([], [3, 6])
         payload = json.loads(capsys.readouterr().out)
@@ -698,6 +727,23 @@ class TestRationalOrbit:
         # (x^2 + 1) / (x^2 + x) sends infinity to 1
         with pytest.raises(ValueError, match="fix infinity"):
             rational_orbit_status(RationalMap(P(1, 0, 1), P(0, 1, 1)), Fraction(-1))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(*[st.one_of(st.integers(-6, 6), st.fractions(-20, 20, max_denominator=50),
+                       st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**9)))
+             for _ in range(3)])
+    def test_closed_form_resultant_matches_bareiss(self, a, b, c):
+        # Res(num, den) = 256 disc(F)^2, and the padded R of the orbit step
+        # read from it, equal the Sylvester determinants exactly
+        try:
+            curve = WeierstrassCurve(a, b, c)
+        except SingularCurveError:
+            return
+        f = duplication_lattes(curve)
+        assert f._resultant == 256 * curve.disc ** 2
+        assert f._resultant == poly.sylvester_resultant(list(f.num.coeffs), list(f.den.coeffs))
+        step = _PairMap(f.num, f.den, f._resultant)
+        assert step.R == _PairMap(f.num, f.den).R == abs(poly.sylvester_resultant(step.G, step.H))
 
     def test_height_bound_forms_describe_the_map(self):
         # num and den have different denominators (2 and 1); one common L
@@ -763,18 +809,14 @@ class TestCertify:
         check_non_exceptional(duplication_lattes(E_NEG), Fraction(1, 3))
 
     def test_lattes_certificate_checks_coprimality_once(self, monkeypatch):
-        # the caller's duplication_lattes has checked the map; the
-        # certificate adds only the padded resultant of its height bound.
-        # Both bindings are counted: RationalMap's coprimality check calls
+        # disc(F) != 0, checked once where the curve is built, proves the map
+        # coprime, and the height bound reads R from 256 disc(F)^2: neither
+        # duplication_lattes nor the certificate computes a resultant.  Both
+        # bindings are counted: RationalMap's coprimality check calls
         # lattes.sylvester_resultant, the pair map poly.sylvester_resultant
-        f = duplication_lattes(E_POS)
-        calls = []
-        resultant = poly.sylvester_resultant
-        counted = lambda a, b: calls.append((a, b)) or resultant(a, b)
-        monkeypatch.setattr(poly, "sylvester_resultant", counted)
-        monkeypatch.setattr(lattes, "sylvester_resultant", counted)
-        cert = certify_nonabelian(f, Fraction(1, 3), curve=E_POS)
-        assert calls == [([1, 0, 2, 0, 1], [0, -4, 0, 4, 0])]
+        calls = resultant_calls(monkeypatch)
+        cert = certify_nonabelian(duplication_lattes(E_POS), Fraction(1, 3), curve=E_POS)
+        assert calls == []
         assert not cert.surjective["pass"]
 
     @pytest.mark.parametrize("curve", [E_NEG, E_POS, WeierstrassCurve(1, -4, -3)])
@@ -798,16 +840,32 @@ class TestCertify:
         certify_nonabelian(duplication_lattes(curve), Fraction(1, 3), curve=curve)
         assert calls == []
 
-    @pytest.mark.parametrize("coeffs", [[0, -1, 0, 1], [5, -7, 0, 1], [1, 3, 0, 1]])
-    def test_polynomial_certificate_makes_two_root_solves(self, monkeypatch, coeffs):
-        # the classifier's solves of p' and p; check_non_exceptional solves nothing
+    @pytest.mark.parametrize("coeffs, degrees", [
+        ([0, -1, 0, 1], []), ([5, -7, 0, 1], []), ([1, 3, 0, 1], []),
+        ([0, 3, 0, -1], [2, 3]), ([-1, 0, 0, 0, 1], [3, 4, 4])])
+    def test_polynomial_certificate_makes_two_root_solves(self, monkeypatch, coeffs, degrees):
+        # a cubic with a positive lead takes the exact region and solves
+        # nothing; any other polynomial makes the classifier's solves, of p'
+        # and p (and of p - x for an even degree's preimage); and
+        # check_non_exceptional solves nothing
         calls = []
         solve = roots.roots_shifted
         counted = lambda p, t: calls.append(p.degree) or solve(p, t)
         for module in (roots, orbit, classifier):
             monkeypatch.setattr(module, "roots_shifted", counted)
         certify_nonabelian(P(*coeffs), Fraction(1, 2))
-        assert calls == [2, 3]
+        assert calls == degrees
+
+    def test_cubic_at_the_region_corner(self, monkeypatch):
+        # x^3 - 3x + 10^-9 is conjugate to X^3 + AX + B with A = -3 and
+        # B^2 = 10^-18 > 0: outside the region, so its Julia set is not real.
+        # The float classifier calls it real, with the marginal flag
+        monkeypatch.setattr(lattes, "classify_real_julia", None)
+        cert = certify_nonabelian(P(Fraction(1, 10**9), -3, 0, 1), Fraction(1, 2))
+        assert cert.julia_nonreal == {
+            "pass": True,
+            "reason": "conjugate to X^3 + AX + B with A = -3 <= -3 and B^2 > -4A(A+3)^2/27: "
+                      "outside the region A <= -3, B^2 <= -4A(A+3)^2/27"}
 
     def test_huge_alpha_written_past_the_str_limit(self):
         # height-growth reason and certificate JSON stay printable when H and
