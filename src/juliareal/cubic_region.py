@@ -44,8 +44,9 @@ def in_region(A, B) -> bool:
 
 
 def normal_form(p: Polynomial):
-    """(A, S) for p = a3 x^3 + a2 x^2 + a1 x + a0, exact with a3 > 0: p is
-    conjugate to X^3 + A X + B, B = S / sqrt(a3), both A and S rational.
+    """(A, S) for p = a3 x^3 + a2 x^2 + a1 x + a0 with a3 > 0, each
+    coefficient taken at its exact value: p is conjugate to X^3 + A X + B,
+    B = S / sqrt(a3), both A and S rational.
 
     x = u X + v with u = 1 / sqrt(a3) and v = -a2 / (3 a3) gives
     (p(u X + v) - v) / u = X^3 + p'(v) X + (p(v) - v) / u, so A = p'(v) =
@@ -61,8 +62,8 @@ def normal_form(p: Polynomial):
 
 
 def region_verdict(p: Polynomial):
-    """(julia_real, reason) for an exact cubic p with a positive lead a3,
-    decided by the region in Fractions, with no root solve and no square root.
+    """(julia_real, reason) for a cubic p with a positive lead a3, decided by
+    the region in Fractions, with no root solve and no square root.
 
     The conjugacy of normal_form is real, so it maps the real line and p's
     Julia set onto those of X^3 + A X + B: p's Julia set is real iff A <= -3
@@ -73,7 +74,7 @@ def region_verdict(p: Polynomial):
     region = "the region A <= -3, B^2 <= -4A(A+3)^2/27"
     if A > -3:
         return False, f"conjugate to X^3 + AX + B with A = {text} > -3: outside {region}"
-    real = S * S <= p.lead * region_bound(A)
+    real = S * S <= Fraction(p.lead) * region_bound(A)
     sign = "<=" if real else ">"
     return real, (f"conjugate to X^3 + AX + B with A = {text} <= -3 and "
                   f"B^2 {sign} -4A(A+3)^2/27: {'inside' if real else 'outside'} {region}")

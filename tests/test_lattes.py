@@ -846,8 +846,8 @@ class TestCertify:
     def test_polynomial_certificate_makes_two_root_solves(self, monkeypatch, coeffs):
         # a cubic with a positive lead takes the exact region and solves
         # nothing; any other polynomial makes the classifier's solves, of p'
-        # and p (and of p - x for an even degree's preimage); and
-        # check_non_exceptional solves nothing
+        # and of p - x (and, for an even degree, of p minus its extreme fixed
+        # point); check_non_exceptional solves nothing
         degrees = {(0, 3, 0, -1): [2, 3], (-1, 0, 0, 0, 1): [3, 4, 4]}.get(tuple(coeffs), [])
         calls = []
         solve = roots.roots_shifted
