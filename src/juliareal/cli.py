@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__, lattes
 from .classifier import classify_real_julia
-from .cubic_region import region_scan
+from .cubic_region import region_scan, region_verdict
 from .heights import height_report
 from .lattes import (SingularCurveError, WeierstrassCurve, certify_nonabelian,
                      duplication_lattes)
@@ -97,8 +97,13 @@ def _emit_json(payload, out, argv):
 
 
 def _cmd_classify(args, argv):
-    report = classify_real_julia(args.poly.to_float())
-    _emit_json(report.to_json(args.poly), args.out, argv)
+    p = args.poly
+    payload = classify_real_julia(p.to_float()).to_json(p)
+    if p.degree == 3 and p.lead > 0:
+        # beside the float verdict, the exact one certify takes for this cubic
+        julia_real, reason = region_verdict(p)
+        payload["region_verdict"] = {"julia_real": julia_real, "reason": reason}
+    _emit_json(payload, args.out, argv)
     return 0
 
 

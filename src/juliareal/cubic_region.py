@@ -19,15 +19,16 @@ import numpy as np
 
 from .classifier import classify_batch
 from .poly import Polynomial, _number_text
-from .roots import RootFindingError, _fujiwara_radius, roots_batch
+from .roots import _FLOOR_UNIT, RootFindingError, _fujiwara_radius
 
 # cells per classify_batch call in region_scan: bounds each (cells, 66)
 # cross-check array to about 0.5 MB
 _SCAN_BLOCK = 1024
 # Newton steps boundary_distance allows toward the largest root of q.  From
-# Fujiwara's bound a simple root takes at most 15 steps on random points with
-# |B| <= 21 and A down to -1e12; a double root of q, on the curve's evolute,
-# is approached linearly, the error halving each step, and takes up to 37
+# Fujiwara's bound a simple root takes at most 17 steps on random points with
+# |A| and |B| anywhere up to 1e300; a double root of q, on the curve's evolute
+# (t from 1 to 1e30), is approached linearly, the error halving each step,
+# and takes up to 35
 _NEWTON_MAX_STEPS = 100
 
 
@@ -87,62 +88,54 @@ def b_zero(a) -> float:
     return 2.0 * a * (a * a - 1.0)
 
 
-def _stationarity(a, b, e=0):
-    """Rows of q(2^e s) / 2^(5e) in ascending powers of s, for the
-    stationarity quintic q(t) = 6t^5 + t^3 - 3bt^2 + (3a + 2)t + b of
-    boundary_distance.  Scaling by 2^e is exact, and e = 0 gives q itself."""
+def _nearest_distance(a, b):
+    """boundary_distance at finite points, b >= 0, on q(2^e s) / 2^(5e).
+
+    With 2^e at least cbrt(b), |a|^(1/4) and 1 no coefficient, iterate or
+    value overflows, and each step is the unscaled step times 2^(-e),
+    exactly.  Both candidate distances are formed times 2^(-3e), each
+    operation the unscaled one times a power of two, so that no hypot
+    overflows, and scaled back once, after the minimum.
+    """
+    e = np.frexp(np.maximum(np.maximum(np.cbrt(b), np.sqrt(np.sqrt(np.abs(a)))), 1.0))[1]
+    # rows of q(2^e s) / 2^(5e) in ascending powers of s; scaling is exact
     C = np.zeros((a.size, 6))
-    C[:, 0] = np.ldexp(b, -5 * e)
-    C[:, 1] = 3.0 * np.ldexp(a, -4 * e) + np.ldexp(2.0, -4 * e)
-    C[:, 2] = -3.0 * np.ldexp(b, -3 * e)
-    C[:, 3] = np.ldexp(1.0, -2 * e)
+    C[:, 0] = c0 = np.ldexp(b, -5 * e)
+    C[:, 1] = c1 = 3.0 * np.ldexp(a, -4 * e) + np.ldexp(2.0, -4 * e)
+    C[:, 2] = c2 = -3.0 * np.ldexp(b, -3 * e)
+    C[:, 3] = c3 = np.ldexp(1.0, -2 * e)
     C[:, 5] = 6.0
-    return C
-
-
-def _curve_distance(t, a, b):
-    """Distance from (a, b) to the curve point (-3t^2, 2t(t^2 - 1)).  The
-    halving is exact, and keeps 2t^3 from overflowing where b is near the
-    largest float."""
-    return np.hypot(3.0 * t * t + a, 2.0 * (t * (t * t - 1.0) - 0.5 * b))
-
-
-def _largest_root_distance(a, b):
-    """Distance from each (a[i], b[i]), 0 <= b <= 21, to the curve point at
-    the largest root of q if that is at least 1 (else at t = 1), by Newton's
-    method from right of every root (boundary_distance gives the proof)."""
-    C = _stationarity(a, b)
-    c1, c2 = C[:, 1], C[:, 2]
-    t = np.maximum(_fujiwara_radius(C), 1.0)
+    # s = 2^-e is t = 1, where the curve starts
+    floor = np.ldexp(1.0, -e)
+    s = np.maximum(_fujiwara_radius(C), floor)
+    last = np.full(s.shape, np.inf)
+    d2, d3 = 2.0 * c2, 3.0 * c3
     for _ in range(_NEWTON_MAX_STEPS):
-        t2 = t * t
-        q = (((6.0 * t2 + 1.0) * t + c2) * t + c1) * t + b
-        dq = ((30.0 * t2 + 3.0) * t + 2.0 * c2) * t + c1
-        # q' <= 0 at an iterate: by convexity q has no root right of 1, so
+        s2 = s * s
+        q = (((6.0 * s2 + c3) * s + c2) * s + c1) * s + c0
+        dq = ((30.0 * s2 + d3) * s + d2) * s + c1
+        # q' <= 0 at an iterate: by convexity q has no root right of it, so
         # step to t = 1
-        step = np.divide(q, dq, out=np.full(t.shape, np.inf), where=dq > 0)
-        new = np.maximum(t - step, 1.0)
-        if not (new < t).any():
-            return _curve_distance(t, a, b)
-        # fmin: a NaN step, from an overflow of q, is never taken
-        t = np.fmin(t, new)
+        step = np.divide(q, dq, out=np.full(s.shape, np.inf), where=dq > 0)
+        new = np.maximum(s - step, floor)
+        moving = new < s
+        # count_nonzero: a cheaper test than any() on arrays of a tile's size
+        stalled = moving & (step >= last)
+        if np.count_nonzero(stalled):
+            size = (((6.0 * s2 + c3) * s + np.abs(c2)) * s + np.abs(c1)) * s + c0
+            stalled &= np.abs(q) <= _FLOOR_UNIT * size
+            new[stalled] = s[stalled]
+            moving &= ~stalled
+        if not np.count_nonzero(moving):
+            cusp = np.hypot(np.ldexp(a + 3.0, -3 * e), np.ldexp(b, -3 * e))
+            # the curve point (-3t^2, 2t(t^2 - 1)) at t = 2^e s
+            at_root = np.hypot(np.ldexp(3.0 * s * s, -e) + np.ldexp(a, -3 * e),
+                               2.0 * (s * (s * s - c3) - np.ldexp(0.5 * b, -3 * e)))
+            return np.ldexp(np.minimum(cusp, at_root), 3 * e)
+        s = np.minimum(s, new)
+        last = step
     raise RootFindingError(
         f"Newton's method on the boundary quintic still moving after {_NEWTON_MAX_STEPS} steps")
-
-
-def _all_roots_distance(a, b):
-    """Distance from each (a[i], b[i]), b >= 0, to the curve points at the
-    real parts of all five roots of q, each raised to at least 1.
-
-    Every such t is a curve point, so the least distance is at least the
-    distance sought, and it is that distance when the nearest point is at a
-    real root of q.  The roots are those of q(2^e s) / 2^(5e), with 2^e at
-    least cbrt(b) and |a|^(1/4), so that no coefficient or root of the
-    scaled quintic overflows.
-    """
-    e = np.frexp(np.maximum(np.cbrt(b), np.sqrt(np.sqrt(np.abs(a)))))[1]
-    t = np.maximum(np.ldexp(roots_batch(_stationarity(a, b, e)).real, e[:, None]), 1.0)
-    return _curve_distance(t, a[:, None], b[:, None]).min(axis=1)
 
 
 def boundary_distance(A, B):
@@ -154,38 +147,44 @@ def boundary_distance(A, B):
     D(t) = (3t^2 + A)^2 + (2t^3 - 2t - b)^2, whose derivative is 4q(t),
     q(t) = 6t^5 + t^3 - 3bt^2 + (3A + 2)t + b.  D's least value on t >= 1 is
     at t = 1 (the cusp (-3, 0)) or at a root of q where q changes sign from
-    - to +.  Where b <= 21, q''(t) = 120t^3 + 6t - 6b >= 126 - 6b >= 0 on
-    t >= 1, so q is convex there: it has at most two roots right of 1, and
-    only the largest, r, is a local minimum of D.  Newton's method started at
-    Fujiwara's bound on |roots of q| (or at 1), right of every root,
-    decreases monotonically to r: at an iterate t > r, q(t) > 0 and q'(t) > 0,
-    and the tangent there lies below the convex q, so its zero, the next
-    iterate, lies in [r, t).  If q has no root right of 1 the iterates fall
-    below 1, or reach a point with q' <= 0, and are set to 1.  The
-    distance is then the lesser of sqrt D(1) and sqrt D at the last iterate.
-    Where b > 21 convexity may fail, and the distance is the least over t = 1
-    and the real parts of all roots of q (_all_roots_distance).
+    - to +.
+
+    Lemma: if r > 0 is a root of q with q'(r) >= 0, then q'' > 0 on [r, oo),
+    for every A and every b >= 0.  For q(r) = 0 gives 3A + 2 =
+    -6r^4 - r^2 + 3br - b/r, so q'(r) = 24r^4 + 2r^2 - b(3r^2 + 1)/r, and
+    q'(r) >= 0 means b <= (24r^5 + 2r^3)/(3r^2 + 1) < 20r^3 + r, as
+    (20r^3 + r)(3r^2 + 1) = 60r^5 + 23r^3 + r.  So q''(r) = 120r^3 + 6r - 6b
+    > 0, and q'' increases, its derivative 360t^2 + 6 being positive.
+
+    So q is convex and positive right of such a root: q has at most one
+    up-crossing on t > 0, its largest root r, and only r can be a local
+    minimum of D right of 1.  Newton's method started at Fujiwara's bound on
+    |roots of q| (or at 1), right of every root, decreases monotonically to
+    r: at an iterate t > r, q(t) > 0 and q'(t) > 0, and the tangent there
+    lies below the convex q, so its zero, the next iterate, lies in [r, t).
+    If q has no root right of 1 the iterates fall below 1, or reach a point
+    with q' <= 0, and are set to 1.  The distance is then the lesser of
+    sqrt D(1) and sqrt D at the last iterate.  In floats an iterate also stays
+    where its step stops shrinking with q inside Horner's rounding floor,
+    FLOOR_ULPS eps sum |c_i| |t|^i, a root to rounding; far out on the
+    curve's evolute Horner's sum can come out as exactly q's constant term,
+    and the steps would otherwise creep by a few ulps each.
 
     The rounding error is of order eps (|A| + |B|), since 2t^3 - 2t - b
     cancels near the curve; it passes the distance itself only far out along
-    the curve (|B| past about 1e47).  A and B may be arrays of one shape;
-    the result then has that shape.  A NaN coordinate gives NaN, an infinite
-    one inf, and a finite point a finite distance.  Past |A| of about 1e245
-    with b <= 21 q overflows, with numpy's warning, and Newton's method stays
-    at its start; sqrt D(1) is then the distance to rounding.  Raises
-    RootFindingError if Newton's method is still moving after
+    the curve (|B| past about 1e47).  A and B may be arrays of one shape; the
+    result then has that shape.  A NaN coordinate gives NaN, an infinite one
+    inf, and a finite point a finite distance, with no overflow on the way.
+    Raises RootFindingError if Newton's method is still moving after
     _NEWTON_MAX_STEPS steps.
     """
     A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
     a, b = A.ravel(), np.abs(B.ravel())
     finite = np.isfinite(a) & np.isfinite(b)
+    out = np.empty(a.shape)
     # |a| + b is NaN for a NaN coordinate and inf for an infinite one
-    out = np.where(finite, np.hypot(a + 3.0, b), np.abs(a) + b)
-    convex = finite & (b <= 21.0)
-    out[convex] = np.minimum(out[convex], _largest_root_distance(a[convex], b[convex]))
-    rest = finite & ~convex
-    if rest.any():
-        out[rest] = np.minimum(out[rest], _all_roots_distance(a[rest], b[rest]))
+    out[~finite] = np.abs(a[~finite]) + b[~finite]
+    out[finite] = _nearest_distance(a[finite], b[finite])
     out = out.reshape(A.shape)
     return float(out) if out.ndim == 0 else out
 

@@ -28,6 +28,24 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["branch"] == "odd-negative"
 
+    def test_cubic_at_the_region_corner(self, capsys):
+        # x^3 - 3x + 10^-9: the float classifier calls it real, at the margin;
+        # the exact region verdict beside it says not real, as certify does
+        code, out = run(capsys, "classify", "--poly", '["1/1000000000",-3,0,1]')
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["julia_real"] is True and payload["marginal"] is True
+        exact = payload["region_verdict"]
+        assert exact["julia_real"] is False
+        assert "A = -3 <= -3 and B^2 > -4A(A+3)^2/27" in exact["reason"]
+
+    def test_region_verdict_only_for_positive_lead_cubics(self, capsys):
+        # -X^3 + 3X has a negative lead, X^2 - 2 degree 2: no closed region
+        for poly in ("[0,3,0,-1]", "[-2,0,1]"):
+            assert "region_verdict" not in json.loads(run(capsys, "classify", "--poly", poly)[1])
+        payload = json.loads(run(capsys, "classify", "--poly", "[0,-3,0,1]")[1])
+        assert payload["region_verdict"]["julia_real"] is payload["julia_real"] is True
+
     def test_bad_poly_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--poly", "not json"])

@@ -56,15 +56,36 @@ def reference_distance(A, B):
     return float(math.sqrt(d2.min()))
 
 
+def quintic_roots(A, b):
+    """The roots of q(t) = 6t^5 + t^3 - 3bt^2 + (3A + 2)t + b, where the
+    derivative of the squared distance to the branch vanishes.  numpy.roots
+    solves q(2^e s) / 2^(5e), 2^e > max(cbrt b, |A|^(1/4), 1), whose roots are
+    of order 1 where q's would not fit its companion matrix."""
+    e = math.frexp(max(b ** (1.0 / 3.0), math.sqrt(math.sqrt(abs(A))), 1.0))[1]
+    s = np.roots([6.0, 0.0, math.ldexp(1.0, -2 * e), -3.0 * math.ldexp(b, -3 * e),
+                  3.0 * math.ldexp(A, -4 * e) + math.ldexp(2.0, -4 * e), math.ldexp(b, -5 * e)])
+    return s * 2.0 ** e
+
+
 def roots_distance(A, B):
     """The distance to the branch C(t) = (-3t^2, +-2t(t^2 - 1)), t >= 1: the
-    least over t = 1 and the real parts >= 1 of the roots (numpy.roots) of
-    q(t) = 6t^5 + t^3 - 3bt^2 + (3A + 2)t + b, b = |B|, where the derivative
-    of the squared distance vanishes."""
+    least over t = 1 and the real parts >= 1 of the roots of q, b = |B|."""
     b = abs(B)
-    r = np.roots([6.0, 0.0, 1.0, -3.0 * b, 3.0 * A + 2.0, b])
-    t = np.r_[1.0, r.real[r.real >= 1.0]]
+    r = quintic_roots(A, b).real
+    t = np.r_[1.0, r[r >= 1.0]]
     return float(np.hypot(3.0 * t * t + A, 2.0 * t * (t * t - 1.0) - b).min())
+
+
+def stationary_distance(A, B):
+    """roots_distance by a formula that does not cancel far out: at a root t
+    of q, D'(t) = 0 gives 2t^3 - 2t - b = -6t(3t^2 + A)/(6t^2 - 2), so the
+    distance there is |3t^2 + A| sqrt(1 + (6t/(6t^2 - 2))^2).  The least of
+    that over the real roots t >= 1, and the cusp distance.  Near a double
+    root, where q's roots split off the axis, it is not to be trusted."""
+    t = quintic_roots(A, abs(B))
+    t = t.real[(np.abs(t.imag) <= 1e-8 * np.abs(t)) & (t.real >= 1.0)]
+    at_roots = np.abs(3.0 * t * t + A) * np.hypot(1.0, 6.0 * t / (6.0 * t * t - 2.0))
+    return min([math.hypot(A + 3.0, B)] + at_roots.tolist())
 
 
 def brute_force_distance(A, B):
@@ -371,7 +392,8 @@ class TestBoundaryDistance:
     @PROPERTY
     @given(st.floats(-60.0, 3.0), st.floats(-30.0, 30.0))
     def test_matches_roots_distance(self, A, B):
-        # |B| <= 21 takes Newton's method, |B| > 21 the all-roots solve
+        # past |B| = 21 q need not be convex on all of t >= 1, only right of
+        # its largest root
         assert_distance(A, B, boundary_distance(A, B))
 
     def test_reference_distances_is_reference_distance(self):
@@ -407,40 +429,60 @@ class TestBoundaryDistance:
             assert_distances(As[k] + dA, Bs[k] + dB)
         assert_distances(As[k], np.zeros(k.size))
 
-    @pytest.mark.parametrize("t", np.r_[np.linspace(1.0, 1.4, 9), 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("t", np.r_[np.linspace(1.0, 1.4, 9), 1.5, 2.0, 3.0, 10.0, 100.0, 1e4])
     def test_on_the_evolute(self, t):
         # q has a double root at t, where Newton's method converges only
-        # linearly (|B| <= 21 for t <= 1.43), and nearby two close roots
+        # linearly, and nearby two close roots; past t = 1.43, |B| > 21
         A, B = evolute(t)
-        assert abs(np.polyval([6.0, 0.0, 1.0, -3.0 * B, 3.0 * A + 2.0, B], t)) < 1e-9 * (1 + B)
-        assert abs(np.polyval([30.0, 0.0, 3.0, -6.0 * B, 3.0 * A + 2.0], t)) < 1e-9 * (1 + B)
+        for c in ([6.0, 0.0, 1.0, -3.0 * B, 3.0 * A + 2.0, B], [30.0, 0.0, 3.0, -6.0 * B, 3.0 * A + 2.0]):
+            assert abs(np.polyval(c, t)) < 1e-12 * np.polyval(np.abs(c), t)
         for dA, dB in [(0.0, 0.0), (1e-9, 0.0), (-1e-9, 0.0), (0.0, 1e-7), (0.0, -1e-7)]:
             assert_distance(A + dA, B + dB, boundary_distance(A + dA, B + dB))
             assert_distance(A + dA, -B - dB, boundary_distance(A + dA, -B - dB))
 
+    def test_far_evolute_stops_at_rounding(self, monkeypatch):
+        # for t from about 1e6 to 1e15, q(2^e s) / 2^(5e)'s constant term lies
+        # below the rounding of its others, and Horner's sum can come out as
+        # exactly that constant: steps of a few ulps, 94 of them at the first
+        # point, until the iterate stops where its step stops shrinking
+        monkeypatch.setattr(cubic_region, "_NEWTON_MAX_STEPS", 40)
+        A, B = evolute(10.0 ** np.linspace(6.0, 15.0, 400))
+        A, B = np.r_[8.085670377045507e39, A], np.r_[1.7793589772766246e30, B]
+        assert_distances(A, B)
+        assert_distances(A, -B)
+
     def test_huge_coordinates(self):
-        # past |B| = 21 the quintic is solved after scaling its roots to
-        # about 1; no coefficient and no root overflows
+        # Newton's method steps the quintic scaled to roots of about 1; no
+        # coefficient, iterate or value overflows
         rng = np.random.default_rng(11)
         for scale in (1e12, 1e15, 1e16, 1e18):
             A, B = rng.uniform(-scale, scale, 2000), rng.uniform(-scale, scale, 2000)
             assert_distances(A, B)
+        # past |B| of about 1e47 the rounding of 2t^3 - 2t - b, of order
+        # eps |B|, can pass the distance itself
+        sign = rng.choice([-1.0, 1.0], (2, 500))
+        A, B = sign * 10.0 ** rng.uniform(100.0, 200.0, (2, 500))
+        rounding = 8.0 * np.finfo(float).eps * (np.abs(A) + np.abs(B))
+        for a, b, dist, tol in zip(A, B, boundary_distance(A, B), rounding):
+            exact = stationary_distance(a, b)
+            assert abs(dist - exact) <= 1e-12 * exact + tol, (a, b, dist, exact)
 
     @pytest.mark.parametrize("A, B, expected", [(1e200, 0.0, 1e200), (-1e200, 0.0, 1e200),
-                                                (-5.0, 1e200, 4.071626424892e133)])
+                                                (-5.0, 1e200, 4.071626424892e133),
+                                                (-1e250, 0.0, 1e250)])
     def test_huge_finite_coordinates(self, A, B, expected):
         # (-5, 1e200): the nearest curve point has 2t^3 = 1e200, 3t^2 about
         # the distance
         assert abs(boundary_distance(A, B) - expected) <= 1e-12 * expected
 
     def test_finite_input_gives_finite_distance(self):
-        # q, its coefficients or the cusp distance may overflow, with numpy's
-        # warning, but no distance does: the curve passes within about |A|
+        # nothing overflows, under the suite's warnings-as-errors filter: the
+        # curve passes within about |A|, and the cusp distance is compared
+        # halved
         big = [0.0, 1.0, 1e100, 1e250, 1.7e308, np.finfo(float).max]
         A, B = np.meshgrid(np.r_[big, np.negative(big)], np.r_[big, np.negative(big)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            dist = boundary_distance(A, B)
-            assert (dist <= np.hypot(A + 3.0, B) * (1 + 1e-15)).all()
+        dist = boundary_distance(A, B)
+        assert (0.5 * dist <= np.hypot(0.5 * (A + 3.0), 0.5 * B) * (1 + 1e-15)).all()
         assert np.isfinite(dist).all()
         assert (dist >= np.maximum(A, 0.0)).all()
 
