@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .poly import Polynomial, poly_to_json
-from .roots import (TwoCycles, all_real_batch, all_real_shifted, near_axis,
-                    real_roots_batch, real_roots_ex, roots_shifted)
+from .roots import (RootFindingError, TwoCycles, all_real_batch, all_real_shifted, near_axis,
+                    real_roots_batch, real_roots_ex, roots_batch, roots_shifted, shifted_rows,
+                    solved_real_roots)
 from .tolerances import (CLUSTER_TOL, CONTAIN_TOL, CRIT_REALNESS_TOL, ENDPOINT_PULL,
                          FIXED_REALNESS_TOL, MARGINAL_TOL, SPLIT_ENDPOINT_TOL, SPLIT_TOL)
 
@@ -158,32 +159,98 @@ def _bounds(extremes):
 _EMPTY = CriticalInterval(math.nan, math.nan, empty=True)
 
 
-def _checked_interval(lo, hi, splits):
-    """The CriticalInterval [lo, hi], cross-checked by splits(ts, tol).
+def _fix_interval(lo, hi):
+    """(interval, targets): the CriticalInterval [lo, hi] before its cross-check.
 
-    splits gives, for each target t, whether p - t splits over R (to the
-    realness tolerance tol of that target).  It runs once, over 64
-    interior samples and the finite endpoints pulled slightly inward.
+    Past lo > hi + ENDPOINT_PULL * scale it is _EMPTY; narrower than twice
+    the pull (or lo > hi), the pulled-in ends would cross, and it is the
+    point at its midpoint.  targets is None for those; for any other
+    interval it is the finite ones of the 66 targets of
+    _cross_check_targets, with their indices among the 66.
     """
     scale = 1.0 + max((abs(v) for v in (lo, hi) if math.isfinite(v)), default=0.0)
     if lo > hi + ENDPOINT_PULL * scale:
-        return _EMPTY
-    # narrower than twice the pull (or lo > hi), the pulled-in ends would
-    # cross: the interval is the point at its midpoint
+        return _EMPTY, None
     if lo > hi - 2 * ENDPOINT_PULL * scale:
         lo = hi = 0.5 * (lo + hi)
+    if not lo < hi:
+        return CriticalInterval(lo, hi), None
+    ts = _cross_check_targets(lo, hi, scale)
+    index = np.flatnonzero(np.isfinite(ts))
+    return CriticalInterval(lo, hi), (ts[index], index)
 
-    if lo < hi:
-        ts = _cross_check_targets(lo, hi, scale)
-        finite = np.flatnonzero(np.isfinite(ts))
-        failed = finite[~splits(ts[finite], _CROSS_CHECK_TOL[finite])]
+
+def _cross_check(q, interval, targets, within=None):
+    """The cross-check of (interval, targets) from _fix_interval, as a
+    (rows, judge) pair for _solve_together.
+
+    p - t must split over R at each target t, to that target's realness
+    tolerance in _CROSS_CHECK_TOL (with every root in within = (lo, hi),
+    when that is given); the first target where it does not raises
+    CriticalIntervalError.  Above degree 3 the rows are the p - t, solved
+    with the other groups' rows.  At degree 3 and below there are none:
+    judge takes the discriminant sign (all_real_shifted) or, within
+    [lo, hi], makes its own closed-form solve (roots_shifted).
+    """
+    if targets is None:
+        return None, lambda _: interval
+    ts, index = targets
+    tol = _CROSS_CHECK_TOL[index]
+
+    def splits(z):
+        ok = near_axis(z, tol[:, None])
+        if within is not None:
+            ok &= _locate(z.real, *within)[0]
+        return ok.all(axis=1)
+
+    def judged(ok):
+        failed = np.flatnonzero(~ok)
         if failed.size:
-            end = failed[0] - len(_SAMPLE_NODES)
+            lo, hi = interval.lo, interval.hi
+            end = index[failed[0]] - len(_SAMPLE_NODES)
             raise CriticalIntervalError(
                 f"fast-path endpoint {(lo, hi)[end]} fails the all-real oracle" if end >= 0
                 else f"fast-path interval [{lo}, {hi}] fails the all-real oracle at "
                      f"t={float(ts[failed[0]])}; the all-real set may be disconnected")
-    return CriticalInterval(lo, hi)
+        return interval
+
+    if q.degree > 3:
+        return shifted_rows(q, ts), lambda z: judged(splits(z))
+    if within is None:
+        return None, lambda _: judged(all_real_shifted(q, ts, tol=tol))
+    return None, lambda _: judged(splits(roots_shifted(q, ts)))
+
+
+def _solve_together(groups):
+    """What the judge of each (rows, judge) group makes of its rows' roots.
+
+    The rows of every group, all of one degree, are solved in one
+    roots_batch call, and a row gets the roots it would get alone, so each
+    judge sees what a solve of its own rows would give; a group with rows
+    None is judged on None.  The judges run in order.  If the one call
+    raises, each group's rows are solved and judged in turn instead, so the
+    error raised is the one separate solves would raise first.
+    """
+    rows = [C for C, _ in groups if C is not None]
+    try:
+        z = roots_batch(np.concatenate(rows)) if rows else None
+    except RootFindingError:
+        return [judge(None if C is None else roots_batch(C)) for C, judge in groups]
+    out, at = [], 0
+    for C, judge in groups:
+        n = 0 if C is None else len(C)
+        out.append(judge(None if C is None else z[at:at + n]))
+        at += n
+    return out
+
+
+def _interval_targets(q):
+    """critical_interval(q) before its cross-check: (interval, targets)."""
+    crit = _critical_points(q)
+    if crit is None:
+        # nonreal critical point: p - t can never split over R
+        return _EMPTY, None
+    return _fix_interval(*_bounds((q(x), kind) for x, kind in crit))
 
 
 def critical_interval(p: Polynomial) -> CriticalInterval:
@@ -198,12 +265,7 @@ def critical_interval(p: Polynomial) -> CriticalInterval:
     q = p.to_float()
     if q.degree < 2:
         raise ValueError("degree >= 2 required")
-    crit = _critical_points(q)
-    if crit is None:
-        # nonreal critical point: p - t can never split over R
-        return _EMPTY
-    lo, hi = _bounds((q(x), kind) for x, kind in crit)
-    return _checked_interval(lo, hi, lambda ts, tol: all_real_shifted(q, ts, tol=tol))
+    return _solve_together([_cross_check(q, *_interval_targets(q))])[0]
 
 
 def square_critical_interval(p: Polynomial) -> CriticalInterval:
@@ -218,9 +280,11 @@ def square_critical_interval(p: Polynomial) -> CriticalInterval:
     a critical point for some critical point c (or c is multiple), c is a
     multiple critical point of g and its value p(p(c)) pins both ends.
 
-    The cross-check solves p - t, one degree-d row per target, and asks
-    that it split with every root in I_p; I_p is cross-checked as in
-    critical_interval.
+    The cross-check of I_g solves p - t, one degree-d row per target, and
+    asks that it split with every root in I_p; I_p is cross-checked as in
+    critical_interval.  Above degree 3 the rows of both cross-checks are
+    solved in one call: the targets of I_g follow from I_p before its
+    cross-check, and join only when crit(p) lies in I_p.
     """
     q = p.to_float()
     if q.degree < 3 or q.degree % 2 == 0 or q.lead > 0:
@@ -229,21 +293,17 @@ def square_critical_interval(p: Polynomial) -> CriticalInterval:
     if crit is None:
         return _EMPTY
     values = [(q(x), kind) for x, kind in crit]
-    outer = _checked_interval(*_bounds(values),
-                              lambda ts, tol: all_real_shifted(q, ts, tol=tol))
-    if outer.empty or not all(outer.contains(x) for x, _ in crit):
-        # a critical point outside I_p has nonreal preimages
-        return _EMPTY
-    lo, hi = outer.lo, outer.hi
-    pins = [(q(v), 0) for v, kind in values
-            if kind == 0 or any(abs(v - c) <= CLUSTER_TOL * (1.0 + abs(v)) for c, _ in crit)]
-
-    def splits(ts, tol):
-        z = roots_shifted(q, ts)
-        return (near_axis(z, tol[:, None]) & _locate(z.real, lo, hi)[0]).all(axis=1)
-
-    return _checked_interval(*_bounds([(lo, 1), (q(hi), 1), (hi, -1), (q(lo), -1)] + pins),
-                             splits)
+    outer, targets = _fix_interval(*_bounds(values))
+    checks = [_cross_check(q, outer, targets)]
+    # a critical point outside I_p has nonreal preimages
+    if not outer.empty and all(outer.contains(x) for x, _ in crit):
+        lo, hi = outer.lo, outer.hi
+        pins = [(q(v), 0) for v, kind in values
+                if kind == 0 or any(abs(v - c) <= CLUSTER_TOL * (1.0 + abs(v)) for c, _ in crit)]
+        inner = _fix_interval(*_bounds([(lo, 1), (q(hi), 1), (hi, -1), (q(lo), -1)] + pins))
+        checks.append(_cross_check(q, *inner, within=(lo, hi)))
+    intervals = _solve_together(checks)
+    return intervals[1] if len(intervals) > 1 else _EMPTY
 
 
 def real_fixed_points(p: Polynomial):
@@ -272,6 +332,14 @@ def classify_real_julia(p: Polynomial) -> ClassificationReport:
     if odd and not positive:
         interval = square_critical_interval(q)
         fps, marginal = real_roots_ex(TwoCycles(q), realness_tol=FIXED_REALNESS_TOL)
+    elif q.degree > 3:
+        # critical_interval and real_fixed_points, the row p - X solved with
+        # the cross-check's rows
+        fixed = q - Polynomial([0.0, 1.0])
+        interval, (fps, marginal) = _solve_together([
+            _cross_check(q, *_interval_targets(q)),
+            (shifted_rows(fixed, [0.0]),
+             lambda z: solved_real_roots(fixed, z[0], FIXED_REALNESS_TOL))])
     else:
         interval = critical_interval(q)
         fps, marginal = real_fixed_points(q)

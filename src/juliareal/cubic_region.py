@@ -128,10 +128,13 @@ def _nearest_distance(a, b):
             moving &= ~stalled
         if not np.count_nonzero(moving):
             cusp = np.hypot(np.ldexp(a + 3.0, -3 * e), np.ldexp(b, -3 * e))
-            # the curve point (-3t^2, 2t(t^2 - 1)) at t = 2^e s
-            at_root = np.hypot(np.ldexp(3.0 * s * s, -e) + np.ldexp(a, -3 * e),
-                               2.0 * (s * (s * s - c3) - np.ldexp(0.5 * b, -3 * e)))
-            return np.ldexp(np.minimum(cusp, at_root), 3 * e)
+            # the curve point (-3t^2, 2t(t^2 - 1)) at t = 2^e s, less (A, b);
+            # at a root of q, right of t = 1, the second coordinate is
+            # -6t(3t^2 + A)/(6t^2 - 2) = -3 s x / (3 2^e s^2 - 2^-e)
+            x = np.ldexp(3.0 * s * s, -e) + np.ldexp(a, -3 * e)
+            y = np.where(s > floor, -3.0 * s * x / (np.ldexp(3.0 * s * s, e) - floor),
+                         2.0 * (s * (s * s - c3) - np.ldexp(0.5 * b, -3 * e)))
+            return np.ldexp(np.minimum(cusp, np.hypot(x, y)), 3 * e)
         s = np.minimum(s, new)
         last = step
     raise RootFindingError(
@@ -170,11 +173,15 @@ def boundary_distance(A, B):
     curve's evolute Horner's sum can come out as exactly q's constant term,
     and the steps would otherwise creep by a few ulps each.
 
-    The rounding error is of order eps (|A| + |B|), since 2t^3 - 2t - b
-    cancels near the curve; it passes the distance itself only far out along
-    the curve (|B| past about 1e47).  A and B may be arrays of one shape; the
-    result then has that shape.  A NaN coordinate gives NaN, an infinite one
-    inf, and a finite point a finite distance, with no overflow on the way.
+    At a last iterate right of 1, a root of q, D'(t) = 0 gives the second
+    coordinate 2t^3 - 2t - b as -6t(3t^2 + A)/(6t^2 - 2), and the distance
+    takes it in that form: 2t^3 - 2t - b cancels, and its rounding, of order
+    eps |B|, would pass the distance itself far out along the curve.  So the
+    distance is exact to relative rounding wherever 3t^2 + A does not
+    cancel; near the curve, where it does, the error is of order eps |A|.
+    A and B may be arrays of one shape; the result then has that shape.  A
+    NaN coordinate gives NaN, an infinite one inf, and a finite point a
+    finite distance, with no overflow on the way.
     Raises RootFindingError if Newton's method is still moving after
     _NEWTON_MAX_STEPS steps.
     """

@@ -399,14 +399,20 @@ def roots_batch(C, evaluator=Horner):
     return z
 
 
-def roots_shifted(p: Polynomial, targets):
-    """Roots of p(X) - t for every t in targets; shape (len(targets), deg)."""
+def shifted_rows(p: Polynomial, targets):
+    """The rows p(X) - t for every t in targets, shape (len(targets), deg + 1):
+    the coefficient matrix roots_shifted solves."""
     t = np.asarray(targets, dtype=complex).ravel()
     # column-major, so that each coefficient is one vector along the rows
     C = np.empty((t.size, p.degree + 1), dtype=complex, order="F")
     C[...] = [complex(c) for c in p.coeffs]
     C[:, 0] -= t
-    return roots_batch(C)
+    return C
+
+
+def roots_shifted(p: Polynomial, targets):
+    """Roots of p(X) - t for every t in targets; shape (len(targets), deg)."""
+    return roots_batch(shifted_rows(p, targets))
 
 
 def _pair_conjugates(roots):
@@ -496,7 +502,11 @@ def complex_roots(p):
     ev = _evaluator(p)
     # a polynomial is solved as p - 0, like every other shifted solve
     z = roots_shifted(p, [0.0]) if isinstance(ev, Horner) else roots_batch(ev.C, NestedHorner)
-    z = z[0]
+    return _checked_roots(ev, z[0])
+
+
+def _checked_roots(ev, z):
+    """complex_roots from z, the roots roots_batch gave the one row of ev."""
     res = np.abs(ev(z[None, :])[0][0])
     if not (res <= ev.residual_tol(z[None, :])[0]).all():
         raise RootFindingError(
@@ -561,7 +571,20 @@ def real_roots_ex(p, realness_tol=REALNESS_TOL):
     images scatter ~eps^(1/3) off the axis).
     """
     q = p.to_float()
-    roots = complex_roots(q)
+    return _real_clusters(q, complex_roots(q), realness_tol)
+
+
+def solved_real_roots(p: Polynomial, z, realness_tol):
+    """real_roots_ex(p) from z, the roots roots_batch gave the row of
+    shifted_rows(p, [0.0]) in some batch: a row gets the roots it would get
+    alone, so this is real_roots_ex's result, after the same residual check,
+    conjugate pairing and clustering."""
+    q = p.to_float()
+    return _real_clusters(q, _checked_roots(_evaluator(q), z), realness_tol)
+
+
+def _real_clusters(q, roots, realness_tol):
+    """real_roots_ex of q from its checked complex roots."""
     scale = 1.0 + float(np.abs(roots).max())
     accepted = []   # (center: complex, mult)
     leftovers = []  # clusters that stayed off-axis

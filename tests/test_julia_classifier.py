@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from juliareal import classifier
-from juliareal.classifier import classify_real_julia, critical_interval, square_critical_interval
+from juliareal import classifier, roots
+from juliareal.classifier import (classify_real_julia, critical_interval, real_fixed_points,
+                                  square_critical_interval)
 from juliareal.poly import AffineMap, Polynomial, conjugate
 from juliareal.roots import TwoCycles, real_roots_ex
+from juliareal.tolerances import FIXED_REALNESS_TOL
 
 
 def P(*coeffs):
@@ -264,6 +266,127 @@ class TestOddNegative:
     def test_square_interval_needs_odd_negative(self, f):
         with pytest.raises(ValueError):
             square_critical_interval(f)
+
+
+def separate_report(p):
+    """classify_real_julia's report fields from the public calls, each making
+    its own solves: critical_interval and real_fixed_points, or, for an odd
+    degree with a negative lead, square_critical_interval and the roots of
+    TwoCycles; then, for an even degree, p minus its extreme fixed point."""
+    q = p.to_float()
+    odd, positive = q.degree % 2 == 1, q.lead > 0
+    if odd and not positive:
+        interval = square_critical_interval(q)
+        fps, marginal = real_roots_ex(TwoCycles(q), realness_tol=FIXED_REALNESS_TOL)
+    else:
+        interval = critical_interval(q)
+        fps, marginal = real_fixed_points(q)
+    points = [x for x, _ in fps]
+    out = {"fixed_points": points, "interval": interval.to_json(), "test_interval": None,
+           "julia_real": False, "witness": None}
+    if odd:
+        xs, empty_witness = points, max(points, default=None)
+        reasons = ("fixed point outside critical interval",
+                   "all fixed points inside critical interval")
+    elif not points:
+        return {**out, "marginal": marginal, "reason": "no real fixed point"}
+    else:
+        end = max(points) if positive else min(points)
+        pre, pre_marginal = real_roots_ex(q - Polynomial([end]), realness_tol=FIXED_REALNESS_TOL)
+        real_pre = [x for x, _ in pre] or [end]
+        xs = (min(real_pre), end) if positive else (end, max(real_pre))
+        out["test_interval"], empty_witness = xs, xs[0]
+        marginal = marginal or pre_marginal
+        reasons = ("test interval escapes critical interval", "test interval inside critical interval")
+    if interval.empty:
+        return {**out, "marginal": marginal, "reason": "empty critical interval",
+                "witness": empty_witness}
+    for x in xs:
+        if not interval.contains(x):
+            return {**out, "marginal": marginal, "reason": reasons[0], "witness": x}
+        marginal = marginal or interval.near_boundary(x)
+    return {**out, "marginal": marginal, "reason": reasons[1], "julia_real": True}
+
+
+def report_fields(p):
+    """separate_report's fields of classify_real_julia(p)."""
+    rep = classify_real_julia(p)
+    return {"fixed_points": rep.fixed_points, "interval": rep.interval.to_json(),
+            "test_interval": rep.test_interval, "julia_real": rep.julia_real,
+            "witness": rep.witness, "marginal": rep.marginal, "reason": rep.reason}
+
+
+def outcome(build, p):
+    try:
+        return build(p)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedSolve:
+    """Above degree 3 classify_real_julia solves the fixed-point row p - X with
+    the cross-check's rows, and the odd-negative branch both cross-checks, in
+    one roots_batch call; each row gets the roots it would get alone."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(4, 6), st.lists(st.floats(-3.0, 3.0), min_size=7, max_size=7),
+           st.floats(0.05, 3.0), st.sampled_from([-1.0, 1.0]))
+    def test_random_maps_match_separate_solves(self, d, coeffs, lead, sign):
+        p = P(*coeffs[:d], sign * lead)
+        assert outcome(report_fields, p) == outcome(separate_report, p)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(4, 6), st.sampled_from([-1.0, 1.0]), st.floats(0.3, 2.5),
+           st.floats(-0.7, 0.7), st.sampled_from([-1.0, 1.0]), st.floats(-1.5, 1.5))
+    def test_chebyshev_conjugates_match_separate_solves(self, d, sign, s, log_scale,
+                                                         flip, shift):
+        # +-s 2T_d(x/2) conjugated by x -> u x + v: all four branches, the
+        # odd-negative quintics included, with real and nonreal Julia sets
+        phi = AffineMap(flip * math.exp(log_scale), shift)
+        p = conjugate(P(*(sign * s * c for c in chebyshev(d))), phi)
+        assert outcome(report_fields, p) == outcome(separate_report, p)
+
+    @pytest.mark.parametrize("sign, s, d, rows", [
+        # p', then p - t at the 66 targets with p - X, then p minus the
+        # extreme fixed point
+        (1.0, 2.0, 4, [1, 67, 1]),
+        (-1.0, 2.0, 6, [1, 67, 1]),
+        (1.0, 2.0, 5, [1, 67]),
+        # p', both cross-checks of 66 targets each, then f(f(X)) - X
+        (-1.0, 2.2, 5, [1, 132, 1]),
+        # crit(p) outside I_p: the cross-check of I_g never joins
+        (-1.0, 0.6, 5, [1, 66, 1]),
+        # degree 3: discriminants, and each closed-form solve by itself
+        (1.0, 2.0, 3, [1, 1]),
+        (-1.0, 2.0, 3, [1, 66, 1]),
+    ])
+    def test_roots_batch_calls(self, monkeypatch, sign, s, d, rows):
+        calls = []
+        solve = roots.roots_batch
+        counted = lambda C, *a, **k: calls.append(len(C)) or solve(C, *a, **k)
+        for module in (roots, classifier):
+            monkeypatch.setattr(module, "roots_batch", counted)
+        rep = classify_real_julia(P(*(sign * s * c for c in chebyshev(d))))
+        assert rep.julia_real is (s > 1)
+        assert calls == rows
+
+    def test_failed_shared_solve_raises_as_separate_solves(self, monkeypatch):
+        # with a low iteration cap the shared solve stalls; each group is
+        # then solved by itself, in order, and the error is the one the
+        # separate solves raise first
+        monkeypatch.setattr(roots, "_ABERTH_MAX_ITER", 12)
+        rng = np.random.default_rng(38)
+        raised = 0
+        for k in range(40):
+            d = 4 + k % 3
+            sign = -1.0 if d == 5 else rng.choice([-1.0, 1.0])
+            phi = AffineMap(rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(-0.7, 0.7)),
+                            rng.uniform(-1.5, 1.5))
+            p = conjugate(P(*(sign * rng.uniform(0.3, 2.5) * c for c in chebyshev(d))), phi)
+            got = outcome(report_fields, p)
+            assert got == outcome(separate_report, p)
+            raised += isinstance(got, tuple)
+        assert raised >= 10
 
 
 class TestDegreeGuards:

@@ -845,17 +845,21 @@ class TestCertify:
                                         [0, 3, 0, -1], [-1, 0, 0, 0, 1]])
     def test_polynomial_certificate_makes_two_root_solves(self, monkeypatch, coeffs):
         # a cubic with a positive lead takes the exact region and solves
-        # nothing; any other polynomial makes the classifier's solves, of p'
-        # and of p - x (and, for an even degree, of p minus its extreme fixed
-        # point); check_non_exceptional solves nothing
-        degrees = {(0, 3, 0, -1): [2, 3], (-1, 0, 0, 0, 1): [3, 4, 4]}.get(tuple(coeffs), [])
+        # nothing; any other polynomial makes the classifier's solves, as
+        # (rows, degree of the rows): of p', then of p - x (and, for an even
+        # degree, of p minus its extreme fixed point), or for -x^3 + 3x the
+        # cross-check of I(f o f) and f(f(X)) - X on the row of f;
+        # check_non_exceptional solves nothing.  Every float solve goes
+        # through roots_batch
+        solves = {(0, 3, 0, -1): [(1, 2), (66, 3), (1, 3)],
+                  (-1, 0, 0, 0, 1): [(1, 3), (1, 4), (1, 4)]}.get(tuple(coeffs), [])
         calls = []
-        solve = roots.roots_shifted
-        counted = lambda p, t: calls.append(p.degree) or solve(p, t)
-        for module in (roots, orbit, classifier):
-            monkeypatch.setattr(module, "roots_shifted", counted)
+        solve = roots.roots_batch
+        counted = lambda C, *a, **k: calls.append(np.shape(C)) or solve(C, *a, **k)
+        for module in (roots, classifier):
+            monkeypatch.setattr(module, "roots_batch", counted)
         certify_nonabelian(P(*coeffs), Fraction(1, 2))
-        assert calls == degrees
+        assert [(rows, cols - 1) for rows, cols in calls] == solves
 
     def test_cubic_at_the_region_corner(self, monkeypatch):
         # x^3 - 3x + 10^-9 is conjugate to X^3 + AX + B with A = -3 and
