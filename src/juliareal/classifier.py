@@ -14,8 +14,7 @@ import numpy as np
 
 from .poly import Polynomial, poly_to_json
 from .roots import (RootFindingError, TwoCycles, all_real_batch, all_real_shifted, near_axis,
-                    real_roots_batch, real_roots_ex, roots_batch, roots_shifted, shifted_rows,
-                    solved_real_roots)
+                    real_roots_batch, real_roots_ex, roots_batch, shifted_rows, solved_real_roots)
 from .tolerances import (CLUSTER_TOL, CONTAIN_TOL, CRIT_REALNESS_TOL, ENDPOINT_PULL,
                          FIXED_REALNESS_TOL, MARGINAL_TOL, SPLIT_ENDPOINT_TOL, SPLIT_TOL)
 
@@ -187,10 +186,9 @@ def _cross_check(q, interval, targets, within=None):
     p - t must split over R at each target t, to that target's realness
     tolerance in _CROSS_CHECK_TOL (with every root in within = (lo, hi),
     when that is given); the first target where it does not raises
-    CriticalIntervalError.  Above degree 3 the rows are the p - t, solved
-    with the other groups' rows.  At degree 3 and below there are none:
-    judge takes the discriminant sign (all_real_shifted) or, within
-    [lo, hi], makes its own closed-form solve (roots_shifted).
+    CriticalIntervalError.  The rows are the p - t, solved with the other
+    groups' rows, except at degree 3 and below with no within: there are
+    none, and judge takes the discriminant's sign (all_real_shifted).
     """
     if targets is None:
         return None, lambda _: interval
@@ -214,11 +212,9 @@ def _cross_check(q, interval, targets, within=None):
                      f"t={float(ts[failed[0]])}; the all-real set may be disconnected")
         return interval
 
-    if q.degree > 3:
+    if q.degree > 3 or within is not None:
         return shifted_rows(q, ts), lambda z: judged(splits(z))
-    if within is None:
-        return None, lambda _: judged(all_real_shifted(q, ts, tol=tol))
-    return None, lambda _: judged(splits(roots_shifted(q, ts)))
+    return None, lambda _: judged(all_real_shifted(q, ts, tol=tol))
 
 
 def _solve_together(groups):
@@ -228,14 +224,21 @@ def _solve_together(groups):
     roots_batch call, and a row gets the roots it would get alone, so each
     judge sees what a solve of its own rows would give; a group with rows
     None is judged on None.  The judges run in order.  If the one call
-    raises, each group's rows are solved and judged in turn instead, so the
-    error raised is the one separate solves would raise first.
+    raises, each group's rows are solved and judged in turn instead (or,
+    with one group of rows, its error is raised in its turn), so the error
+    raised is the one separate solves would raise first.
     """
     rows = [C for C, _ in groups if C is not None]
     try:
         z = roots_batch(np.concatenate(rows)) if rows else None
     except RootFindingError:
-        return [judge(None if C is None else roots_batch(C)) for C, judge in groups]
+        if len(rows) > 1:
+            return [judge(None if C is None else roots_batch(C)) for C, judge in groups]
+        # those rows alone would raise the same error, after the judges before them
+        for C, judge in groups:
+            if C is not None:
+                raise
+            judge(None)
     out, at = [], 0
     for C, judge in groups:
         n = 0 if C is None else len(C)
@@ -332,7 +335,7 @@ def classify_real_julia(p: Polynomial) -> ClassificationReport:
     if odd and not positive:
         interval = square_critical_interval(q)
         fps, marginal = real_roots_ex(TwoCycles(q), realness_tol=FIXED_REALNESS_TOL)
-    elif q.degree > 3:
+    else:
         # critical_interval and real_fixed_points, the row p - X solved with
         # the cross-check's rows
         fixed = q - Polynomial([0.0, 1.0])
@@ -340,9 +343,6 @@ def classify_real_julia(p: Polynomial) -> ClassificationReport:
             _cross_check(q, *_interval_targets(q)),
             (shifted_rows(fixed, [0.0]),
              lambda z: solved_real_roots(fixed, z[0], FIXED_REALNESS_TOL))])
-    else:
-        interval = critical_interval(q)
-        fps, marginal = real_fixed_points(q)
     points = [x for x, _ in fps]
     report = ClassificationReport(False, branch, points, interval, marginal=marginal)
     if odd:

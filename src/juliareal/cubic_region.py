@@ -128,12 +128,17 @@ def _nearest_distance(a, b):
             moving &= ~stalled
         if not np.count_nonzero(moving):
             cusp = np.hypot(np.ldexp(a + 3.0, -3 * e), np.ldexp(b, -3 * e))
-            # the curve point (-3t^2, 2t(t^2 - 1)) at t = 2^e s, less (A, b);
-            # at a root of q, right of t = 1, the second coordinate is
-            # -6t(3t^2 + A)/(6t^2 - 2) = -3 s x / (3 2^e s^2 - 2^-e)
+            # the curve point (-3t^2, 2t(t^2 - 1)) at t = 2^e s, less (A, b)
+            half_b = np.ldexp(0.5 * b, -3 * e)
             x = np.ldexp(3.0 * s * s, -e) + np.ldexp(a, -3 * e)
-            y = np.where(s > floor, -3.0 * s * x / (np.ldexp(3.0 * s * s, e) - floor),
-                         2.0 * (s * (s * s - c3) - np.ldexp(0.5 * b, -3 * e)))
+            y = 2.0 * (s * (s * s - c3) - half_b)
+            # where y is inside Horner's rounding of its terms, at a root of q
+            # right of t = 1, take it as -6t(3t^2 + A)/(6t^2 - 2) =
+            # -3 s x / (3 2^e s^2 - 2^-e)
+            lost = (s > floor) & (np.abs(y) <= _FLOOR_UNIT * 2.0 * (s * (s * s + c3) + half_b))
+            if np.count_nonzero(lost):
+                r = s[lost]
+                y[lost] = -3.0 * r * x[lost] / (np.ldexp(3.0 * r * r, e[lost]) - floor[lost])
             return np.ldexp(np.minimum(cusp, np.hypot(x, y)), 3 * e)
         s = np.minimum(s, new)
         last = step
@@ -173,11 +178,12 @@ def boundary_distance(A, B):
     curve's evolute Horner's sum can come out as exactly q's constant term,
     and the steps would otherwise creep by a few ulps each.
 
-    At a last iterate right of 1, a root of q, D'(t) = 0 gives the second
-    coordinate 2t^3 - 2t - b as -6t(3t^2 + A)/(6t^2 - 2), and the distance
-    takes it in that form: 2t^3 - 2t - b cancels, and its rounding, of order
-    eps |B|, would pass the distance itself far out along the curve.  So the
-    distance is exact to relative rounding wherever 3t^2 + A does not
+    The distance takes the second coordinate 2t^3 - 2t - b as it is, where
+    sqrt D is stationary in t; but far out along the curve it cancels, and
+    its rounding, of order eps |B|, would pass the distance itself.  Where
+    it lies inside Horner's rounding of its terms, at a last iterate right
+    of 1, a root of q, it is taken as -6t(3t^2 + A)/(6t^2 - 2), D'(t) = 0.
+    So the distance is exact to relative rounding wherever 3t^2 + A does not
     cancel; near the curve, where it does, the error is of order eps |A|.
     A and B may be arrays of one shape; the result then has that shape.  A
     NaN coordinate gives NaN, an infinite one inf, and a finite point a

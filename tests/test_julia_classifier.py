@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from juliareal import classifier, roots
-from juliareal.classifier import (classify_real_julia, critical_interval, real_fixed_points,
-                                  square_critical_interval)
+from juliareal.classifier import (CriticalInterval, CriticalIntervalError, classify_real_julia,
+                                  critical_interval, real_fixed_points, square_critical_interval)
 from juliareal.poly import AffineMap, Polynomial, conjugate
-from juliareal.roots import TwoCycles, real_roots_ex
-from juliareal.tolerances import FIXED_REALNESS_TOL
+from juliareal.roots import (TwoCycles, all_real_shifted, near_axis, real_roots_ex,
+                             roots_shifted)
+from juliareal.tolerances import CLUSTER_TOL, FIXED_REALNESS_TOL
 
 
 def P(*coeffs):
@@ -268,18 +269,70 @@ class TestOddNegative:
             square_critical_interval(f)
 
 
+def checked_interval(lo, hi, splits):
+    """The CriticalInterval [lo, hi] cross-checked by splits(ts, tol), which
+    makes its own solve: whether p - t splits at each target t, to that
+    target's realness tolerance.  Empty past lo > hi + the pull, the point
+    at the midpoint when the pulled-in ends would cross, and otherwise
+    checked over the finite ones of the 66 targets of _cross_check_targets,
+    with the first failure raising as critical_interval does."""
+    scale = 1.0 + max((abs(v) for v in (lo, hi) if math.isfinite(v)), default=0.0)
+    pull = classifier.ENDPOINT_PULL
+    if lo > hi + pull * scale:
+        return classifier._EMPTY
+    if lo > hi - 2 * pull * scale:
+        lo = hi = 0.5 * (lo + hi)
+    if lo < hi:
+        ts = classifier._cross_check_targets(lo, hi, scale)
+        finite = np.flatnonzero(np.isfinite(ts))
+        failed = finite[~splits(ts[finite], classifier._CROSS_CHECK_TOL[finite])]
+        if failed.size:
+            end = failed[0] - len(classifier._SAMPLE_NODES)
+            raise CriticalIntervalError(
+                f"fast-path endpoint {(lo, hi)[end]} fails the all-real oracle" if end >= 0
+                else f"fast-path interval [{lo}, {hi}] fails the all-real oracle at "
+                     f"t={float(ts[failed[0]])}; the all-real set may be disconnected")
+    return CriticalInterval(lo, hi)
+
+
+def separate_interval(p):
+    """critical_interval(p), or square_critical_interval(p) for an odd degree
+    with a negative lead, with each cross-check solved by itself: I_p by
+    all_real_shifted, I(p o p) by roots_shifted and _locate in I_p."""
+    q = p.to_float()
+    crit = classifier._critical_points(q)
+    if crit is None:
+        return classifier._EMPTY
+    values = [(q(x), kind) for x, kind in crit]
+    outer = checked_interval(*classifier._bounds(values),
+                             lambda ts, tol: all_real_shifted(q, ts, tol=tol))
+    if q.degree % 2 == 0 or q.lead > 0:
+        return outer
+    if outer.empty or not all(outer.contains(x) for x, _ in crit):
+        return classifier._EMPTY
+    lo, hi = outer.lo, outer.hi
+    pins = [(q(v), 0) for v, kind in values
+            if kind == 0 or any(abs(v - c) <= CLUSTER_TOL * (1.0 + abs(v)) for c, _ in crit)]
+
+    def splits(ts, tol):
+        z = roots_shifted(q, ts)
+        return (near_axis(z, tol[:, None]) & classifier._locate(z.real, lo, hi)[0]).all(axis=1)
+
+    return checked_interval(*classifier._bounds([(lo, 1), (q(hi), 1), (hi, -1), (q(lo), -1)]
+                                                + pins), splits)
+
+
 def separate_report(p):
-    """classify_real_julia's report fields from the public calls, each making
-    its own solves: critical_interval and real_fixed_points, or, for an odd
-    degree with a negative lead, square_critical_interval and the roots of
-    TwoCycles; then, for an even degree, p minus its extreme fixed point."""
+    """classify_real_julia's report fields with every solve made by itself:
+    separate_interval, and real_fixed_points or, for an odd degree with a
+    negative lead, the roots of TwoCycles; then, for an even degree, p minus
+    its extreme fixed point."""
     q = p.to_float()
     odd, positive = q.degree % 2 == 1, q.lead > 0
+    interval = separate_interval(q)
     if odd and not positive:
-        interval = square_critical_interval(q)
         fps, marginal = real_roots_ex(TwoCycles(q), realness_tol=FIXED_REALNESS_TOL)
     else:
-        interval = critical_interval(q)
         fps, marginal = real_fixed_points(q)
     points = [x for x, _ in fps]
     out = {"fixed_points": points, "interval": interval.to_json(), "test_interval": None,
@@ -316,6 +369,17 @@ def report_fields(p):
             "witness": rep.witness, "marginal": rep.marginal, "reason": rep.reason}
 
 
+def public_interval(p):
+    """critical_interval(p), or square_critical_interval(p) for an odd degree
+    with a negative lead, as JSON."""
+    odd_negative = p.degree % 2 == 1 and p.lead < 0
+    return (square_critical_interval if odd_negative else critical_interval)(p).to_json()
+
+
+def separate_interval_json(p):
+    return separate_interval(p).to_json()
+
+
 def outcome(build, p):
     try:
         return build(p)
@@ -324,9 +388,10 @@ def outcome(build, p):
 
 
 class TestSharedSolve:
-    """Above degree 3 classify_real_julia solves the fixed-point row p - X with
-    the cross-check's rows, and the odd-negative branch both cross-checks, in
-    one roots_batch call; each row gets the roots it would get alone."""
+    """classify_real_julia solves the fixed-point row p - X with the
+    cross-check's rows, and the odd-negative branch both cross-checks, in one
+    roots_batch call; each row gets the roots it would get alone.  The
+    reference, separate_report, solves each cross-check by itself."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(4, 6), st.lists(st.floats(-3.0, 3.0), min_size=7, max_size=7),
@@ -334,6 +399,7 @@ class TestSharedSolve:
     def test_random_maps_match_separate_solves(self, d, coeffs, lead, sign):
         p = P(*coeffs[:d], sign * lead)
         assert outcome(report_fields, p) == outcome(separate_report, p)
+        assert outcome(public_interval, p) == outcome(separate_interval_json, p)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(4, 6), st.sampled_from([-1.0, 1.0]), st.floats(0.3, 2.5),
@@ -345,6 +411,7 @@ class TestSharedSolve:
         phi = AffineMap(flip * math.exp(log_scale), shift)
         p = conjugate(P(*(sign * s * c for c in chebyshev(d))), phi)
         assert outcome(report_fields, p) == outcome(separate_report, p)
+        assert outcome(public_interval, p) == outcome(separate_interval_json, p)
 
     @pytest.mark.parametrize("sign, s, d, rows", [
         # p', then p - t at the 66 targets with p - X, then p minus the
@@ -387,6 +454,27 @@ class TestSharedSolve:
             assert got == outcome(separate_report, p)
             raised += isinstance(got, tuple)
         assert raised >= 10
+
+
+    def test_failed_cross_checks_raise_as_separate_solves(self, monkeypatch):
+        # pushed out past the interval's ends, the endpoint targets fail the
+        # all-real check (or, for I(f o f), have a root outside I_f): the
+        # error names the first failed target, as the separate check does,
+        # in every branch from degree 2
+        monkeypatch.setattr(classifier, "ENDPOINT_PULL", -1e-4)
+        rng = np.random.default_rng(39)
+        raised = {}
+        for k in range(60):
+            d, sign = 2 + k % 5, rng.choice([-1.0, 1.0])
+            phi = AffineMap(rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(-0.7, 0.7)),
+                            rng.uniform(-1.5, 1.5))
+            p = conjugate(P(*(sign * rng.uniform(1.1, 2.5) * c for c in chebyshev(d))), phi)
+            got = outcome(report_fields, p)
+            assert got == outcome(separate_report, p)
+            assert outcome(public_interval, p) == outcome(separate_interval_json, p)
+            if isinstance(got, tuple):
+                raised[d % 2, sign] = raised.get((d % 2, sign), 0) + 1
+        assert len(raised) == 4 and min(raised.values()) >= 5, raised
 
 
 class TestDegreeGuards:
