@@ -14,7 +14,7 @@ import numpy as np
 
 from .poly import Polynomial, poly_to_json
 from .roots import (RootFindingError, TwoCycles, all_real_batch, all_real_shifted, near_axis,
-                    real_roots_batch, real_roots_ex, roots_batch, shifted_rows, solved_real_roots)
+                    real_roots_batch, real_roots_ex, roots_batch, shifted_rows)
 from .tolerances import (CLUSTER_TOL, CONTAIN_TOL, CRIT_REALNESS_TOL, ENDPOINT_PULL,
                          FIXED_REALNESS_TOL, MARGINAL_TOL, SPLIT_ENDPOINT_TOL, SPLIT_TOL)
 
@@ -224,21 +224,19 @@ def _solve_together(groups):
     roots_batch call, and a row gets the roots it would get alone, so each
     judge sees what a solve of its own rows would give; a group with rows
     None is judged on None.  The judges run in order.  If the one call
-    raises, each group's rows are solved and judged in turn instead (or,
-    with one group of rows, its error is raised in its turn), so the error
-    raised is the one separate solves would raise first.
+    raises, each group's rows are solved and judged in turn instead, so the
+    error raised is the one separate solves would raise first.  With one
+    group of rows, a solve of them alone would raise the same error, and it
+    is raised at once: a judge without rows that can raise comes before
+    rows only at degree 3 and below, whose closed forms do not raise.
     """
     rows = [C for C, _ in groups if C is not None]
     try:
         z = roots_batch(np.concatenate(rows)) if rows else None
     except RootFindingError:
-        if len(rows) > 1:
-            return [judge(None if C is None else roots_batch(C)) for C, judge in groups]
-        # those rows alone would raise the same error, after the judges before them
-        for C, judge in groups:
-            if C is not None:
-                raise
-            judge(None)
+        if len(rows) == 1:
+            raise
+        return [judge(None if C is None else roots_batch(C)) for C, judge in groups]
     out, at = [], 0
     for C, judge in groups:
         n = 0 if C is None else len(C)
@@ -342,7 +340,7 @@ def classify_real_julia(p: Polynomial) -> ClassificationReport:
         interval, (fps, marginal) = _solve_together([
             _cross_check(q, *_interval_targets(q)),
             (shifted_rows(fixed, [0.0]),
-             lambda z: solved_real_roots(fixed, z[0], FIXED_REALNESS_TOL))])
+             lambda z: real_roots_ex(fixed, FIXED_REALNESS_TOL, solved=z[0]))])
     points = [x for x, _ in fps]
     report = ClassificationReport(False, branch, points, interval, marginal=marginal)
     if odd:

@@ -560,7 +560,7 @@ def _chain_clusters(values, tol):
     return clusters
 
 
-def real_roots_ex(p, realness_tol=REALNESS_TOL):
+def real_roots_ex(p, realness_tol=REALNESS_TOL, solved=None):
     """Distinct real roots with multiplicities, plus a marginality flag.
 
     p is a Polynomial or a TwoCycles (f(f(X)) - X, never expanded).
@@ -569,22 +569,14 @@ def real_roots_ex(p, realness_tol=REALNESS_TOL):
     m-fold cluster refined by Newton on p^(m-1); near-real clusters that
     refine onto the axis are accepted too (this recovers e.g. triple roots whose float
     images scatter ~eps^(1/3) off the axis).
+
+    solved, when given, holds the roots roots_batch gave the row
+    shifted_rows(p, [0.0]) in some batch.  A row gets the roots it would get
+    alone, so they stand in for complex_roots' solve, with its residual
+    check and conjugate pairing, and the result is the same.
     """
     q = p.to_float()
-    return _real_clusters(q, complex_roots(q), realness_tol)
-
-
-def solved_real_roots(p: Polynomial, z, realness_tol):
-    """real_roots_ex(p) from z, the roots roots_batch gave the row of
-    shifted_rows(p, [0.0]) in some batch: a row gets the roots it would get
-    alone, so this is real_roots_ex's result, after the same residual check,
-    conjugate pairing and clustering."""
-    q = p.to_float()
-    return _real_clusters(q, _checked_roots(_evaluator(q), z), realness_tol)
-
-
-def _real_clusters(q, roots, realness_tol):
-    """real_roots_ex of q from its checked complex roots."""
+    roots = complex_roots(q) if solved is None else _checked_roots(_evaluator(q), solved)
     scale = 1.0 + float(np.abs(roots).max())
     accepted = []   # (center: complex, mult)
     leftovers = []  # clusters that stayed off-axis
