@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .poly import Polynomial, poly_to_json
-from .roots import (RootFindingError, TwoCycles, all_real_batch, all_real_shifted, near_axis,
-                    real_roots_batch, real_roots_ex, roots_batch, shifted_rows)
+from .roots import (TwoCycles, all_real_batch, all_real_shifted, near_axis, real_roots_batch,
+                    real_roots_ex, roots_batch, shifted_rows)
 from .tolerances import (CLUSTER_TOL, CONTAIN_TOL, CRIT_REALNESS_TOL, ENDPOINT_PULL,
                          FIXED_REALNESS_TOL, MARGINAL_TOL, SPLIT_ENDPOINT_TOL, SPLIT_TOL)
 
@@ -186,12 +186,13 @@ def _cross_check(q, interval, targets, within=None):
     p - t must split over R at each target t, to that target's realness
     tolerance in _CROSS_CHECK_TOL (with every root in within = (lo, hi),
     when that is given); the first target where it does not raises
-    CriticalIntervalError.  The rows are the p - t, solved with the other
-    groups' rows, except at degree 3 and below with no within: there are
-    none, and judge takes the discriminant's sign (all_real_shifted).
+    CriticalIntervalError.  The rows are the p - t, except where no solve is
+    needed: with no targets, and at degree 3 and below with no within, where
+    judge takes the discriminant's sign (all_real_shifted).  There the rows
+    are shifted_rows(q, []), shape (0, d + 1).
     """
     if targets is None:
-        return None, lambda _: interval
+        return shifted_rows(q, []), lambda _: interval
     ts, index = targets
     tol = _CROSS_CHECK_TOL[index]
 
@@ -214,34 +215,24 @@ def _cross_check(q, interval, targets, within=None):
 
     if q.degree > 3 or within is not None:
         return shifted_rows(q, ts), lambda z: judged(splits(z))
-    return None, lambda _: judged(all_real_shifted(q, ts, tol=tol))
+    return shifted_rows(q, []), lambda _: judged(all_real_shifted(q, ts, tol=tol))
 
 
 def _solve_together(groups):
     """What the judge of each (rows, judge) group makes of its rows' roots.
 
     The rows of every group, all of one degree, are solved in one
-    roots_batch call, and a row gets the roots it would get alone, so each
-    judge sees what a solve of its own rows would give; a group with rows
-    None is judged on None.  The judges run in order.  If the one call
-    raises, each group's rows are solved and judged in turn instead, so the
-    error raised is the one separate solves would raise first.  With one
-    group of rows, a solve of them alone would raise the same error, and it
-    is raised at once: a judge without rows that can raise comes before
-    rows only at degree 3 and below, whose closed forms do not raise.
+    roots_batch call (none when there are no rows), and a row gets the
+    roots it would get alone, so each judge sees what a solve of its own
+    rows would give.  The judges run in order.  A stalled solve raises its
+    RootFindingError, which names the rows of the whole call.
     """
-    rows = [C for C, _ in groups if C is not None]
-    try:
-        z = roots_batch(np.concatenate(rows)) if rows else None
-    except RootFindingError:
-        if len(rows) == 1:
-            raise
-        return [judge(None if C is None else roots_batch(C)) for C, judge in groups]
+    C = np.concatenate([rows for rows, _ in groups])
+    z = roots_batch(C) if len(C) else C
     out, at = [], 0
-    for C, judge in groups:
-        n = 0 if C is None else len(C)
-        out.append(judge(None if C is None else z[at:at + n]))
-        at += n
+    for rows, judge in groups:
+        out.append(judge(z[at:at + len(rows)]))
+        at += len(rows)
     return out
 
 
@@ -307,14 +298,6 @@ def square_critical_interval(p: Polynomial) -> CriticalInterval:
     return intervals[1] if len(intervals) > 1 else _EMPTY
 
 
-def real_fixed_points(p: Polynomial):
-    """Sorted distinct real fixed points of p, with multiplicities."""
-    if p.degree < 2:
-        raise ValueError("degree >= 2 required")
-    q = p.to_float() - Polynomial([0.0, 1.0])
-    return real_roots_ex(q, realness_tol=FIXED_REALNESS_TOL)
-
-
 def classify_real_julia(p: Polynomial) -> ClassificationReport:
     """Dispatch on (degree parity, lead sign) and test the containments.
 
@@ -334,8 +317,8 @@ def classify_real_julia(p: Polynomial) -> ClassificationReport:
         interval = square_critical_interval(q)
         fps, marginal = real_roots_ex(TwoCycles(q), realness_tol=FIXED_REALNESS_TOL)
     else:
-        # critical_interval and real_fixed_points, the row p - X solved with
-        # the cross-check's rows
+        # critical_interval and the real fixed points, the row p - X solved
+        # in the cross-check's call
         fixed = q - Polynomial([0.0, 1.0])
         interval, (fps, marginal) = _solve_together([
             _cross_check(q, *_interval_targets(q)),

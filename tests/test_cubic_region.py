@@ -82,7 +82,9 @@ def stationary_distance(A, B):
     of q, D'(t) = 0 gives 2t^3 - 2t - b = -6t(3t^2 + A)/(6t^2 - 2), so the
     distance there is |3t^2 + A| sqrt(1 + (6t/(6t^2 - 2))^2).  The least of
     that over the real roots t >= 1, and the cusp distance.  Near a double
-    root, where q's roots split off the axis, it is not to be trusted."""
+    root, where q's roots split off the axis, it is not to be trusted, nor
+    near the curve, where 3t^2 + A cancels in floats: at
+    (-26317752495902.46, 5.195999617821713e19) it reads 4.1e-11 off."""
     t = quintic_roots(A, abs(B))
     t = t.real[(np.abs(t.imag) <= 1e-8 * np.abs(t)) & (t.real >= 1.0)]
     at_roots = np.abs(3.0 * t * t + A) * np.hypot(1.0, 6.0 * t / (6.0 * t * t - 2.0))
@@ -93,7 +95,9 @@ def decimal_distance(A, B):
     """The distance to 50 digits: sqrt D(t) in Decimal at t = 1 and at each
     real part >= 1 of a float root of q, before and after Newton steps on q
     in Decimal.  Every t >= 1 bounds the distance from above, and the least
-    is the distance once a candidate reaches the root where D is least."""
+    is the distance once a candidate reaches the root where D is least.
+    Fifty digits hold the cancellation of D's terms up to coordinates of
+    about 10^100; past that the distance can be lost entirely."""
     with localcontext() as ctx:
         ctx.prec = 50
         a, b = Decimal(A), abs(Decimal(B))
@@ -497,12 +501,27 @@ class TestBoundaryDistance:
             assert_distances(A, B)
         # far out the second coordinate comes from the identity at a root of
         # q, not from 2t^3 - 2t - b, whose rounding, of order eps |B|, would
-        # pass the distance itself: relative rounding at every scale
+        # pass the distance itself: relative rounding at every scale (50
+        # digits no longer hold the distance there)
         sign = rng.choice([-1.0, 1.0], (2, 500))
         A, B = sign * 10.0 ** rng.uniform(100.0, 200.0, (2, 500))
         for a, b, dist in zip(A, B, boundary_distance(A, B)):
             exact = stationary_distance(a, b)
             assert abs(dist - exact) <= 1e-12 * exact, (a, b, dist, exact)
+        # up to 10^100, against the 50-digit distance, to the rounding of the
+        # docstring: relative, plus eps |A| near the curve, where 3t^2 + A
+        # cancels (at t from 10 to 10^15, offsets of 10^-16 to 10^-4)
+        eps = np.finfo(float).eps
+        sign = rng.choice([-1.0, 1.0], (2, 500))
+        far = sign * 10.0 ** rng.uniform(1.0, 100.0, (2, 500))
+        t = 10.0 ** rng.uniform(1.0, 15.0, 300)
+        off = rng.choice([-1.0, 1.0], (2, 300)) * 10.0 ** rng.uniform(-16.0, -4.0, (2, 300))
+        near = (-3.0 * t * t * (1.0 + off[0]),
+                rng.choice([-1.0, 1.0], 300) * 2.0 * t * (t * t - 1.0) * (1.0 + off[1]))
+        for A, B in (far, near):
+            for a, b, dist in zip(A, B, boundary_distance(A, B)):
+                ref = float(decimal_distance(a, b))
+                assert abs(dist - ref) <= 1e-12 * ref + 4.0 * eps * abs(a), (a, b, dist, ref)
 
     @pytest.mark.parametrize("A, B, expected", [(1e200, 0.0, 1e200), (-1e200, 0.0, 1e200),
                                                 (-5.0, 1e200, 4.071626424892e133),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from juliareal import classifier, roots
 from juliareal.classifier import (CriticalInterval, CriticalIntervalError, classify_real_julia,
-                                  critical_interval, real_fixed_points, square_critical_interval)
+                                  critical_interval, square_critical_interval)
 from juliareal.poly import AffineMap, Polynomial, conjugate
 from juliareal.roots import (TwoCycles, all_real_shifted, near_axis, real_roots_ex,
                              roots_shifted)
@@ -252,6 +253,26 @@ class TestOddNegative:
         assert rep.julia_real is False
         assert rep.reason == "fixed point outside critical interval"
 
+    def test_square_cross_check_keeps_roots_within_the_outer_interval(self):
+        # -0.99 2T_5(x/2): I(f o f) = [p(hi), p(lo)] is cut from I_f = [lo, hi],
+        # so at its pulled-in ends the extreme roots of p - t lie just inside
+        # I_f.  Every target splits over R, and only the within condition
+        # fails the cross-check when I_f shrinks by 1e-6 of its width
+        q = P(*(-0.99 * c for c in chebyshev(5)))
+        outer, inner = critical_interval(q), square_critical_interval(q)
+        assert outer.lo < inner.lo < inner.hi < outer.hi
+        interval, targets = classifier._fix_interval(inner.lo, inner.hi)
+        check = lambda lo, hi: classifier._solve_together(
+            [classifier._cross_check(q, interval, targets, within=(lo, hi))])
+        assert check(outer.lo, outer.hi) == [inner]
+        shrink = 1e-6 * (outer.hi - outer.lo)
+        # the least root leaves [lo + shrink, hi] at t = p(lo), the greatest
+        # leaves [lo, hi - shrink] at t = p(hi)
+        with pytest.raises(CriticalIntervalError, match=re.escape(f"endpoint {inner.hi} fails")):
+            check(outer.lo + shrink, outer.hi)
+        with pytest.raises(CriticalIntervalError, match=re.escape(f"endpoint {inner.lo} fails")):
+            check(outer.lo, outer.hi - shrink)
+
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([3, 5]), st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
            st.floats(0.2, 2.5))
@@ -324,16 +345,17 @@ def separate_interval(p):
 
 def separate_report(p):
     """classify_real_julia's report fields with every solve made by itself:
-    separate_interval, and real_fixed_points or, for an odd degree with a
-    negative lead, the roots of TwoCycles; then, for an even degree, p minus
-    its extreme fixed point."""
+    separate_interval, and the real roots of p - X or, for an odd degree with
+    a negative lead, of TwoCycles; then, for an even degree, p minus its
+    extreme fixed point."""
     q = p.to_float()
     odd, positive = q.degree % 2 == 1, q.lead > 0
     interval = separate_interval(q)
     if odd and not positive:
         fps, marginal = real_roots_ex(TwoCycles(q), realness_tol=FIXED_REALNESS_TOL)
     else:
-        fps, marginal = real_fixed_points(q)
+        fps, marginal = real_roots_ex(q - Polynomial([0.0, 1.0]),
+                                      realness_tol=FIXED_REALNESS_TOL)
     points = [x for x, _ in fps]
     out = {"fixed_points": points, "interval": interval.to_json(), "test_interval": None,
            "julia_real": False, "witness": None}
@@ -437,10 +459,11 @@ class TestSharedSolve:
         assert rep.julia_real is (s > 1)
         assert calls == rows
 
-    def test_failed_shared_solve_raises_as_separate_solves(self, monkeypatch):
-        # with a low iteration cap the shared solve stalls; each group is
-        # then solved by itself, in order, and the error is the one the
-        # separate solves raise first
+    def test_failed_shared_solve_raises_its_own_error(self, monkeypatch):
+        # with a low iteration cap the shared solve stalls and raises its own
+        # RootFindingError, which names the rows of the shared call; where
+        # the separate solves succeed, so does the shared one, with the same
+        # report
         monkeypatch.setattr(roots, "_ABERTH_MAX_ITER", 12)
         rng = np.random.default_rng(38)
         raised = 0
@@ -450,11 +473,13 @@ class TestSharedSolve:
             phi = AffineMap(rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(-0.7, 0.7)),
                             rng.uniform(-1.5, 1.5))
             p = conjugate(P(*(sign * rng.uniform(0.3, 2.5) * c for c in chebyshev(d))), phi)
-            got = outcome(report_fields, p)
-            assert got == outcome(separate_report, p)
-            raised += isinstance(got, tuple)
+            got, separate = outcome(report_fields, p), outcome(separate_report, p)
+            if isinstance(separate, tuple):
+                assert isinstance(got, tuple) and got[0] is separate[0], (got, separate)
+                raised += 1
+            else:
+                assert got == separate
         assert raised >= 10
-
 
     def test_failed_cross_checks_raise_as_separate_solves(self, monkeypatch):
         # pushed out past the interval's ends, the endpoint targets fail the

@@ -170,6 +170,16 @@ class TestRootsShifted:
         roots_batch(np.array([[-0.5, 2.0, -1.0, 1.0]]))
         assert len(calls) == 1 + roots._POLISH_STEPS == 5
 
+    @pytest.mark.parametrize("expected", [(-2.0, -1.0, 0.5), (-2.0, -1.0, 1.0),
+                                          (-2.0, -0.5, 2.0)])
+    def test_cardano_rows_polish_to_exact_roots(self, expected):
+        # Cardano's roots of these cubics lie on the rounding floor a few
+        # ulps off the dyadic roots: the floor gate would keep them there, and
+        # only the full polish reaches the roots exactly
+        z = roots_batch(np.array([from_roots(expected).coeffs]))
+        assert sorted(z[0].real.tolist()) == list(expected)
+        assert not z.imag.any()
+
     def test_on_floor_quadratic_is_kept(self, monkeypatch):
         # the quadratic formula's roots of x^2 - 2 and x^2 - 1e8 x + 1 lie on
         # the rounding floor: the polish makes its first pass and keeps them
